@@ -19,17 +19,18 @@ import numpy as np
 
 from . import correlators as co
 from . import lhv as lhvmod
-from .linalg import NumericGuardError, expectation
-from .observables import (
-    PairingScheme,
-    TSIRELSON_BOUND,
-    chsh_operator,
-    mermin3_operator,
-    mermin4_operator,
-    phase_flip_observable,
+from .linalg import NumericGuardError
+from .observables import TSIRELSON_BOUND
+from .optimize import (
+    SCENARIO_FACTORIES,
+    make_scenario,
+    maximize_violation,
+    scenario_chsh_phase,
+    scenario_coherent,
+    scenario_squeezed,
+    table_gisin,
 )
-from .optimize import SCENARIO_FACTORIES, make_scenario, maximize_violation, table_gisin
-from .states import DEFAULT_CUTOFF, bell_state, entangled_coherent, ghz_state, squeezed_state
+from .states import DEFAULT_CUTOFF
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -140,6 +141,26 @@ def _floats(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
+def _unit_vectors(text: str):
+    groups = [g for g in text.split(";") if g.strip()]
+    if len(groups) != 4:
+        raise argparse.ArgumentTypeError("expected four semicolon-separated 3-vectors")
+    vecs = [np.array(_floats(g), dtype=float) for g in groups]
+    for g, v in zip(groups, vecs):
+        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            raise argparse.ArgumentTypeError(f"setting {g!r} is not a unit 3-vector")
+    return vecs
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _expect_len(parser, values, n, flag):
     if values is not None and len(values) != n:
         parser.error(f"{flag} expects {n} comma-separated values in radians "
@@ -150,7 +171,7 @@ def _expect_len(parser, values, n, flag):
 def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
                      help="output rendering (default text)")
-    sub.add_argument("--precision", type=int, default=5,
+    sub.add_argument("--precision", type=_int_at_least(0), default=5,
                      help="decimal places in reports (default 5)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for any randomized step (default 0)")
@@ -162,24 +183,41 @@ def _add_common(sub):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _scenario_report(scenario, params, settings=None, oracle=False):
+    """One scenario at ``settings`` (its maximizing defaults when None), on
+    the closed form or, with ``oracle``, the dense matrix route."""
+    settings = list(scenario.defaults) if settings is None else settings
+    if oracle:
+        # oracle reports name the family: chsh-oracle, coherent-oracle, ...
+        name = scenario.name.removesuffix("-phase") + "-oracle"
+        value = scenario.oracle(settings)
+    else:
+        name = scenario.name
+        value = scenario.evaluator(np.array(settings))
+    return _single_report(name, params, settings, float(value),
+                          scenario.classical_bound, scenario.quantum_bound)
+
+
+def _build(parser, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, with a rejected input a usage error."""
+    try:
+        return factory(*args, **kwargs)
+    except (KeyError, OverflowError, ValueError) as exc:
+        parser.error(str(exc))
+
+
 def cmd_chsh(args, parser):
-    angles = _expect_len(parser, args.angles, 4, "--angles") or list(co.STANDARD_CHSH_ANGLES)
+    angles = _expect_len(parser, args.angles, 4, "--angles")
     if args.polar is not None:
         p = _expect_len(parser, args.polar, 8, "--polar")
         if args.bell_index != 0:
             parser.error("--polar settings are wired to Bell index 0")
-        value = co.chsh_phi0_polar(*p)
-        return _single_report("chsh-polar", {"bell_index": 0}, p, value)
+        return _scenario_report(make_scenario("chsh-polar"), {"bell_index": 0}, p)
     if args.optimize:
         return _optimize_report(make_scenario("chsh-polar"), args.restarts, args.seed)
-    if args.oracle or args.bell_index != 0:
-        psi = bell_state(args.bell_index)
-        obs = [phase_flip_observable(a, PairingScheme.qubit()) for a in angles]
-        value = expectation(chsh_operator(*obs), psi).real
-        return _single_report("chsh-oracle", {"bell_index": args.bell_index},
-                              angles, value)
-    value = co.chsh_phi0_phase(*angles)
-    return _single_report("chsh-phase", {"bell_index": 0}, angles, value)
+    return _scenario_report(scenario_chsh_phase(args.bell_index),
+                            {"bell_index": args.bell_index}, angles,
+                            oracle=args.oracle or args.bell_index != 0)
 
 
 def cmd_gisin(args, parser):
@@ -195,111 +233,53 @@ def cmd_gisin(args, parser):
 
 
 def cmd_spin(args, parser):
-    try:
-        scenario = make_scenario("spin", j=args.j)
-    except ValueError as exc:
-        parser.error(str(exc))
+    scenario = _build(parser, make_scenario, "spin", j=args.j)
     if args.optimize:
         return _optimize_report(scenario, args.restarts, args.seed)
-    npairs = scenario.ndim // 4
-    a, ap, b, bp = co.STANDARD_CHSH_ANGLES_DIFF
-    settings = [a] * npairs + [ap] * npairs + [b] * npairs + [bp] * npairs
-    value = scenario.evaluator(np.array(settings))
-    return _single_report(scenario.name, {"j": args.j}, settings, float(value))
+    return _scenario_report(scenario, {"j": args.j})
 
 
 def cmd_coherent(args, parser):
     angles = _expect_len(parser, args.angles, 4, "--angles")
-    if angles is None:
-        angles = list(co.STANDARD_CHSH_ANGLES_DIFF if np.cos(args.phi) < 0
-                      else co.STANDARD_CHSH_ANGLES)
-    params = {"eta": args.eta, "sigma": args.sigma, "phi": args.phi}
+    scenario = _build(parser, scenario_coherent, args.eta, args.sigma, args.phi,
+                      cutoff=args.cutoff)
     if args.optimize:
-        return _optimize_report(make_scenario("coherent", **params),
-                                args.restarts, args.seed)
-    if args.oracle:
-        psi = entangled_coherent(args.eta, args.sigma, args.phi, cutoff=args.cutoff)
-        scheme = PairingScheme.even_odd(args.cutoff)
-        obs = [phase_flip_observable(a, scheme) for a in angles]
-        value = expectation(chsh_operator(*obs), psi).real
-        params["cutoff"] = args.cutoff
-        return _single_report("coherent-oracle", params, angles, value)
-    value = co.chsh_coherent(args.eta, args.sigma, args.phi, *angles)
-    return _single_report("coherent", params, angles, float(value))
+        return _optimize_report(scenario, args.restarts, args.seed)
+    params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
+    return _scenario_report(scenario, params, angles, oracle=args.oracle)
 
 
 def cmd_squeezed(args, parser):
-    if not 0.0 < args.lam < 1.0:
-        parser.error("--lambda must lie strictly between 0 and 1")
-    angles = _expect_len(parser, args.angles, 4, "--angles") or list(co.STANDARD_CHSH_ANGLES)
-    params = {"lam": args.lam}
+    angles = _expect_len(parser, args.angles, 4, "--angles")
+    scenario = _build(parser, scenario_squeezed, args.lam, cutoff=args.cutoff)
     if args.optimize:
-        return _optimize_report(make_scenario("squeezed", lam=args.lam),
-                                args.restarts, args.seed)
-    if args.oracle:
-        psi = squeezed_state(args.lam, cutoff=args.cutoff)
-        scheme = PairingScheme.even_odd(args.cutoff)
-        obs = [phase_flip_observable(a, scheme) for a in angles]
-        value = expectation(chsh_operator(*obs), psi).real
-        params["cutoff"] = args.cutoff
-        return _single_report("squeezed-oracle", params, angles, value)
-    value = co.chsh_squeezed(args.lam, *angles)
-    return _single_report("squeezed", params, angles, float(value))
+        return _optimize_report(scenario, args.restarts, args.seed)
+    params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
+    return _scenario_report(scenario, params, angles, oracle=args.oracle)
 
 
 def cmd_mermin(args, parser):
-    n_angles = 6 if args.parties == 3 else 8
-    defaults = (co.STANDARD_MERMIN3_ANGLES if args.parties == 3
-                else co.STANDARD_MERMIN4_ANGLES)
-    angles = _expect_len(parser, args.angles, n_angles, "--angles") or list(defaults)
-    name = f"mermin{args.parties}"
-    classical = co.MERMIN3_CLASSICAL_BOUND
-    quantum = co.MERMIN3_QUANTUM_BOUND if args.parties == 3 else co.MERMIN4_QUANTUM_BOUND
+    scenario = make_scenario(f"mermin{args.parties}")
+    angles = _expect_len(parser, args.angles, scenario.ndim, "--angles")
     if args.optimize:
-        return _optimize_report(make_scenario(name), args.restarts, args.seed)
-    if args.oracle:
-        psi = ghz_state(args.parties)
-        obs = [phase_flip_observable(a, PairingScheme.qubit()) for a in angles]
-        build = mermin3_operator if args.parties == 3 else mermin4_operator
-        value = expectation(build(*obs), psi).real
-        return _single_report(name + "-oracle", {"parties": args.parties}, angles,
-                              value, classical, quantum)
-    form = co.mermin3_ghz if args.parties == 3 else co.mermin4_ghz
-    value = form(*angles)
-    return _single_report(name, {"parties": args.parties}, angles, float(value),
-                          classical, quantum)
+        return _optimize_report(scenario, args.restarts, args.seed)
+    return _scenario_report(scenario, {"parties": args.parties}, angles, oracle=args.oracle)
 
 
 def cmd_lhv(args, parser):
-    try:
-        model = lhvmod.get_model(args.model)
-    except KeyError as exc:
-        parser.error(str(exc))
-    groups = [g for g in args.vectors.split(";") if g.strip()]
-    if len(groups) != 4:
-        parser.error("--vectors expects four semicolon-separated 3-vectors")
-    vecs = []
-    for g in groups:
-        v = np.array(_floats(g), dtype=float)
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            parser.error(f"setting {g!r} is not a unit 3-vector")
-        vecs.append(v)
-    est = lhvmod.chsh_lhv(model, *vecs, n=args.samples, seed=args.seed)
+    model = _build(parser, lhvmod.get_model, args.model)
+    est = lhvmod.chsh_lhv(model, *args.vectors, n=args.samples, seed=args.seed)
     report = _single_report("lhv", {"model": args.model, "samples": args.samples,
                                     "seed": args.seed},
-                            np.concatenate(vecs), est.mean)
+                            np.concatenate(args.vectors), est.mean)
     report["std_error"] = est.std_error
-    report["quantum_value"] = lhvmod.singlet_quantum_chsh(*vecs)
+    report["quantum_value"] = lhvmod.singlet_quantum_chsh(*args.vectors)
     return report
 
 
 def cmd_optimize(args, parser):
-    try:
-        scenario = make_scenario(args.scenario, n=args.n, r=args.r, j=args.j,
-                                 lam=args.lam, eta=args.eta, sigma=args.sigma,
-                                 phi=args.phi)
-    except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+    scenario = _build(parser, make_scenario, args.scenario, n=args.n, r=args.r, j=args.j,
+                      lam=args.lam, eta=args.eta, sigma=args.sigma, phi=args.phi)
     return _optimize_report(scenario, args.restarts, args.seed)
 
 
@@ -324,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="evaluate through the dense matrix route")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_chsh)
 
     p = subs.add_parser("gisin", help="maximal CHSH value of the N-family state")
     p.add_argument("--n-list", type=_floats, required=True,
                    help="comma-separated N values, each >= 3")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_gisin)
 
@@ -339,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=float, required=True,
                    help="spin (integer or half-integer)")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_spin)
 
@@ -352,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_coherent)
 
@@ -363,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_squeezed)
 
@@ -372,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_floats, default=None)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_mermin)
 
     p = subs.add_parser("lhv", help="local-hidden-variable Monte Carlo CHSH")
     p.add_argument("--model", default="sign")
-    p.add_argument("--samples", type=int, default=lhvmod.DEFAULT_SAMPLES)
-    p.add_argument("--vectors", default=_DEFAULT_LHV_VECTORS,
+    p.add_argument("--samples", type=_int_at_least(1), default=lhvmod.DEFAULT_SAMPLES)
+    p.add_argument("--vectors", type=_unit_vectors, default=_DEFAULT_LHV_VECTORS,
                    help="four unit 3-vectors a;a';b;b' as comma/semicolon lists")
     _add_common(p)
     p.set_defaults(handler=cmd_lhv)
@@ -393,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
     _add_common(p)
     p.set_defaults(handler=cmd_optimize)
 

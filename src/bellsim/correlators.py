@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DenseOperator, StateVector, expectation
-from .observables import TSIRELSON_BOUND
+from .observables import _M4_SIGNS, TSIRELSON_BOUND
 
 CHSH_CLASSICAL_BOUND = 2.0
 MERMIN3_CLASSICAL_BOUND = 2.0
@@ -33,8 +33,6 @@ STANDARD_MERMIN3_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4, -np.pi / 4, np
 STANDARD_MERMIN4_ANGLES = tuple(
     v for _ in range(4) for v in (np.pi / 16, np.pi / 16 + np.pi / 2)
 )
-
-_M4_SIGNS = (-1.0, 1.0, 1.0, -1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def chsh_spin_j(j, alphas, alphas_p, betas, betas_p):
     twoj = int(round(2 * j))
     a, ap = np.asarray(alphas, dtype=float), np.asarray(alphas_p, dtype=float)
     b, bp = np.asarray(betas, dtype=float), np.asarray(betas_p, dtype=float)
-    npairs = twoj // 2 if twoj % 2 == 0 else (twoj + 1) // 2
+    npairs = (twoj + 1) // 2
     if a.shape[-1] != npairs:
         raise ValueError(f"spin j={j} needs {npairs} phases per observable")
     combo = (np.cos(a - b) + np.cos(ap - b) + np.cos(a - bp) - np.cos(ap - bp)).sum(axis=-1)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import ATOL_OPT
-from .observables import TSIRELSON_BOUND
 from . import correlators as co
+from . import linalg, observables, states
+from .linalg import ATOL_OPT
+from .observables import PairingScheme, TSIRELSON_BOUND
 
 GRID_POINTS_PER_DIM = 8
 EVALUATION_CAP = 1_000_000
@@ -34,7 +35,9 @@ class Scenario:
     values of shape (...); ``kinds`` labels each parameter "phase" or
     "polar"; ``polar_mate`` maps a polar index to the phase index it pairs
     with, so canonicalizing theta -> 2 pi - theta can shift the mate by pi
-    without changing the value.
+    without changing the value.  ``oracle``, when set, evaluates one setting
+    vector through the dense matrix route, sharing no code with
+    ``evaluator``; ``defaults`` is the maximizing setting vector, when known.
     """
 
     name: str
@@ -45,6 +48,8 @@ class Scenario:
     classical_bound: float = co.CHSH_CLASSICAL_BOUND
     quantum_bound: float = TSIRELSON_BOUND
     params: dict = field(default_factory=dict)
+    oracle: object = None
+    defaults: tuple = ()
 
     def __post_init__(self):
         if not self.domain:
@@ -139,7 +144,7 @@ def table_gisin(n_values, restarts: int = 8, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 def _phase_scenario(name, evaluator, n_phases, classical=co.CHSH_CLASSICAL_BOUND,
-                    quantum=TSIRELSON_BOUND, params=None):
+                    quantum=TSIRELSON_BOUND, params=None, oracle=None, defaults=()):
     return Scenario(
         name=name,
         evaluator=evaluator,
@@ -148,6 +153,8 @@ def _phase_scenario(name, evaluator, n_phases, classical=co.CHSH_CLASSICAL_BOUND
         classical_bound=classical,
         quantum_bound=quantum,
         params=params or {},
+        oracle=oracle,
+        defaults=tuple(defaults),
     )
 
 
@@ -163,9 +170,24 @@ def _polar8_scenario(name, evaluator, params=None):
     )
 
 
-def scenario_chsh_phase() -> Scenario:
+def _matrix_route(psi, scheme, build_operator, settings):
+    """<psi| O |psi>, O built from one phase-flip observable per setting.
+
+    Oracles call this with a freshly built state, so a truncation guard
+    fails the oracle route only and the closed form never pays for it.
+    """
+    obs = [observables.phase_flip_observable(s, scheme) for s in settings]
+    return linalg.expectation(build_operator(*obs), psi).real
+
+
+def scenario_chsh_phase(bell_index=0) -> Scenario:
+    """Phase-flip CHSH on a Bell state.  The closed form is the one of Bell
+    index 0; the oracle evaluates the indexed state."""
     return _phase_scenario(
-        "chsh-phase", lambda p: co.chsh_phi0_phase(*(p[..., i] for i in range(4))), 4
+        "chsh-phase", lambda p: co.chsh_phi0_phase(*(p[..., i] for i in range(4))), 4,
+        oracle=lambda s: _matrix_route(states.bell_state(bell_index), PairingScheme.qubit(),
+                                       observables.chsh_operator, s),
+        defaults=co.STANDARD_CHSH_ANGLES,
     )
 
 
@@ -203,10 +225,8 @@ def scenario_r_state(r) -> Scenario:
 
 
 def scenario_spin(j) -> Scenario:
-    twoj = int(round(2 * float(j)))
-    if abs(2 * float(j) - twoj) > 1e-9 or twoj < 1:
-        raise ValueError(f"spin must be a positive integer or half-integer, got {j}")
-    npairs = twoj // 2 if twoj % 2 == 0 else (twoj + 1) // 2
+    twoj = states._check_spin(j)
+    npairs = (twoj + 1) // 2
 
     def evaluator(p):
         return co.chsh_spin_j(
@@ -218,38 +238,54 @@ def scenario_spin(j) -> Scenario:
         )
 
     return _phase_scenario(f"spin-{twoj / 2:g}", evaluator, 4 * npairs,
-                           params={"j": twoj / 2.0})
+                           params={"j": twoj / 2.0},
+                           defaults=np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs))
 
 
-def scenario_squeezed(lam) -> Scenario:
+def scenario_squeezed(lam, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError("squeezing parameter must satisfy 0 < lam < 1")
+    cutoff = states._check_cutoff(cutoff)
     return _phase_scenario(
         "squeezed",
         lambda p: co.chsh_squeezed(lam, *(p[..., i] for i in range(4))),
         4,
         params={"lam": lam},
+        oracle=lambda s: _matrix_route(
+            states.squeezed_state(lam, cutoff=cutoff), PairingScheme.even_odd(cutoff),
+            observables.chsh_operator, s),
+        defaults=co.STANDARD_CHSH_ANGLES,
     )
 
 
-def scenario_coherent(eta, sigma, phi) -> Scenario:
+def scenario_coherent(eta, sigma, phi, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
     eta, sigma, phi = float(eta), float(sigma), float(phi)
+    cutoff = states._check_cutoff(cutoff)
     return _phase_scenario(
         "coherent",
         lambda p: co.chsh_coherent(eta, sigma, phi, *(p[..., i] for i in range(4))),
         4,
         params={"eta": eta, "sigma": sigma, "phi": phi},
+        oracle=lambda s: _matrix_route(
+            states.entangled_coherent(eta, sigma, phi, cutoff=cutoff),
+            PairingScheme.even_odd(cutoff), observables.chsh_operator, s),
+        defaults=(co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0
+                  else co.STANDARD_CHSH_ANGLES),
     )
 
 
 def scenario_mermin3() -> Scenario:
+    # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
     return _phase_scenario(
         "mermin3",
         lambda p: co.mermin3_ghz(*(p[..., i] for i in range(6))),
         6,
         classical=co.MERMIN3_CLASSICAL_BOUND,
         quantum=co.MERMIN3_QUANTUM_BOUND,
+        oracle=lambda s: _matrix_route(states.ghz_state(3), PairingScheme.qubit(),
+                                       observables.mermin3_operator, s),
+        defaults=co.STANDARD_MERMIN3_ANGLES,
     )
 
 
@@ -260,6 +296,9 @@ def scenario_mermin4() -> Scenario:
         8,
         classical=co.MERMIN4_CLASSICAL_BOUND,
         quantum=co.MERMIN4_QUANTUM_BOUND,
+        oracle=lambda s: _matrix_route(states.ghz_state(4), PairingScheme.qubit(),
+                                       observables.mermin4_operator, s),
+        defaults=co.STANDARD_MERMIN4_ANGLES,
     )
 
 

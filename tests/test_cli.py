@@ -12,6 +12,45 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+ANGLES = "0.3,1.2,-0.5,2.5"
+
+
+@pytest.mark.parametrize("argv, scenario, params, value", [
+    (["chsh"], "chsh-phase", {"bell_index": 0}, 2.82843),
+    (["chsh", "--oracle"], "chsh-oracle", {"bell_index": 0}, 2.82843),
+    (["chsh", "--bell-index", "2", "--angles", ANGLES], "chsh-oracle", {"bell_index": 2},
+     0.28814),
+    (["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2"], "chsh-polar",
+     {"bell_index": 0}, 0.53959),
+    (["spin", "--j", "1.5"], "spin-1.5", {"j": 1.5}, -2.82843),
+    (["coherent", "--oracle"], "coherent-oracle",
+     {"cutoff": 40, "eta": 0.1, "phi": 3.14159, "sigma": 0.1}, 2.8284),
+    (["squeezed", "--lambda", "0.6", "--oracle"], "squeezed-oracle",
+     {"cutoff": 40, "lam": 0.6}, 2.49567),
+    (["mermin", "--parties", "3", "--oracle"], "mermin3-oracle", {"parties": 3}, -4.0),
+])
+def test_route_report_pinned(capsys, argv, scenario, params, value):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["scenario"], payload["params"], payload["value"]) == (scenario, params, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--optimize", "--restarts", "0"],
+    ["lhv", "--samples", "0"],
+    ["coherent", "--oracle", "--cutoff", "3"],
+    ["chsh", "--precision", "-2"],
+    ["lhv", "--vectors", "x,0,0;0,1,0;1,0,0;0,0,1"],
+    ["spin", "--j", "inf"],
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestChsh:
     def test_default_run(self, capsys):
         code, out, _ = run_cli(capsys, "chsh")

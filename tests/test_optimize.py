@@ -4,7 +4,8 @@ import pytest
 from bellsim import make_scenario, maximize_violation, table_gisin
 from bellsim.correlators import spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
-from bellsim.optimize import Scenario, scenario_gisin
+from bellsim.linalg import ATOL_ORACLE
+from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin, scenario_squeezed
 
 SQRT2 = np.sqrt(2.0)
 
@@ -30,6 +31,26 @@ class TestScenarioRegistry:
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             Scenario(name="x", evaluator=lambda p: 0.0, domain=(), kinds=())
+
+
+# every scenario with an oracle, with the oracle's sign relative to the closed form
+ORACLE_SCENARIOS = [
+    (make_scenario("chsh-phase"), 1.0),
+    (scenario_coherent(0.4, 0.7, 2.0), 1.0),
+    (scenario_squeezed(0.35), 1.0),
+    # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
+    (make_scenario("mermin3"), -1.0),
+    (make_scenario("mermin4"), 1.0),
+]
+
+
+@pytest.mark.parametrize("scenario, sign", ORACLE_SCENARIOS,
+                         ids=[s.name for s, _ in ORACLE_SCENARIOS])
+def test_oracle_matches_closed_form(scenario, sign):
+    rng = np.random.default_rng(21)
+    for settings in rng.uniform(0.0, 2 * np.pi, (3, scenario.ndim)):
+        closed = float(scenario.evaluator(settings))
+        assert scenario.oracle(settings) == pytest.approx(sign * closed, abs=ATOL_ORACLE)
 
 
 class TestMaximizeViolation:
