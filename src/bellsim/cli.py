@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,8 +27,6 @@ from .optimize import (
     make_scenario,
     maximize_violation,
     scenario_chsh_phase,
-    scenario_coherent,
-    scenario_squeezed,
     table_gisin,
 )
 from .states import DEFAULT_CUTOFF
@@ -88,17 +87,17 @@ def render_report(report: dict, fmt: str, precision: int) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, args) -> None:
-    fmt = args.format
-    if args.out:
-        if args.out.endswith(".json"):
-            fmt = "json"
-        elif args.out.endswith(".csv"):
-            fmt = "csv"
+def _emit(report: dict, args, parser) -> None:
+    if not args.out:
+        print(render_report(report, args.format, args.precision))
+        return
+    fmt = ("json" if args.out.endswith(".json") else
+           "csv" if args.out.endswith(".csv") else args.format)
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(render_report(report, fmt, args.precision) + "\n")
-    else:
-        print(render_report(report, fmt, args.precision))
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror}")
 
 
 def _single_report(scenario, params, settings, value,
@@ -120,25 +119,22 @@ def _single_report(scenario, params, settings, value,
 _OPT_BOUND_GUARD = 1e-9
 
 
-def _optimize_report(scenario, restarts, seed):
-    result = maximize_violation(scenario, restarts=restarts, seed=seed)
-    params = dict(scenario.params)
-    params.update(restarts=restarts, seed=seed, evaluations=result.evaluations,
-                  converged=result.converged)
-    return _single_report(scenario.name, params, result.best_settings,
-                          result.best_value, scenario.classical_bound,
-                          scenario.quantum_bound, bound_guard=_OPT_BOUND_GUARD)
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _floats(text: str):
+def _finite(text: str) -> float:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+        value = math.nan  # not a number at all: same message as nan or inf
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _floats(text: str):
+    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _unit_vectors(text: str):
@@ -147,7 +143,7 @@ def _unit_vectors(text: str):
         raise argparse.ArgumentTypeError("expected four semicolon-separated 3-vectors")
     vecs = [np.array(_floats(g), dtype=float) for g in groups]
     for g, v in zip(groups, vecs):
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
             raise argparse.ArgumentTypeError(f"setting {g!r} is not a unit 3-vector")
     return vecs
 
@@ -179,15 +175,43 @@ def _add_common(sub):
                      help="write the report to PATH (.json/.csv pick the format)")
 
 
+def _add_search(sub, oracle: bool, optimize: bool = True):
+    """--restarts for the parameter search, plus the --oracle and --optimize
+    switches the subcommand offers; a switch it lacks reads as off."""
+    if oracle:
+        sub.add_argument("--oracle", action="store_true",
+                         help="evaluate through the dense matrix route")
+    if optimize:
+        sub.add_argument("--optimize", action="store_true")
+    sub.add_argument("--restarts", type=_int_at_least(1), default=8)
+    sub.set_defaults(oracle=False, optimize=False)
+
+
+# optimize's scenario parameters: destination -> (flag, type)
+_SCENARIO_PARAMS = {"n": ("--n", int), "r": ("--r", _finite), "j": ("--j", _finite),
+                    "lam": ("--lambda", _finite), "eta": ("--eta", _finite),
+                    "sigma": ("--sigma", _finite), "phi": ("--phi", _finite)}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _scenario_report(scenario, params, settings=None, oracle=False):
-    """One scenario at ``settings`` (its maximizing defaults when None), on
-    the closed form or, with ``oracle``, the dense matrix route."""
-    settings = list(scenario.defaults) if settings is None else settings
-    if oracle:
+def _scenario_report(args, scenario, params, settings=None):
+    """``scenario`` on the route the flags pick: the parameter search with
+    --optimize, else ``settings`` (default --angles, else the scenario's
+    maximizing defaults) on the closed form or, with --oracle, the dense
+    matrix route."""
+    if args.optimize:
+        result = maximize_violation(scenario, restarts=args.restarts, seed=args.seed)
+        params = dict(scenario.params, restarts=args.restarts, seed=args.seed,
+                      evaluations=result.evaluations, converged=result.converged)
+        return _single_report(scenario.name, params, result.best_settings,
+                              result.best_value, scenario.classical_bound,
+                              scenario.quantum_bound, bound_guard=_OPT_BOUND_GUARD)
+    if settings is None:
+        settings = list(scenario.defaults) if args.angles is None else args.angles
+    if args.oracle:
         # oracle reports name the family: chsh-oracle, coherent-oracle, ...
         name = scenario.name.removesuffix("-phase") + "-oracle"
         value = scenario.oracle(settings)
@@ -202,22 +226,23 @@ def _build(parser, factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, with a rejected input a usage error."""
     try:
         return factory(*args, **kwargs)
+    # OverflowError: a finite but huge spin such as --j 1e308 doubles to inf
     except (KeyError, OverflowError, ValueError) as exc:
         parser.error(str(exc))
 
 
 def cmd_chsh(args, parser):
-    angles = _expect_len(parser, args.angles, 4, "--angles")
+    _expect_len(parser, args.angles, 4, "--angles")
     if args.polar is not None:
         p = _expect_len(parser, args.polar, 8, "--polar")
         if args.bell_index != 0:
             parser.error("--polar settings are wired to Bell index 0")
-        return _scenario_report(make_scenario("chsh-polar"), {"bell_index": 0}, p)
-    if args.optimize:
-        return _optimize_report(make_scenario("chsh-polar"), args.restarts, args.seed)
-    return _scenario_report(scenario_chsh_phase(args.bell_index),
-                            {"bell_index": args.bell_index}, angles,
-                            oracle=args.oracle or args.bell_index != 0)
+        args.optimize = args.oracle = False  # explicit polar settings are only evaluated
+        return _scenario_report(args, make_scenario("chsh-polar"), {"bell_index": 0}, p)
+    args.oracle |= args.bell_index != 0  # the closed form is Bell index 0's
+    scenario = (make_scenario("chsh-polar") if args.optimize
+                else scenario_chsh_phase(args.bell_index))
+    return _scenario_report(args, scenario, {"bell_index": args.bell_index})
 
 
 def cmd_gisin(args, parser):
@@ -233,37 +258,24 @@ def cmd_gisin(args, parser):
 
 
 def cmd_spin(args, parser):
-    scenario = _build(parser, make_scenario, "spin", j=args.j)
-    if args.optimize:
-        return _optimize_report(scenario, args.restarts, args.seed)
-    return _scenario_report(scenario, {"j": args.j})
+    return _scenario_report(args, _build(parser, make_scenario, "spin", j=args.j),
+                            {"j": args.j})
 
 
-def cmd_coherent(args, parser):
-    angles = _expect_len(parser, args.angles, 4, "--angles")
-    scenario = _build(parser, scenario_coherent, args.eta, args.sigma, args.phi,
+def cmd_fock(args, parser):
+    """coherent and squeezed: Fock-space families truncated at --cutoff."""
+    _expect_len(parser, args.angles, 4, "--angles")
+    factory, required = SCENARIO_FACTORIES[args.command]
+    scenario = _build(parser, factory, *(getattr(args, k) for k in required),
                       cutoff=args.cutoff)
-    if args.optimize:
-        return _optimize_report(scenario, args.restarts, args.seed)
     params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
-    return _scenario_report(scenario, params, angles, oracle=args.oracle)
-
-
-def cmd_squeezed(args, parser):
-    angles = _expect_len(parser, args.angles, 4, "--angles")
-    scenario = _build(parser, scenario_squeezed, args.lam, cutoff=args.cutoff)
-    if args.optimize:
-        return _optimize_report(scenario, args.restarts, args.seed)
-    params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
-    return _scenario_report(scenario, params, angles, oracle=args.oracle)
+    return _scenario_report(args, scenario, params)
 
 
 def cmd_mermin(args, parser):
     scenario = make_scenario(f"mermin{args.parties}")
-    angles = _expect_len(parser, args.angles, scenario.ndim, "--angles")
-    if args.optimize:
-        return _optimize_report(scenario, args.restarts, args.seed)
-    return _scenario_report(scenario, {"parties": args.parties}, angles, oracle=args.oracle)
+    _expect_len(parser, args.angles, scenario.ndim, "--angles")
+    return _scenario_report(args, scenario, {"parties": args.parties})
 
 
 def cmd_lhv(args, parser):
@@ -278,9 +290,9 @@ def cmd_lhv(args, parser):
 
 
 def cmd_optimize(args, parser):
-    scenario = _build(parser, make_scenario, args.scenario, n=args.n, r=args.r, j=args.j,
-                      lam=args.lam, eta=args.eta, sigma=args.sigma, phi=args.phi)
-    return _optimize_report(scenario, args.restarts, args.seed)
+    scenario = _build(parser, make_scenario, args.scenario,
+                      **{k: getattr(args, k) for k in _SCENARIO_PARAMS})
+    return _scenario_report(args, scenario, scenario.params)
 
 
 # ---------------------------------------------------------------------------
@@ -301,58 +313,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alpha,alpha',beta,beta' in radians")
     p.add_argument("--polar", type=_floats, default=None,
                    help="theta,theta',omega,omega',alpha,alpha',beta,beta'")
-    p.add_argument("--oracle", action="store_true",
-                   help="evaluate through the dense matrix route")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    _add_search(p, oracle=True)
     _add_common(p)
     p.set_defaults(handler=cmd_chsh)
 
     p = subs.add_parser("gisin", help="maximal CHSH value of the N-family state")
     p.add_argument("--n-list", type=_floats, required=True,
                    help="comma-separated N values, each >= 3")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    _add_search(p, oracle=False, optimize=False)
     _add_common(p)
     p.set_defaults(handler=cmd_gisin)
 
     p = subs.add_parser("spin", help="CHSH on the spin-j singlet")
-    p.add_argument("--j", type=float, required=True,
+    p.add_argument("--j", type=_finite, required=True,
                    help="spin (integer or half-integer)")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    _add_search(p, oracle=False)
     _add_common(p)
-    p.set_defaults(handler=cmd_spin)
+    p.set_defaults(handler=cmd_spin, angles=None)
 
     p = subs.add_parser("coherent", help="CHSH on the entangled coherent state")
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--phi", type=float, default=float(np.pi))
+    p.add_argument("--eta", type=_finite, default=0.1)
+    p.add_argument("--sigma", type=_finite, default=0.1)
+    p.add_argument("--phi", type=_finite, default=float(np.pi))
     p.add_argument("--angles", type=_floats, default=None,
                    help="alpha,alpha',beta,beta' (default: maximizing set for phi)")
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    _add_search(p, oracle=True)
     _add_common(p)
-    p.set_defaults(handler=cmd_coherent)
+    p.set_defaults(handler=cmd_fock)
 
     p = subs.add_parser("squeezed", help="CHSH on the two-mode squeezed state")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True,
                    help="squeezing parameter in (0, 1)")
     p.add_argument("--angles", type=_floats, default=None)
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    _add_search(p, oracle=True)
     _add_common(p)
-    p.set_defaults(handler=cmd_squeezed)
+    p.set_defaults(handler=cmd_fock)
 
     p = subs.add_parser("mermin", help="Mermin correlator on a GHZ state")
     p.add_argument("--parties", type=int, choices=(3, 4), required=True)
     p.add_argument("--angles", type=_floats, default=None)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    _add_search(p, oracle=True)
     _add_common(p)
     p.set_defaults(handler=cmd_mermin)
 
@@ -366,16 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("optimize", help="maximize |correlator| for a scenario")
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIO_FACTORIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--j", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    for dest, (flag, kind) in _SCENARIO_PARAMS.items():
+        p.add_argument(flag, dest=dest, type=kind, default=None)
+    _add_search(p, oracle=False, optimize=False)
     _add_common(p)
-    p.set_defaults(handler=cmd_optimize)
+    p.set_defaults(handler=cmd_optimize, optimize=True)
 
     return parser
 
@@ -388,7 +385,7 @@ def main(argv=None) -> int:
     except NumericGuardError as exc:
         print(f"numeric guard failure: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
+    _emit(report, args, parser)
     return 0
 
 

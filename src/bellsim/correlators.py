@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, StateVector, expectation
+from .linalg import DenseOperator, NumericGuardError, StateVector, expectation
 from .observables import _M4_SIGNS, TSIRELSON_BOUND
 
 CHSH_CLASSICAL_BOUND = 2.0
@@ -186,15 +186,22 @@ def spin_j_max(j) -> float:
 def coherent_pair_series(x, max_terms: int = 60, rel_tol: float = 1e-15):
     """Sum of x^(4n+1)/sqrt((2n)!(2n+1)!), the single-mode factor of the
     coherent-state overlap sum.  Stops once a term drops below rel_tol of the
-    partial sum."""
+    partial sum.  Raises NumericGuardError once a term or the sum leaves the
+    double range: from |x| of about 6.1 on, or sooner for huge x, since the
+    factorials stop converting to float near n = 50."""
     total = 0.0
-    for n in range(max_terms):
-        term = float(x) ** (4 * n + 1) / math.sqrt(
-            math.factorial(2 * n) * math.factorial(2 * n + 1)
-        )
-        total += term
-        if abs(term) < rel_tol * max(abs(total), 1e-300):
-            break
+    try:
+        for n in range(max_terms):
+            term = float(x) ** (4 * n + 1) / math.sqrt(
+                math.factorial(2 * n) * math.factorial(2 * n + 1)
+            )
+            total += term
+            if abs(term) < rel_tol * max(abs(total), 1e-300):
+                break
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericGuardError(f"coherent series at x={x} exceeds double precision")
     return total
 
 

@@ -106,43 +106,43 @@ def get_model(name: str) -> LhvModel:
 
 def _unit(vec, label: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"setting {label} must be a unit 3-vector, got {vec}")
     return v
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    # one child stream per fixed-size block; the merge over blocks is then
-    # independent of how blocks are distributed across workers
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-
-
-def _iter_blocks(n: int):
-    block = 0
-    done = 0
-    while done < n:
-        m = min(BLOCK_SIZE, n - done)
-        yield block, m
-        done += m
-        block += 1
+def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
+              seed: int) -> LhvEstimate:
+    """Monte-Carlo mean of ``combine(ra, rb)``, the per-sample combination of
+    the +-1 responses to the settings of each side.  Every valid sample of it
+    squares to ``square``, which the variance relies on; ``dichotomy_failures``
+    counts the samples that did not.
+    """
+    side_a = [_unit(v, "a" + "'" * k) for k, v in enumerate(side_a)]
+    side_b = [_unit(v, "b" + "'" * k) for k, v in enumerate(side_b)]
+    if n < 1:
+        raise ValueError("need at least one sample")
+    total = 0
+    bad = 0
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        # one child stream per fixed-size block; the merge over blocks is then
+        # independent of how blocks are distributed across workers
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        lam = model.sample(rng, min(BLOCK_SIZE, n - start))
+        c = combine([np.asarray(model.response_a(v, lam), dtype=np.int64) for v in side_a],
+                    [np.asarray(model.response_b(v, lam), dtype=np.int64) for v in side_b])
+        total += int(np.sum(c))
+        bad += int(np.count_nonzero(c * c != square))
+    mean = total / n
+    var = (square * n - n * mean * mean) / (n - 1) if n > 1 else 0.0
+    return LhvEstimate(mean=mean, std_error=math.sqrt(max(var, 0.0) / n),
+                       samples=n, dichotomy_failures=bad)
 
 
 def estimate_E(model: LhvModel, a, b, n: int = DEFAULT_SAMPLES,
                seed: int = 0) -> LhvEstimate:
     """Monte-Carlo estimate of E(a, b) = <A(a, lam) B(b, lam)>."""
-    a, b = _unit(a, "a"), _unit(b, "b")
-    if n < 1:
-        raise ValueError("need at least one sample")
-    total = 0
-    for block, m in _iter_blocks(n):
-        lam = model.sample(_block_rng(seed, block), m)
-        total += int(np.sum(
-            np.asarray(model.response_a(a, lam), dtype=np.int64)
-            * np.asarray(model.response_b(b, lam), dtype=np.int64)
-        ))
-    mean = total / n
-    var = (n - n * mean * mean) / (n - 1) if n > 1 else 0.0  # products are +-1
-    return LhvEstimate(mean=mean, std_error=math.sqrt(max(var, 0.0) / n), samples=n)
+    return _estimate(model, [a], [b], lambda ra, rb: ra[0] * rb[0], 1, n, seed)
 
 
 def chsh_lhv(model: LhvModel, a, a_p, b, b_p, n: int = DEFAULT_SAMPLES,
@@ -154,25 +154,10 @@ def chsh_lhv(model: LhvModel, a, a_p, b, b_p, n: int = DEFAULT_SAMPLES,
     each sample lands exactly on -2 or +2; ``dichotomy_failures`` counts the
     samples that did not (always zero for a valid model).
     """
-    a, a_p, b, b_p = (_unit(v, lbl) for v, lbl in
-                      zip((a, a_p, b, b_p), ("a", "a'", "b", "b'")))
-    if n < 1:
-        raise ValueError("need at least one sample")
-    total = 0
-    bad = 0
-    for block, m in _iter_blocks(n):
-        lam = model.sample(_block_rng(seed, block), m)
-        ra = np.asarray(model.response_a(a, lam), dtype=np.int64)
-        rap = np.asarray(model.response_a(a_p, lam), dtype=np.int64)
-        rb = np.asarray(model.response_b(b, lam), dtype=np.int64)
-        rbp = np.asarray(model.response_b(b_p, lam), dtype=np.int64)
-        c = ra * rb + rap * rb + ra * rbp - rap * rbp
-        total += int(np.sum(c))
-        bad += int(np.count_nonzero(c * c != 4))
-    mean = total / n
-    var = (4.0 * n - n * mean * mean) / (n - 1) if n > 1 else 0.0  # c^2 = 4
-    return LhvEstimate(mean=mean, std_error=math.sqrt(max(var, 0.0) / n),
-                       samples=n, dichotomy_failures=bad)
+    def combine(ra, rb):
+        return ra[0] * rb[0] + ra[1] * rb[0] + ra[0] * rb[1] - ra[1] * rb[1]
+
+    return _estimate(model, [a, a_p], [b, b_p], combine, 4, n, seed)
 
 
 def singlet_quantum_E(a, b) -> float:

@@ -142,28 +142,36 @@ def _require_dichotomic(*ops: DenseOperator) -> None:
             raise ValueError(f"operator #{k} is not dichotomic Hermitian")
 
 
+def _signed_kron(signs, *settings: DenseOperator) -> DenseOperator:
+    """Sum over setting choices x of signs[|x|] (x)_p X_p^(x_p).
+
+    ``settings`` lists each party's unprimed and primed observable in turn;
+    |x| counts the primed choices, so ``signs`` has one entry per count.
+    """
+    parties = list(zip(settings[0::2], settings[1::2]))
+    for x, x_p in parties:
+        if x.dim != x_p.dim:
+            raise ValueError("settings of one party must share a dimension")
+        _require_dichotomic(x, x_p)
+    (x, x_p), *rest = [(x.matrix, x_p.matrix) for x, x_p in parties]
+    # sums[s] expands the parties so far against the sign table shifted by s
+    # primed choices; each later party consumes one shift, so the last one
+    # enters through exactly two full-size kron products
+    sums = [signs[s] * x + signs[s + 1] * x_p for s in range(len(parties))]
+    for x, x_p in rest:
+        sums = [np.kron(lo, x) + np.kron(hi, x_p) for lo, hi in zip(sums, sums[1:])]
+    return DenseOperator(sums[0])
+
+
 def chsh_operator(a: DenseOperator, a_p: DenseOperator,
                   b: DenseOperator, b_p: DenseOperator) -> DenseOperator:
     """(A + A') (x) B + (A - A') (x) B' on the joint space."""
-    if a.dim != a_p.dim or b.dim != b_p.dim:
-        raise ValueError("settings of one party must share a dimension")
-    _require_dichotomic(a, a_p, b, b_p)
-    return DenseOperator(
-        np.kron(a.matrix + a_p.matrix, b.matrix)
-        + np.kron(a.matrix - a_p.matrix, b_p.matrix)
-    )
+    return _signed_kron((1, 1, -1), a, a_p, b, b_p)
 
 
 def mermin3_operator(a, a_p, b, b_p, c, c_p) -> DenseOperator:
     """Order-3 Mermin operator A'BC + AB'C + ABC' - A'B'C'."""
-    _require_dichotomic(a, a_p, b, b_p, c, c_p)
-
-    def k3(x, y, z):
-        return np.kron(np.kron(x.matrix, y.matrix), z.matrix)
-
-    return DenseOperator(
-        k3(a_p, b, c) + k3(a, b_p, c) + k3(a, b, c_p) - k3(a_p, b_p, c_p)
-    )
+    return _signed_kron((0, 1, 0, -1), a, a_p, b, b_p, c, c_p)
 
 
 def mermin4_operator(a, a_p, b, b_p, c, c_p, d, d_p) -> DenseOperator:
@@ -173,14 +181,4 @@ def mermin4_operator(a, a_p, b, b_p, c, c_p, d, d_p) -> DenseOperator:
     (-1, +1, +1, -1, -1)[k]; the global 1/2 keeps the violation window at
     2 < |<M4>| <= 4 sqrt(2).
     """
-    parties = ((a, a_p), (b, b_p), (c, c_p), (d, d_p))
-    for pair in parties:
-        _require_dichotomic(*pair)
-    dim = int(np.prod([p[0].dim for p in parties]))
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for bits in np.ndindex(2, 2, 2, 2):
-        term = np.array([[1.0 + 0j]])
-        for party, bit in zip(parties, bits):
-            term = np.kron(term, party[bit].matrix)
-        total += _M4_SIGNS[sum(bits)] * term
-    return DenseOperator(total / 2.0)
+    return _signed_kron([s / 2.0 for s in _M4_SIGNS], a, a_p, b, b_p, c, c_p, d, d_p)

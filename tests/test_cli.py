@@ -28,6 +28,14 @@ ANGLES = "0.3,1.2,-0.5,2.5"
     (["squeezed", "--lambda", "0.6", "--oracle"], "squeezed-oracle",
      {"cutoff": 40, "lam": 0.6}, 2.49567),
     (["mermin", "--parties", "3", "--oracle"], "mermin3-oracle", {"parties": 3}, -4.0),
+    (["coherent"], "coherent", {"eta": 0.1, "phi": 3.14159, "sigma": 0.1}, 2.8284),
+    (["squeezed", "--lambda", "0.6"], "squeezed", {"lam": 0.6}, 2.49567),
+    (["chsh", "--optimize", "--restarts", "2"], "chsh-polar",
+     {"converged": True, "evaluations": 1001146, "restarts": 2, "seed": 0}, 2.82843),
+    (["spin", "--j", "2", "--optimize", "--restarts", "2"], "spin-2",
+     {"converged": True, "evaluations": 1001330, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
+    (["mermin", "--parties", "4", "--optimize", "--restarts", "2"], "mermin4",
+     {"converged": True, "evaluations": 1001174, "restarts": 2, "seed": 0}, 5.65685),
 ])
 def test_route_report_pinned(capsys, argv, scenario, params, value):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -43,12 +51,36 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["chsh", "--precision", "-2"],
     ["lhv", "--vectors", "x,0,0;0,1,0;1,0,0;0,0,1"],
     ["spin", "--j", "inf"],
+    # non-finite numbers, in every float flag and every list
+    ["spin", "--j", "nan"],
+    ["coherent", "--eta", "nan"],
+    ["coherent", "--sigma", "-inf"],
+    ["coherent", "--phi", "inf"],
+    ["squeezed", "--lambda", "nan"],
+    ["chsh", "--angles", "nan,0,0,0"],
+    ["chsh", "--polar", "0,0,0,0,0,0,0,inf"],
+    ["coherent", "--angles", "0,inf,0,0"],
+    ["squeezed", "--lambda", "0.5", "--angles", "0,0,nan,0"],
+    ["mermin", "--parties", "3", "--angles", "0,0,0,0,0,-inf"],
+    ["gisin", "--n-list", "inf"],
+    ["gisin", "--n-list", "3,nan"],
+    ["lhv", "--vectors", "nan,0,0;0,1,0;1,0,0;0,0,1"],
+    ["optimize", "--scenario", "r-state", "--r", "inf"],
+    ["optimize", "--scenario", "spin", "--j", "nan"],
+    ["optimize", "--scenario", "squeezed", "--lambda", "nan"],
+    ["optimize", "--scenario", "coherent", "--eta", "inf", "--sigma", "0.1", "--phi", "3"],
+    ["optimize", "--scenario", "coherent", "--eta", "0.1", "--sigma", "nan", "--phi", "3"],
+    ["optimize", "--scenario", "coherent", "--eta", "0.1", "--sigma", "0.1", "--phi", "-inf"],
+    # an unwritable report path
+    ["chsh", "--out", "{tmp}/missing-dir/report.json"],
 ])
-def test_bad_input_is_usage_error(capsys, argv):
+def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    assert out.out == ""
 
 
 class TestChsh:
@@ -132,6 +164,14 @@ class TestCoherent:
         code, out, err = run_cli(capsys, "coherent", "--eta", "4.5", "--oracle")
         assert code == 1
         assert "guard" in err.lower()
+        assert out == ""
+
+    def test_closed_form_beyond_double_range_is_guard_failure(self, capsys):
+        # the overlap series needs terms whose factorials overflow a float
+        code, out, err = run_cli(capsys, "coherent", "--eta", "7")
+        assert code == 1
+        assert "guard" in err.lower()
+        assert "Traceback" not in err
         assert out == ""
 
 

@@ -42,6 +42,7 @@ from bellsim.correlators import (
     coherent_pair_series,
     spin_j_max,
 )
+from bellsim.linalg import NumericGuardError
 from bellsim.observables import TSIRELSON_BOUND
 from bellsim.states import DEFAULT_CUTOFF
 
@@ -212,6 +213,13 @@ class TestChshCoherent:
     def test_series_factor_converges(self):
         assert coherent_pair_series(1.0, 60) == pytest.approx(
             coherent_pair_series(1.0, 10), abs=1e-12)
+
+    @pytest.mark.parametrize("x", [7.0, -7.0, 1e200])
+    def test_series_beyond_double_range_is_guard_failure(self, x):
+        # terms past n = 50 need factorials no float can hold
+        assert np.isfinite(coherent_pair_series(6.0))
+        with pytest.raises(NumericGuardError):
+            coherent_pair_series(x)
 
     def test_matches_matrix_route(self):
         rng = np.random.default_rng(151)

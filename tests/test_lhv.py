@@ -94,6 +94,8 @@ class TestEstimateE:
     def test_rejects_non_unit_setting(self):
         with pytest.raises(ValueError):
             estimate_E(SIGN_MODEL, 2 * X, X, n=10)
+        with pytest.raises(ValueError):  # a NaN norm compares False against any tolerance
+            estimate_E(SIGN_MODEL, X, np.array([np.nan, 0.0, 0.0]), n=10)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -108,6 +110,10 @@ class TestChshLhv:
             est = chsh_lhv(SIGN_MODEL, *vecs, n=20_000, seed=100 + trial)
             assert abs(est.mean) <= 2.0 + 5 * est.std_error
             assert est.dichotomy_failures == 0
+
+    def test_rejects_nan_setting(self):
+        with pytest.raises(ValueError):
+            chsh_lhv(SIGN_MODEL, X, Y, np.array([np.nan, 0.0, 0.0]), Z, n=10)
 
     def test_per_sample_combination_is_dichotomic(self):
         est = chsh_lhv(SIGN_MODEL, X, Y, vec_at(np.pi / 4), vec_at(-np.pi / 4),

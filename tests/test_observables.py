@@ -197,6 +197,21 @@ class TestChshOperator:
         with pytest.raises(ValueError):
             chsh_operator(bad, good, good, good)
 
+    def test_two_kron_form_exact(self):
+        # (A + A') (x) B + (A - A') (x) B', bit for bit, on qubit and Fock pairs
+        rng = np.random.default_rng(37)
+        for scheme in (PairingScheme.qubit(), PairingScheme.even_odd(6)):
+            a, ap, b, bp = (random_phase_observable(rng, scheme) for _ in range(4))
+            direct = (np.kron(a.matrix + ap.matrix, b.matrix)
+                      + np.kron(a.matrix - ap.matrix, bp.matrix))
+            assert np.array_equal(chsh_operator(a, ap, b, bp).matrix, direct)
+
+    def test_rejects_parties_of_mixed_dimension(self):
+        qubit = DenseOperator(PAULI_X)
+        fock = phase_flip_observable(0.3, PairingScheme.even_odd(4))
+        with pytest.raises(ValueError):
+            chsh_operator(qubit, fock, qubit, qubit)
+
     def test_norm_bounded_over_random_settings(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -276,3 +291,22 @@ class TestMerminOperators:
         bad = DenseOperator(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError):
             mermin3_operator(good, good, good, good, bad, good)
+
+    def test_signed_sums_of_products(self):
+        # each term's sign depends only on how many of its settings are primed
+        rng = np.random.default_rng(41)
+
+        def product(*ops):
+            out = np.eye(1)
+            for op in ops:
+                out = np.kron(out, op.matrix)
+            return out
+
+        a, ap, b, bp, c, cp, d, dp = (random_qubit_observable(rng) for _ in range(8))
+        m3 = product(ap, b, c) + product(a, bp, c) + product(a, b, cp) - product(ap, bp, cp)
+        assert np.max(np.abs(mermin3_operator(a, ap, b, bp, c, cp).matrix - m3)) < 1e-15
+        parties = ((a, ap), (b, bp), (c, cp), (d, dp))
+        signs = (-1, 1, 1, -1, -1)
+        m4 = sum(signs[sum(bits)] * product(*(pair[bit] for pair, bit in zip(parties, bits)))
+                 for bits in np.ndindex(2, 2, 2, 2)) / 2
+        assert np.max(np.abs(mermin4_operator(a, ap, b, bp, c, cp, d, dp).matrix - m4)) < 1e-15
