@@ -141,11 +141,11 @@ def _unit_vectors(text: str):
     groups = [g for g in text.split(";") if g.strip()]
     if len(groups) != 4:
         raise argparse.ArgumentTypeError("expected four semicolon-separated 3-vectors")
-    vecs = [np.array(_floats(g), dtype=float) for g in groups]
-    for g, v in zip(groups, vecs):
-        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
-            raise argparse.ArgumentTypeError(f"setting {g!r} is not a unit 3-vector")
-    return vecs
+    try:
+        return [lhvmod._unit(_floats(g), label)
+                for label, g in zip(("a", "a'", "b", "b'"), groups)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(low: int):
@@ -233,11 +233,15 @@ def _build(parser, factory, *args, **kwargs):
 
 def cmd_chsh(args, parser):
     _expect_len(parser, args.angles, 4, "--angles")
+    if args.optimize and args.bell_index != 0:
+        parser.error("--optimize searches Bell index 0 only")
     if args.polar is not None:
         p = _expect_len(parser, args.polar, 8, "--polar")
         if args.bell_index != 0:
             parser.error("--polar settings are wired to Bell index 0")
-        args.optimize = args.oracle = False  # explicit polar settings are only evaluated
+        if args.optimize or args.oracle:
+            parser.error("--polar settings are evaluated on the closed form only: "
+                         "drop --optimize and --oracle")
         return _scenario_report(args, make_scenario("chsh-polar"), {"bell_index": 0}, p)
     args.oracle |= args.bell_index != 0  # the closed form is Bell index 0's
     scenario = (make_scenario("chsh-polar") if args.optimize

@@ -3,8 +3,10 @@
 The search is a coarse scan (a midpoint grid with 8 points per dimension, or
 seeded uniform sampling once the full grid would exceed the evaluation cap)
 followed by Nelder-Mead refinement started from the best scan points.  The
-whole pipeline is deterministic given (scenario, restarts, seed); restarts
-only ever add starting points, so the best value is monotone in them.
+scan is evaluated in fixed row blocks with a running top-k, so its memory does
+not grow with the cap.  The whole pipeline is deterministic given (scenario,
+restarts, seed); restarts only ever add starting points, so the best value is
+monotone in them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import correlators as co
 from . import linalg, observables, states
@@ -21,6 +22,7 @@ from .observables import PairingScheme, TSIRELSON_BOUND
 
 GRID_POINTS_PER_DIM = 8
 EVALUATION_CAP = 1_000_000
+_SCAN_BLOCK = 1 << 16  # scan rows evaluated at once
 TWO_PI = 2.0 * np.pi
 
 PHASE_DOMAIN = (0.0, TWO_PI)
@@ -83,16 +85,55 @@ def _canonicalize(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_points(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize``, imported on the first call: only the
+    search needs scipy, and its import costs more than the rest of bellsim."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **options)
+
+
+def _scan_blocks(scenario: Scenario, rng: np.random.Generator):
+    """The scan points as consecutive row blocks of at most ``_SCAN_BLOCK``
+    rows: the midpoint grid in C order or, once the full grid would exceed
+    the evaluation cap, ``EVALUATION_CAP`` uniform points drawn from ``rng``."""
     lo = np.array([d[0] for d in scenario.domain])
     hi = np.array([d[1] for d in scenario.domain])
     d = scenario.ndim
-    if GRID_POINTS_PER_DIM ** d <= EVALUATION_CAP:
+    total = GRID_POINTS_PER_DIM ** d
+    if total <= EVALUATION_CAP:
         axes = [lo[i] + (np.arange(GRID_POINTS_PER_DIM) + 0.5)
                 * (hi[i] - lo[i]) / GRID_POINTS_PER_DIM for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-    return rng.uniform(lo, hi, size=(EVALUATION_CAP, d))
+        for start in range(0, total, _SCAN_BLOCK):
+            digits = np.unravel_index(np.arange(start, min(start + _SCAN_BLOCK, total)),
+                                      (GRID_POINTS_PER_DIM,) * d)
+            yield np.stack([axis[k] for axis, k in zip(axes, digits)], axis=-1)
+        return
+    for start in range(0, EVALUATION_CAP, _SCAN_BLOCK):
+        # consecutive draws continue one stream: the same points as one big draw
+        yield rng.uniform(lo, hi, size=(min(_SCAN_BLOCK, EVALUATION_CAP - start), d))
+
+
+def _scan_top(scenario: Scenario, rng: np.random.Generator, k: int):
+    """The ``k`` scan points of largest |value|, ordered as a stable sort of
+    the whole scan by descending |value| would order them (ties in scan
+    order), and the number of points scanned."""
+    top_key = np.empty(0)
+    top_index = np.empty(0, dtype=np.intp)
+    top_points = np.empty((0, scenario.ndim))
+    scanned = 0
+    for block in _scan_blocks(scenario, rng):
+        key = -np.abs(np.asarray(scenario.evaluator(block), dtype=float))
+        kth = min(k, key.size) - 1
+        # keep every point tied with the block's k-th key, since an earlier
+        # tie outranks a later one; NaN keys sort last and are kept as well
+        keep = np.flatnonzero(~(key > np.partition(key, kth)[kth]))
+        key = np.concatenate([top_key, key[keep]])
+        index = np.concatenate([top_index, keep + scanned])
+        points = np.concatenate([top_points, block[keep]])
+        order = np.lexsort((index, key))[:k]
+        top_key, top_index, top_points = key[order], index[order], points[order]
+        scanned += len(block)
+    return top_points, scanned
 
 
 def maximize_violation(scenario: Scenario, restarts: int = 8,
@@ -105,18 +146,14 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    points = _scan_points(scenario, rng)
-    values = np.abs(np.asarray(scenario.evaluator(points), dtype=float))
-    evaluations = points.shape[0]
-    order = np.argsort(-values, kind="stable")[:restarts]
+    starts, evaluations = _scan_top(scenario, np.random.default_rng(seed), restarts)
 
     def objective(x):
         return -abs(float(scenario.evaluator(x)))
 
     best = None  # (value, settings tuple, converged)
-    for idx in order:
-        res = minimize(objective, points[idx], method="Nelder-Mead",
+    for x0 in starts:
+        res = minimize(objective, x0, method="Nelder-Mead",
                        options=dict(xatol=ATOL_OPT, fatol=ATOL_OPT,
                                     maxiter=2000, maxfev=4000))
         evaluations += int(res.nfev)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bellsim
 from bellsim.cli import main, render_report
 
 
@@ -73,6 +77,10 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["optimize", "--scenario", "coherent", "--eta", "0.1", "--sigma", "0.1", "--phi", "-inf"],
     # an unwritable report path
     ["chsh", "--out", "{tmp}/missing-dir/report.json"],
+    # the search covers Bell index 0 only, and --polar settings are only evaluated
+    ["chsh", "--bell-index", "2", "--optimize"],
+    ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--optimize"],
+    ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--oracle"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -81,6 +89,15 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     out = capsys.readouterr()
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_routes_without_search_do_not_import_scipy():
+    code = ("import sys, bellsim, bellsim.cli; bellsim.cli.main(['chsh']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellsim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestChsh:

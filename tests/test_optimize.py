@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bellsim import make_scenario, maximize_violation, table_gisin
+from bellsim import make_scenario, maximize_violation, optimize, table_gisin
 from bellsim.correlators import spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
 from bellsim.linalg import ATOL_ORACLE
@@ -97,6 +99,48 @@ class TestMaximizeViolation:
     def test_restarts_validation(self):
         with pytest.raises(ValueError):
             maximize_violation(make_scenario("chsh-phase"), restarts=0)
+
+
+def _whole_scan(scenario, rng):
+    """The whole scan as one array, the reference for the streamed blocks:
+    a meshgrid of the grid axes, or one uniform draw of the capped size."""
+    lo = np.array([d[0] for d in scenario.domain])
+    hi = np.array([d[1] for d in scenario.domain])
+    g = optimize.GRID_POINTS_PER_DIM
+    if g ** scenario.ndim <= optimize.EVALUATION_CAP:
+        axes = [lo[i] + (np.arange(g) + 0.5) * (hi[i] - lo[i]) / g
+                for i in range(scenario.ndim)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+    return rng.uniform(lo, hi, size=(optimize.EVALUATION_CAP, scenario.ndim))
+
+
+# a cap of 8**6 keeps chsh-phase and mermin3 on the grid (heavy ties) and
+# gisin on the random route, with a short last block for 1000-row blocks
+@pytest.mark.parametrize("block", [1000, 4096, 8 ** 6 + 1])
+@pytest.mark.parametrize("name, params", [("chsh-phase", {}), ("mermin3", {}),
+                                          ("gisin", {"n": 5})])
+def test_streamed_scan_keeps_whole_scan_order(monkeypatch, block, name, params):
+    monkeypatch.setattr(optimize, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(optimize, "EVALUATION_CAP", 8 ** 6)
+    scenario = make_scenario(name, **params)
+    points = _whole_scan(scenario, np.random.default_rng(3))
+    order = np.argsort(-np.abs(scenario.evaluator(points)), kind="stable")
+    for k in (1, 3, 20):
+        starts, scanned = optimize._scan_top(scenario, np.random.default_rng(3), k)
+        assert scanned == len(points)
+        np.testing.assert_array_equal(starts, points[order[:k]])
+
+
+def test_search_memory_does_not_grow_with_the_scan():
+    # spin 5 scans 10**6 points of 20 parameters, 160 MB as one array
+    tracemalloc.start()
+    try:
+        maximize_violation(make_scenario("spin", j=5), restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 class TestFamilies:
