@@ -33,6 +33,7 @@ from .states import (
 )
 from .observables import (
     PairingScheme,
+    SignedKronSum,
     TSIRELSON_BOUND,
     chsh_operator,
     mermin3_operator,

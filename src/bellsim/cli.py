@@ -169,7 +169,7 @@ def _add_common(sub):
                      help="output rendering (default text)")
     sub.add_argument("--precision", type=_int_at_least(0), default=5,
                      help="decimal places in reports (default 5)")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_int_at_least(0), default=0,
                      help="seed for any randomized step (default 0)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report to PATH (.json/.csv pick the format)")
@@ -177,14 +177,16 @@ def _add_common(sub):
 
 def _add_search(sub, oracle: bool, optimize: bool = True):
     """--restarts for the parameter search, plus the --oracle and --optimize
-    switches the subcommand offers; a switch it lacks reads as off."""
+    switches the subcommand offers; a switch it lacks reads as off, and
+    --angles as absent."""
     if oracle:
         sub.add_argument("--oracle", action="store_true",
-                         help="evaluate through the dense matrix route")
+                         help="evaluate through the matrix route: each party's "
+                              "observables applied to the state")
     if optimize:
         sub.add_argument("--optimize", action="store_true")
     sub.add_argument("--restarts", type=_int_at_least(1), default=8)
-    sub.set_defaults(oracle=False, optimize=False)
+    sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 
 # optimize's scenario parameters: destination -> (flag, type)
@@ -197,12 +199,15 @@ _SCENARIO_PARAMS = {"n": ("--n", int), "r": ("--r", _finite), "j": ("--j", _fini
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _scenario_report(args, scenario, params, settings=None):
+def _scenario_report(args, parser, scenario, params, settings=None):
     """``scenario`` on the route the flags pick: the parameter search with
     --optimize, else ``settings`` (default --angles, else the scenario's
-    maximizing defaults) on the closed form or, with --oracle, the dense
-    matrix route."""
+    maximizing defaults) on the closed form or, with --oracle, the matrix
+    route."""
     if args.optimize:
+        if args.oracle or args.angles is not None:
+            parser.error("--optimize searches its own settings on the closed form: "
+                         "drop --oracle and --angles")
         result = maximize_violation(scenario, restarts=args.restarts, seed=args.seed)
         params = dict(scenario.params, restarts=args.restarts, seed=args.seed,
                       evaluations=result.evaluations, converged=result.converged)
@@ -226,8 +231,7 @@ def _build(parser, factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, with a rejected input a usage error."""
     try:
         return factory(*args, **kwargs)
-    # OverflowError: a finite but huge spin such as --j 1e308 doubles to inf
-    except (KeyError, OverflowError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         parser.error(str(exc))
 
 
@@ -242,11 +246,12 @@ def cmd_chsh(args, parser):
         if args.optimize or args.oracle:
             parser.error("--polar settings are evaluated on the closed form only: "
                          "drop --optimize and --oracle")
-        return _scenario_report(args, make_scenario("chsh-polar"), {"bell_index": 0}, p)
+        return _scenario_report(args, parser, make_scenario("chsh-polar"), {"bell_index": 0},
+                                p)
     args.oracle |= args.bell_index != 0  # the closed form is Bell index 0's
     scenario = (make_scenario("chsh-polar") if args.optimize
                 else scenario_chsh_phase(args.bell_index))
-    return _scenario_report(args, scenario, {"bell_index": args.bell_index})
+    return _scenario_report(args, parser, scenario, {"bell_index": args.bell_index})
 
 
 def cmd_gisin(args, parser):
@@ -262,7 +267,7 @@ def cmd_gisin(args, parser):
 
 
 def cmd_spin(args, parser):
-    return _scenario_report(args, _build(parser, make_scenario, "spin", j=args.j),
+    return _scenario_report(args, parser, _build(parser, make_scenario, "spin", j=args.j),
                             {"j": args.j})
 
 
@@ -273,13 +278,13 @@ def cmd_fock(args, parser):
     scenario = _build(parser, factory, *(getattr(args, k) for k in required),
                       cutoff=args.cutoff)
     params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
-    return _scenario_report(args, scenario, params)
+    return _scenario_report(args, parser, scenario, params)
 
 
 def cmd_mermin(args, parser):
     scenario = make_scenario(f"mermin{args.parties}")
     _expect_len(parser, args.angles, scenario.ndim, "--angles")
-    return _scenario_report(args, scenario, {"parties": args.parties})
+    return _scenario_report(args, parser, scenario, {"parties": args.parties})
 
 
 def cmd_lhv(args, parser):
@@ -296,7 +301,7 @@ def cmd_lhv(args, parser):
 def cmd_optimize(args, parser):
     scenario = _build(parser, make_scenario, args.scenario,
                       **{k: getattr(args, k) for k in _SCENARIO_PARAMS})
-    return _scenario_report(args, scenario, scenario.params)
+    return _scenario_report(args, parser, scenario, scenario.params)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spin (integer or half-integer)")
     _add_search(p, oracle=False)
     _add_common(p)
-    p.set_defaults(handler=cmd_spin, angles=None)
+    p.set_defaults(handler=cmd_spin)
 
     p = subs.add_parser("coherent", help="CHSH on the entangled coherent state")
     p.add_argument("--eta", type=_finite, default=0.1)

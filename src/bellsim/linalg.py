@@ -82,6 +82,10 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """O|vec> for a flat amplitude vector."""
+        return self.matrix @ vec
+
     def __add__(self, other):
         return DenseOperator(self.matrix + other.matrix)
 
@@ -109,11 +113,13 @@ def tensor_op(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     return DenseOperator(np.kron(a.matrix, b.matrix))
 
 
-def expectation(op: DenseOperator, psi: StateVector) -> complex:
-    """<psi|O|psi>.  Real up to roundoff whenever O is Hermitian."""
+def expectation(op, psi: StateVector) -> complex:
+    """<psi|O|psi> through ``op.apply``, so an operator kept factored (such as
+    a CHSH or Mermin sum) is never formed as a matrix.  Real up to roundoff
+    whenever O is Hermitian."""
     if op.dim != psi.dim:
         raise ValueError(f"operator dim {op.dim} does not match state dim {psi.dim}")
-    return complex(np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes))
+    return complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)))
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:

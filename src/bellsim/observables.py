@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, is_dichotomic
+from .linalg import DenseOperator, NumericGuardError, is_dichotomic
 from .states import _check_cutoff, _check_spin
 
 SQRT2 = float(np.sqrt(2.0))
@@ -142,43 +142,114 @@ def _require_dichotomic(*ops: DenseOperator) -> None:
             raise ValueError(f"operator #{k} is not dichotomic Hermitian")
 
 
-def _signed_kron(signs, *settings: DenseOperator) -> DenseOperator:
-    """Sum over setting choices x of signs[|x|] (x)_p X_p^(x_p).
+# Largest joint dimension whose matrix ``SignedKronSum.matrix`` builds: a
+# 2048 x 2048 complex matrix takes 64 MiB, and the build holds three of them.
+MAX_DENSE_DIM = 2048
+
+
+def _along(op: np.ndarray, vec: np.ndarray, left: int) -> np.ndarray:
+    """``op`` applied to the tensor axis of ``vec`` that has ``left`` entries
+    of the earlier axes before it; the result is flat like ``vec``."""
+    return (op @ vec.reshape(left, op.shape[0], -1)).reshape(-1)
+
+
+class SignedKronSum:
+    """Sum over setting choices x of signs[|x|] (x)_p X_p^(x_p), kept factored.
 
     ``settings`` lists each party's unprimed and primed observable in turn;
     |x| counts the primed choices, so ``signs`` has one entry per count.
+    The joint matrix is never needed to evaluate the sum on a state:
+    ``apply`` acts with each party's observables along its own tensor axis.
+    ``matrix`` builds the joint matrix on first access, for operator
+    identities on small spaces, and refuses above ``MAX_DENSE_DIM``.
+
+    ``hermitian`` follows from checked facts: every factor is Hermitian
+    (``_require_dichotomic``) and every sign is real and finite, so each term
+    is a real multiple of a Kronecker product of Hermitian matrices, and a
+    real combination of Hermitian matrices is Hermitian.
     """
-    parties = list(zip(settings[0::2], settings[1::2]))
-    for x, x_p in parties:
-        if x.dim != x_p.dim:
-            raise ValueError("settings of one party must share a dimension")
-        _require_dichotomic(x, x_p)
-    (x, x_p), *rest = [(x.matrix, x_p.matrix) for x, x_p in parties]
-    # sums[s] expands the parties so far against the sign table shifted by s
-    # primed choices; each later party consumes one shift, so the last one
-    # enters through exactly two full-size kron products
-    sums = [signs[s] * x + signs[s + 1] * x_p for s in range(len(parties))]
-    for x, x_p in rest:
-        sums = [np.kron(lo, x) + np.kron(hi, x_p) for lo, hi in zip(sums, sums[1:])]
-    return DenseOperator(sums[0])
+
+    __slots__ = ("signs", "parties", "hermitian", "_matrix")
+
+    def __init__(self, signs, *settings: DenseOperator):
+        parties = tuple(zip(settings[0::2], settings[1::2]))
+        for x, x_p in parties:
+            if x.dim != x_p.dim:
+                raise ValueError("settings of one party must share a dimension")
+            _require_dichotomic(x, x_p)
+        table = np.asarray(signs)
+        if (table.shape != (len(parties) + 1,) or table.dtype.kind not in "biuf"
+                or not np.isfinite(table).all()):
+            raise ValueError(f"sign table must hold {len(parties) + 1} real finite "
+                             f"numbers, got {signs!r}")
+        self.signs = tuple(float(s) for s in table)
+        self.parties = parties
+        self.hermitian = all(op.hermitian for pair in parties for op in pair)
+        self._matrix = None
+
+    @property
+    def dim(self) -> int:
+        return int(np.prod([x.dim for x, _ in self.parties]))
+
+    def _first_party_shifts(self) -> list:
+        """signs[s] X + signs[s+1] X' of the first party, for each sign shift s."""
+        (x, x_p), signs = self.parties[0], self.signs
+        return [signs[s] * x.matrix + signs[s + 1] * x_p.matrix
+                for s in range(len(self.parties))]
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The sum applied to a flat amplitude vector, in O(n^2 D d) for n
+        parties of dimension d and joint dimension D."""
+        # partial[s] holds the parties so far against the sign table shifted
+        # by s primed choices; each later party merges neighbouring shifts,
+        # as kron(lo, x) + kron(hi, x_p) does in ``matrix``
+        partial = [_along(m, vec, 1) for m in self._first_party_shifts()]
+        left = self.parties[0][0].dim
+        for x, x_p in self.parties[1:]:
+            partial = [_along(x.matrix, lo, left) + _along(x_p.matrix, hi, left)
+                       for lo, hi in zip(partial, partial[1:])]
+            left *= x.dim
+        return partial[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            if self.dim > MAX_DENSE_DIM:
+                raise NumericGuardError(
+                    f"refusing to build a {self.dim} x {self.dim} joint matrix "
+                    f"(limit {MAX_DENSE_DIM}); evaluate the operator on a state instead")
+            # the last party enters through exactly two full-size kron products
+            sums = self._first_party_shifts()
+            for x, x_p in self.parties[1:]:
+                sums = [np.kron(lo, x.matrix) + np.kron(hi, x_p.matrix)
+                        for lo, hi in zip(sums, sums[1:])]
+            sums[0].setflags(write=False)
+            self._matrix = sums[0]
+        return self._matrix
+
+    def __matmul__(self, other):
+        return DenseOperator(self.matrix @ other.matrix)
+
+    def __repr__(self):
+        return f"SignedKronSum(dim={self.dim}, parties={len(self.parties)})"
 
 
 def chsh_operator(a: DenseOperator, a_p: DenseOperator,
-                  b: DenseOperator, b_p: DenseOperator) -> DenseOperator:
+                  b: DenseOperator, b_p: DenseOperator) -> SignedKronSum:
     """(A + A') (x) B + (A - A') (x) B' on the joint space."""
-    return _signed_kron((1, 1, -1), a, a_p, b, b_p)
+    return SignedKronSum((1, 1, -1), a, a_p, b, b_p)
 
 
-def mermin3_operator(a, a_p, b, b_p, c, c_p) -> DenseOperator:
+def mermin3_operator(a, a_p, b, b_p, c, c_p) -> SignedKronSum:
     """Order-3 Mermin operator A'BC + AB'C + ABC' - A'B'C'."""
-    return _signed_kron((0, 1, 0, -1), a, a_p, b, b_p, c, c_p)
+    return SignedKronSum((0, 1, 0, -1), a, a_p, b, b_p, c, c_p)
 
 
-def mermin4_operator(a, a_p, b, b_p, c, c_p, d, d_p) -> DenseOperator:
+def mermin4_operator(a, a_p, b, b_p, c, c_p, d, d_p) -> SignedKronSum:
     """Order-4 Mermin operator, half the signed sum of all sixteen products.
 
     A four-party product term with k primed slots enters with sign
     (-1, +1, +1, -1, -1)[k]; the global 1/2 keeps the violation window at
     2 < |<M4>| <= 4 sqrt(2).
     """
-    return _signed_kron([s / 2.0 for s in _M4_SIGNS], a, a_p, b, b_p, c, c_p, d, d_p)
+    return SignedKronSum([s / 2.0 for s in _M4_SIGNS], a, a_p, b, b_p, c, c_p, d, d_p)

@@ -3,10 +3,10 @@
 The search is a coarse scan (a midpoint grid with 8 points per dimension, or
 seeded uniform sampling once the full grid would exceed the evaluation cap)
 followed by Nelder-Mead refinement started from the best scan points.  The
-scan is evaluated in fixed row blocks with a running top-k, so its memory does
-not grow with the cap.  The whole pipeline is deterministic given (scenario,
-restarts, seed); restarts only ever add starting points, so the best value is
-monotone in them.
+scan is evaluated in blocks of bounded size with a running top-k, so its
+memory grows neither with the cap nor with the parameter count.  The whole
+pipeline is deterministic given (scenario, restarts, seed); restarts only ever
+add starting points, so the best value is monotone in them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ from .observables import PairingScheme, TSIRELSON_BOUND
 
 GRID_POINTS_PER_DIM = 8
 EVALUATION_CAP = 1_000_000
-_SCAN_BLOCK = 1 << 16  # scan rows evaluated at once
+# scan rows evaluated at once: 65,536, or fewer once a block of float64
+# settings would exceed 65,536 rows x 8 columns, so memory does not grow
+# with the parameter count either
+_SCAN_BLOCK = 1 << 16
+_SCAN_BLOCK_BYTES = _SCAN_BLOCK * 8 * 8
 TWO_PI = 2.0 * np.pi
 
 PHASE_DOMAIN = (0.0, TWO_PI)
@@ -38,8 +42,9 @@ class Scenario:
     "polar"; ``polar_mate`` maps a polar index to the phase index it pairs
     with, so canonicalizing theta -> 2 pi - theta can shift the mate by pi
     without changing the value.  ``oracle``, when set, evaluates one setting
-    vector through the dense matrix route, sharing no code with
-    ``evaluator``; ``defaults`` is the maximizing setting vector, when known.
+    vector through the matrix route (each party's observables applied to the
+    state), sharing no code with ``evaluator``; ``defaults`` is the
+    maximizing setting vector, when known.
     """
 
     name: str
@@ -93,24 +98,26 @@ def minimize(fun, x0, **options):
 
 
 def _scan_blocks(scenario: Scenario, rng: np.random.Generator):
-    """The scan points as consecutive row blocks of at most ``_SCAN_BLOCK``
-    rows: the midpoint grid in C order or, once the full grid would exceed
-    the evaluation cap, ``EVALUATION_CAP`` uniform points drawn from ``rng``."""
+    """The scan points as consecutive row blocks of at most
+    ``_SCAN_BLOCK_BYTES`` and ``_SCAN_BLOCK`` rows: the midpoint grid in
+    C order or, once the full grid would exceed the evaluation cap,
+    ``EVALUATION_CAP`` uniform points drawn from ``rng``."""
     lo = np.array([d[0] for d in scenario.domain])
     hi = np.array([d[1] for d in scenario.domain])
     d = scenario.ndim
+    rows = min(_SCAN_BLOCK, _SCAN_BLOCK_BYTES // (8 * d))
     total = GRID_POINTS_PER_DIM ** d
     if total <= EVALUATION_CAP:
         axes = [lo[i] + (np.arange(GRID_POINTS_PER_DIM) + 0.5)
                 * (hi[i] - lo[i]) / GRID_POINTS_PER_DIM for i in range(d)]
-        for start in range(0, total, _SCAN_BLOCK):
-            digits = np.unravel_index(np.arange(start, min(start + _SCAN_BLOCK, total)),
+        for start in range(0, total, rows):
+            digits = np.unravel_index(np.arange(start, min(start + rows, total)),
                                       (GRID_POINTS_PER_DIM,) * d)
             yield np.stack([axis[k] for axis, k in zip(axes, digits)], axis=-1)
         return
-    for start in range(0, EVALUATION_CAP, _SCAN_BLOCK):
+    for start in range(0, EVALUATION_CAP, rows):
         # consecutive draws continue one stream: the same points as one big draw
-        yield rng.uniform(lo, hi, size=(min(_SCAN_BLOCK, EVALUATION_CAP - start), d))
+        yield rng.uniform(lo, hi, size=(min(rows, EVALUATION_CAP - start), d))
 
 
 def _scan_top(scenario: Scenario, rng: np.random.Generator, k: int):

@@ -14,6 +14,10 @@ import numpy as np
 from .linalg import NumericGuardError, StateVector
 
 DEFAULT_CUTOFF = 40
+# A two-mode state holds cutoff^2 amplitudes: 16 MiB at the largest cutoff.
+MAX_CUTOFF = 1024
+# Largest 2j: a spin party then has dimension 1025, close to MAX_CUTOFF.
+MAX_TWOJ = 1024
 TAIL_TOL = 1e-10
 SCHMIDT_TOL = 1e-10
 
@@ -21,17 +25,25 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _check_cutoff(cutoff: int) -> int:
+    message = f"Fock cutoff must be a positive even integer up to {MAX_CUTOFF}, got {cutoff}"
+    if not 2 <= cutoff <= MAX_CUTOFF:  # before int(): NaN and inf fail here
+        raise ValueError(message)
     cutoff = int(cutoff)
-    if cutoff < 2 or cutoff % 2:
-        raise ValueError(f"Fock cutoff must be a positive even integer, got {cutoff}")
+    if cutoff % 2:
+        raise ValueError(message)
     return cutoff
 
 
 def _check_spin(j) -> int:
-    """Validate j is a positive integer or half-integer; return 2j as int."""
+    """Validate j is a positive integer or half-integer with 2j at most
+    MAX_TWOJ; return 2j as int."""
+    message = (f"spin must be a positive integer or half-integer up to "
+               f"{MAX_TWOJ / 2:g}, got {j}")
+    if not 0 < 2 * j <= MAX_TWOJ:  # before round(): NaN and inf fail here
+        raise ValueError(message)
     twoj = int(round(2 * j))
     if abs(2 * j - twoj) > 1e-9 or twoj < 1:
-        raise ValueError(f"spin must be a positive integer or half-integer, got {j}")
+        raise ValueError(message)
     return twoj
 
 
@@ -82,9 +94,16 @@ def coherent_amplitudes(z: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Raw truncated coherent amplitudes e^(-|z|^2/2) z^n/sqrt(n!), unnormalized.
 
     The squared norm of the result is the probability mass the truncation
-    keeps; callers use 1 - that mass as the leaked tail.
+    keeps; callers use 1 - that mass as the leaked tail.  A mean photon
+    number |z|^2 at or above the cutoff leaves at least about half the mass
+    outside, so it is refused up front, which also keeps every term finite.
     """
     cutoff = _check_cutoff(cutoff)
+    if not abs(z) < np.sqrt(cutoff):
+        raise NumericGuardError(
+            f"coherent state z={z}: mean photon number |z|^2 is not below the "
+            f"cutoff {cutoff}; increase the cutoff"
+        )
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[0] = 1.0
     for n in range(1, cutoff):

@@ -81,6 +81,22 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["chsh", "--bell-index", "2", "--optimize"],
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--optimize"],
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--oracle"],
+    # --optimize searches its own settings on the closed form
+    ["chsh", "--optimize", "--oracle"],
+    ["chsh", "--optimize", "--angles", "0,0,0,0"],
+    ["coherent", "--optimize", "--oracle"],
+    ["coherent", "--optimize", "--angles", ANGLES],
+    ["squeezed", "--lambda", "0.5", "--optimize", "--oracle"],
+    ["squeezed", "--lambda", "0.5", "--optimize", "--angles", ANGLES],
+    ["mermin", "--parties", "3", "--optimize", "--oracle"],
+    ["mermin", "--parties", "3", "--optimize", "--angles", "0,0,0,0,0,0"],
+    # sizes with a documented bound, and a seed numpy rejects
+    ["spin", "--j", "1e308"],
+    ["spin", "--j", "512.5"],
+    ["coherent", "--oracle", "--cutoff", "1026"],
+    ["squeezed", "--lambda", "0.5", "--cutoff", "100000000"],
+    ["chsh", "--optimize", "--seed", "-1"],
+    ["lhv", "--seed", "-1"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -89,6 +105,79 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     out = capsys.readouterr()
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+_FUZZ_ANGLES4 = ("0.3,1.2,-0.5,2.5", "0,0,0", "1,2,3,4,5")
+_FUZZ_CUTOFFS = ("2", "8", "20", "3", "0", "-4", "1026", "100000000")
+# value pools per subcommand flag; None marks a switch
+_FUZZ_FLAGS = {
+    "chsh": {"--bell-index": ("0", "2", "4", "-1"), "--angles": _FUZZ_ANGLES4,
+             "--polar": ("0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "0,0,0,0"),
+             "--oracle": None, "--optimize": None},
+    "gisin": {"--n-list": ("3", "4,10", "2", "3.5", "1e9")},
+    "spin": {"--j": ("0.5", "1", "2", "0", "-1", "0.7", "512.5"), "--optimize": None},
+    "coherent": {"--eta": ("0.1", "0.5", "7", "1e200"), "--sigma": ("0.1", "1.0", "-3"),
+                 "--phi": ("3.14159", "0", "-1e9"), "--angles": _FUZZ_ANGLES4,
+                 "--cutoff": _FUZZ_CUTOFFS, "--oracle": None, "--optimize": None},
+    "squeezed": {"--lambda": ("0.1", "0.6", "0", "1", "-0.5"), "--angles": _FUZZ_ANGLES4,
+                 "--cutoff": _FUZZ_CUTOFFS, "--oracle": None, "--optimize": None},
+    "mermin": {"--parties": ("3", "4", "2", "5"),
+               "--angles": ("0,0,0,0,0,0", "0,1,2,3,4,5,6,7", "0,0"),
+               "--oracle": None, "--optimize": None},
+    "lhv": {"--model": ("sign", "nope"), "--samples": ("1", "10", "1000", "0", "-3"),
+            "--vectors": ("1,0,0;0,1,0;0,0,1;1,0,0", "1,0,0;0,1,0", "2,0,0;0,1,0;0,0,1;1,0,0")},
+    "optimize": {"--scenario": ("chsh-phase", "gisin", "r-state", "spin", "squeezed",
+                                "coherent", "mermin3", "nope"),
+                 "--n": ("3", "5", "2", "x"), "--r": ("0.5", "-2"), "--j": ("0.5", "1.5", "0"),
+                 "--lambda": ("0.3", "2"), "--eta": ("0.2", "9"), "--sigma": ("0.2", "0"),
+                 "--phi": ("1", "-7")},
+}
+_FUZZ_COMMON = {"--format": ("text", "json", "csv", "xml"), "--precision": ("0", "3", "-1"),
+                "--seed": ("0", "7", "-1"), "--restarts": ("1", "0", "-2")}
+_FUZZ_HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "", "x", "0x1p3",
+                 "--oracle")
+
+
+def _fuzz_argv(rng):
+    command = str(rng.choice(list(_FUZZ_FLAGS)))
+    # required flags and small sizes first: a drawn flag later on the line
+    # overrides them
+    argv = [command] + {"gisin": ["--n-list", "3"], "spin": ["--j", "1"],
+                        "squeezed": ["--lambda", "0.6"], "mermin": ["--parties", "3"],
+                        "lhv": ["--samples", "1000"],
+                        "optimize": ["--scenario", "chsh-phase"]}.get(command, [])
+    if command != "lhv":
+        argv += ["--restarts", "1"]
+    flags = dict(_FUZZ_FLAGS[command], **_FUZZ_COMMON)
+    for flag in rng.permutation(list(flags)):
+        if rng.random() > 0.25:
+            continue
+        pool = flags[flag]
+        if pool is None:
+            argv.append(flag)
+        elif rng.random() < 0.05:
+            argv.append(flag)  # its value goes missing
+        else:
+            argv += [flag, str(rng.choice(_FUZZ_HOSTILE if rng.random() < 0.15 else pool))]
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_arguments_keep_the_exit_contract(capsys, monkeypatch, seed):
+    # every --optimize scans at most 4096 points, so no case runs long
+    monkeypatch.setattr(bellsim.optimize, "EVALUATION_CAP", 4096)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # what the CLI would print as a traceback
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
 
 
 def test_routes_without_search_do_not_import_scipy():
@@ -186,6 +275,14 @@ class TestCoherent:
     def test_closed_form_beyond_double_range_is_guard_failure(self, capsys):
         # the overlap series needs terms whose factorials overflow a float
         code, out, err = run_cli(capsys, "coherent", "--eta", "7")
+        assert code == 1
+        assert "guard" in err.lower()
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_oracle_beyond_double_range_is_guard_failure(self, capsys):
+        # the truncated state refuses the amplitude before squaring it
+        code, out, err = run_cli(capsys, "coherent", "--oracle", "--eta", "1e200")
         assert code == 1
         assert "guard" in err.lower()
         assert "Traceback" not in err

@@ -3,7 +3,9 @@ import pytest
 
 from bellsim import (
     DenseOperator,
+    NumericGuardError,
     PairingScheme,
+    StateVector,
     chsh_operator,
     commutator,
     expectation,
@@ -19,7 +21,14 @@ from bellsim import (
     tensor_op,
 )
 from bellsim.correlators import STANDARD_CHSH_ANGLES
-from bellsim.observables import PAULI_X, PAULI_Y, PAULI_Z, TSIRELSON_BOUND
+from bellsim.observables import (
+    MAX_DENSE_DIM,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    TSIRELSON_BOUND,
+    SignedKronSum,
+)
 
 from helpers import random_phase_observable, random_qubit_observable
 
@@ -310,3 +319,56 @@ class TestMerminOperators:
         m4 = sum(signs[sum(bits)] * product(*(pair[bit] for pair, bit in zip(parties, bits)))
                  for bits in np.ndindex(2, 2, 2, 2)) / 2
         assert np.max(np.abs(mermin4_operator(a, ap, b, bp, c, cp, d, dp).matrix - m4)) < 1e-15
+
+
+def _random_state(rng, dim):
+    return StateVector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def _phase_draw(scheme):
+    return lambda rng: random_phase_observable(rng, scheme)
+
+
+@pytest.mark.parametrize("draw, build, parties", [
+    (random_qubit_observable, chsh_operator, 2),
+    *((_phase_draw(PairingScheme.even_odd(c)), chsh_operator, 2) for c in (2, 6, 20)),
+    *((_phase_draw(PairingScheme.spin_reflection(j)), chsh_operator, 2)
+      for j in (0.5, 1, 1.5, 2, 2.5, 3)),
+    (random_qubit_observable, mermin3_operator, 3),
+    (random_qubit_observable, mermin4_operator, 4),
+], ids=["qubit", *(f"fock-{c}" for c in (2, 6, 20)),
+        *(f"spin-{j:g}" for j in (0.5, 1, 1.5, 2, 2.5, 3)), "mermin3", "mermin4"])
+def test_factored_expectation_matches_matrix(draw, build, parties):
+    # the state-applied route against the materialized joint matrix
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        op = build(*(draw(rng) for _ in range(2 * parties)))
+        psi = _random_state(rng, op.dim)
+        direct = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)
+        assert abs(expectation(op, psi) - direct) < 1e-14
+
+
+class TestSignedKronSum:
+    @pytest.mark.parametrize("signs", [(1, 1j, -1), (1, float("nan"), -1), (1, 1), "abc"])
+    def test_rejects_bad_sign_table(self, signs):
+        x = DenseOperator(PAULI_X)
+        with pytest.raises(ValueError, match="sign table"):
+            SignedKronSum(signs, x, x, x, x)
+
+    def test_hermitian_and_dimension(self):
+        scheme = PairingScheme.even_odd(4)
+        rng = np.random.default_rng(47)
+        op = chsh_operator(*(random_phase_observable(rng, scheme) for _ in range(4)))
+        assert op.hermitian and op.dim == 16
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+    def test_matrix_above_dimension_limit_is_guard_error(self):
+        # cutoff 80: a 6400 x 6400 joint matrix (655 MB) is refused before any
+        # allocation, while expectation still works on the factors
+        scheme = PairingScheme.even_odd(80)
+        op = chsh_operator(*(phase_flip_observable(a, scheme) for a in STANDARD_CHSH_ANGLES))
+        assert op.dim > MAX_DENSE_DIM
+        with pytest.raises(NumericGuardError, match="joint matrix"):
+            op.matrix
+        psi = StateVector(np.eye(80).ravel())  # sum of |n, n>
+        assert np.isfinite(expectation(op, psi))

@@ -143,6 +143,35 @@ def test_search_memory_does_not_grow_with_the_scan():
     assert peak < 64 * 2 ** 20
 
 
+def test_scan_memory_does_not_grow_with_the_parameter_count(monkeypatch):
+    # spin 20 has 80 parameters: 65,536-row blocks would hold 42 MB each, so
+    # blocks are sized by bytes; three full blocks are enough to show it
+    monkeypatch.setattr(optimize, "EVALUATION_CAP", 200_000)
+    scenario = make_scenario("spin", j=20)
+    tracemalloc.start()
+    try:
+        _, scanned = optimize._scan_top(scenario, np.random.default_rng(0), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scanned == 200_000
+    assert peak < 16 * 2 ** 20
+
+
+def test_oracle_memory_does_not_grow_with_the_joint_matrix():
+    # at cutoff 80 the joint CHSH matrix alone would take 655 MB
+    scenario = scenario_coherent(0.5, 0.5, 1.0, cutoff=80)
+    tracemalloc.start()
+    try:
+        value = scenario.oracle(scenario.defaults)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(float(scenario.evaluator(np.array(scenario.defaults))),
+                                  abs=ATOL_ORACLE)
+    assert peak < 64 * 2 ** 20
+
+
 class TestFamilies:
     def test_r_state_always_violates(self):
         # every entangled member of the family crosses the classical bound

@@ -19,7 +19,7 @@ from bellsim import (
     tensor_op,
 )
 from bellsim.linalg import DenseOperator
-from bellsim.states import coherent_amplitudes
+from bellsim.states import MAX_CUTOFF, MAX_TWOJ, _check_cutoff, _check_spin, coherent_amplitudes
 
 from helpers import schmidt_rank_bruteforce
 
@@ -112,6 +112,16 @@ class TestSpinSinglet:
         with pytest.raises(ValueError):
             spin_singlet(0.7)
 
+    @pytest.mark.parametrize("j", [MAX_TWOJ / 2 + 0.5, 1e308, float("inf"), float("nan")])
+    def test_spin_above_bound_rejected_before_rounding(self, j):
+        # 2j is bounded before round(), so a huge j is a ValueError, not an
+        # OverflowError, and no (2j+1)^2 state is allocated
+        with pytest.raises(ValueError, match="up to 512"):
+            spin_singlet(j)
+
+    def test_spin_at_bound_accepted(self):
+        assert _check_spin(MAX_TWOJ / 2) == MAX_TWOJ
+
 
 class TestCoherent:
     def test_vacuum_at_zero(self):
@@ -182,6 +192,13 @@ class TestEntangledCoherent:
         with pytest.raises(NumericGuardError):
             entangled_coherent(6.0, 0.1, 0.0, cutoff=40)
 
+    @pytest.mark.parametrize("eta", [6.4, 1e200])
+    def test_amplitude_beyond_cutoff_is_guard_error(self, eta):
+        # |z|^2 >= cutoff is refused before any term is formed, so a huge
+        # amplitude cannot overflow into an OverflowError or NaN amplitudes
+        with pytest.raises(NumericGuardError, match="mean photon number"):
+            entangled_coherent(eta, 0.1, 0.0, cutoff=40)
+
 
 class TestSymmetricAndCats:
     def test_cat_minus_at_zero_is_degenerate(self):
@@ -236,6 +253,13 @@ class TestSqueezed:
     def test_insufficient_cutoff(self):
         with pytest.raises(NumericGuardError):
             squeezed_state(0.9, 40)
+
+    @pytest.mark.parametrize("cutoff", [MAX_CUTOFF + 2, 10 ** 9, float("inf")])
+    def test_cutoff_above_bound_rejected(self, cutoff):
+        # the state would hold cutoff^2 amplitudes; the check allocates none
+        with pytest.raises(ValueError, match="up to 1024"):
+            squeezed_state(0.5, cutoff)
+        assert _check_cutoff(MAX_CUTOFF) == MAX_CUTOFF
 
 
 class TestGhz:
