@@ -289,7 +289,8 @@ def cmd_mermin(args, parser):
 
 def cmd_lhv(args, parser):
     model = _build(parser, lhvmod.get_model, args.model)
-    est = lhvmod.chsh_lhv(model, *args.vectors, n=args.samples, seed=args.seed)
+    est = _build(parser, lhvmod.chsh_lhv, model, *args.vectors, n=args.samples,
+                 seed=args.seed)
     report = _single_report("lhv", {"model": args.model, "samples": args.samples,
                                     "seed": args.seed},
                             np.concatenate(args.vectors), est.mean)

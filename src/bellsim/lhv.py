@@ -17,6 +17,9 @@ import numpy as np
 
 BLOCK_SIZE = 1 << 16
 DEFAULT_SAMPLES = 1_000_000
+# largest sample count one estimate takes: about two minutes of the sign model
+# at 10^6 samples per 0.12 s; every larger count is rejected, not run
+MAX_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
     """
     side_a = [_unit(v, "a" + "'" * k) for k, v in enumerate(side_a)]
     side_b = [_unit(v, "b" + "'" * k) for k, v in enumerate(side_b)]
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n}")
     total = 0
     bad = 0
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):

@@ -10,7 +10,8 @@ import numpy as np
 
 # Centralized tolerances.  Construction-time checks use ATOL_CONSTRUCT,
 # numeric cross-checks between independent evaluation routes use ATOL_ORACLE,
-# and the optimizer converges to ATOL_OPT.
+# and a search result counts as the maximum within ATOL_OPT (the exact ascent
+# itself runs until it gains nothing, with no tolerance).
 ATOL_CONSTRUCT = 1e-12
 ATOL_ORACLE = 1e-9
 ATOL_OPT = 1e-10

@@ -35,11 +35,14 @@ ANGLES = "0.3,1.2,-0.5,2.5"
     (["coherent"], "coherent", {"eta": 0.1, "phi": 3.14159, "sigma": 0.1}, 2.8284),
     (["squeezed", "--lambda", "0.6"], "squeezed", {"lam": 0.6}, 2.49567),
     (["chsh", "--optimize", "--restarts", "2"], "chsh-polar",
-     {"converged": True, "evaluations": 1001146, "restarts": 2, "seed": 0}, 2.82843),
+     {"converged": True, "evaluations": 1000275, "restarts": 2, "seed": 0}, 2.82843),
     (["spin", "--j", "2", "--optimize", "--restarts", "2"], "spin-2",
-     {"converged": True, "evaluations": 1001330, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
+     {"converged": True, "evaluations": 1000125, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
     (["mermin", "--parties", "4", "--optimize", "--restarts", "2"], "mermin4",
-     {"converged": True, "evaluations": 1001174, "restarts": 2, "seed": 0}, 5.65685),
+     {"converged": True, "evaluations": 1000150, "restarts": 2, "seed": 0}, 5.65685),
+    # spin_j_max(20): one restart of the exact ascent reaches it
+    (["spin", "--j", "20", "--optimize", "--restarts", "1"], "spin-20",
+     {"converged": True, "evaluations": 1000723, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),
 ])
 def test_route_report_pinned(capsys, argv, scenario, params, value):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -97,6 +100,7 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["squeezed", "--lambda", "0.5", "--cutoff", "100000000"],
     ["chsh", "--optimize", "--seed", "-1"],
     ["lhv", "--seed", "-1"],
+    ["lhv", "--samples", "99999999999999999999"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -180,13 +184,15 @@ def test_fuzzed_arguments_keep_the_exit_contract(capsys, monkeypatch, seed):
         assert "Traceback" not in err, argv
 
 
-def test_routes_without_search_do_not_import_scipy():
-    code = ("import sys, bellsim, bellsim.cli; bellsim.cli.main(['chsh']); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_bellsim_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every scipy import raise
+    code = ("import sys; sys.modules['scipy'] = None; from bellsim.cli import main; "
+            "print(main(['chsh']), main(['mermin', '--parties', '3', '--optimize', "
+            "'--restarts', '1']))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellsim.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 0"
 
 
 class TestChsh:

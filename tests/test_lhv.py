@@ -101,6 +101,10 @@ class TestEstimateE:
         with pytest.raises(ValueError):
             estimate_E(SIGN_MODEL, X, Y, n=0)
 
+    def test_rejects_samples_above_the_bound(self):
+        with pytest.raises(ValueError):
+            estimate_E(SIGN_MODEL, X, Y, n=lhv.MAX_SAMPLES + 1)
+
 
 class TestChshLhv:
     def test_classical_bound_over_random_quadruples(self):

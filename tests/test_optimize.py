@@ -6,7 +6,7 @@ import pytest
 from bellsim import make_scenario, maximize_violation, optimize, table_gisin
 from bellsim.correlators import spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
-from bellsim.linalg import ATOL_ORACLE
+from bellsim.linalg import ATOL_OPT, ATOL_ORACLE
 from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin, scenario_squeezed
 
 SQRT2 = np.sqrt(2.0)
@@ -101,6 +101,44 @@ class TestMaximizeViolation:
             maximize_violation(make_scenario("chsh-phase"), restarts=0)
 
 
+def _gisin_max(n):
+    d = (np.sqrt(n - 3.0) - 1.0) / n
+    return 2 * np.sqrt(1 + 4 * d * d)
+
+
+def _r_state_max(r):
+    k = 2 * r / (1 + r * r)
+    return 2 * np.sqrt(1 + k * k)
+
+
+# scenarios with a closed-form maximum, and that maximum
+EXACT_MAXIMA = [
+    *((("spin", {"j": j}), spin_j_max(j)) for j in (1, 5, 10, 20)),
+    (("gisin", {"n": 3}), _gisin_max(3)),
+    (("gisin", {"n": 12}), _gisin_max(12)),
+    (("r-state", {"r": 0.5}), _r_state_max(0.5)),
+    # near r = 1 the maximum sits on a near-flat ridge that single
+    # coordinate steps climb slowly
+    (("r-state", {"r": 0.95}), _r_state_max(0.95)),
+    (("chsh-phase", {}), TSIRELSON_BOUND),
+    (("chsh-polar", {}), TSIRELSON_BOUND),
+    (("squeezed", {"lam": 0.5}), 4 * SQRT2 * 0.5 / (1 + 0.5 ** 2)),
+    (("mermin3", {}), 4.0),
+    (("mermin4", {}), 4 * SQRT2),
+    (("product-state", {}), 2.0),
+]
+
+
+@pytest.mark.parametrize("case, exact", EXACT_MAXIMA,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for (n, kw), _ in EXACT_MAXIMA])
+def test_one_restart_reaches_the_exact_maximum(case, exact):
+    name, params = case
+    result = maximize_violation(make_scenario(name, **params), restarts=1)
+    assert result.converged
+    assert result.best_value == pytest.approx(exact, abs=ATOL_OPT)
+
+
 def _whole_scan(scenario, rng):
     """The whole scan as one array, the reference for the streamed blocks:
     a meshgrid of the grid axes, or one uniform draw of the capped size."""
@@ -177,8 +215,7 @@ class TestFamilies:
         # every entangled member of the family crosses the classical bound
         for r in (0.1, 0.3, 0.5, 0.9):
             result = maximize_violation(make_scenario("r-state", r=r), restarts=4, seed=0)
-            expected = 2 * np.sqrt(1 + (2 * r / (1 + r * r)) ** 2)
-            assert result.best_value == pytest.approx(expected, abs=1e-5)
+            assert result.best_value == pytest.approx(_r_state_max(r), abs=1e-5)
             assert result.best_value > 2.0
 
     def test_product_state_capped_at_two(self):
@@ -218,5 +255,4 @@ class TestGisinTable:
 
     def test_maximum_matches_exact_family_formula(self):
         for n, v in table_gisin([5, 8, 12, 20], restarts=6, seed=0):
-            d = (np.sqrt(n - 3.0) - 1.0) / n
-            assert v == pytest.approx(2 * np.sqrt(1 + 4 * d * d), abs=1e-5)
+            assert v == pytest.approx(_gisin_max(n), abs=1e-5)
