@@ -117,6 +117,9 @@ def _single_report(scenario, params, settings, value,
 
 
 _OPT_BOUND_GUARD = 1e-9
+# a double carries at most 17 significant digits, and a huge precision would
+# render strings of that many characters per number
+MAX_PRECISION = 17
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +151,13 @@ def _unit_vectors(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _int_at_least(low: int):
+def _int_between(low: int, high: int | None = None):
     def integer(text: str) -> int:  # argparse names it in "invalid integer value"
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return integer
 
@@ -167,9 +172,9 @@ def _expect_len(parser, values, n, flag):
 def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
                      help="output rendering (default text)")
-    sub.add_argument("--precision", type=_int_at_least(0), default=5,
-                     help="decimal places in reports (default 5)")
-    sub.add_argument("--seed", type=_int_at_least(0), default=0,
+    sub.add_argument("--precision", type=_int_between(0, MAX_PRECISION), default=5,
+                     help=f"decimal places in reports, 0 to {MAX_PRECISION} (default 5)")
+    sub.add_argument("--seed", type=_int_between(0), default=0,
                      help="seed for any randomized step (default 0)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report to PATH (.json/.csv pick the format)")
@@ -185,7 +190,7 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
                               "observables applied to the state")
     if optimize:
         sub.add_argument("--optimize", action="store_true")
-    sub.add_argument("--restarts", type=_int_at_least(1), default=8)
+    sub.add_argument("--restarts", type=_int_between(1), default=8)
     sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 
@@ -255,6 +260,8 @@ def cmd_chsh(args, parser):
 
 
 def cmd_gisin(args, parser):
+    if not args.n_list:
+        parser.error("--n-list needs at least one entry")
     if any(abs(v - round(v)) > 0 or v < 3 for v in args.n_list):
         parser.error("--n-list entries must be integers >= 3")
     ns = [int(round(v)) for v in args.n_list]
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lhv", help="local-hidden-variable Monte Carlo CHSH")
     p.add_argument("--model", default="sign")
-    p.add_argument("--samples", type=_int_at_least(1), default=lhvmod.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_int_between(1), default=lhvmod.DEFAULT_SAMPLES)
     p.add_argument("--vectors", type=_unit_vectors, default=_DEFAULT_LHV_VECTORS,
                    help="four unit 3-vectors a;a';b;b' as comma/semicolon lists")
     _add_common(p)

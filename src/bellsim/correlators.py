@@ -3,7 +3,10 @@
 Every function here is the algebraic expectation of the CHSH (or Mermin)
 combination on its state family; each one is cross-checked against the
 generic matrix route in the test suite.  All formulas broadcast over numpy
-arrays, so a batch of parameter points evaluates in one call.
+arrays, so a batch of parameter points evaluates in one call.  Each distinct
+cosine and sine of a call is computed once, and every sum and product keeps
+the order of the written formula, so a value does not depend on how its
+terms were shared.
 """
 
 from __future__ import annotations
@@ -87,55 +90,74 @@ def chsh_phi0_phase(alpha, alpha_p, beta, beta_p):
             + np.cos(alpha + beta_p) - np.cos(alpha_p + beta_p))
 
 
-def _e_phi0_polar(theta, omega, alpha, beta):
-    return np.cos(theta) * np.cos(omega) + np.sin(theta) * np.sin(omega) * np.cos(alpha + beta)
+def _chsh(e, x, x_p, y, y_p):
+    """e(x, y) + e(x', y) + e(x, y') - e(x', y'): the CHSH combination of the
+    correlator ``e`` over Alice's settings x, x' and Bob's y, y'."""
+    return e(x, y) + e(x_p, y) + e(x, y_p) - e(x_p, y_p)
+
+
+def _cos_sin(angle):
+    return np.cos(angle), np.sin(angle)
 
 
 def chsh_phi0_polar(theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on the first Bell state with full polar observables; reduces to
     chsh_phi0_phase at theta = theta' = omega = omega' = pi/2."""
-    return (_e_phi0_polar(theta, omega, alpha, beta)
-            + _e_phi0_polar(theta_p, omega, alpha_p, beta)
-            + _e_phi0_polar(theta, omega_p, alpha, beta_p)
-            - _e_phi0_polar(theta_p, omega_p, alpha_p, beta_p))
+    def e(x, y):
+        (ct, st, a), (co, so, b) = x, y
+        return ct * co + st * so * np.cos(a + b)
+
+    return _chsh(e, (*_cos_sin(theta), alpha), (*_cos_sin(theta_p), alpha_p),
+                 (*_cos_sin(omega), beta), (*_cos_sin(omega_p), beta_p))
+
+
+def _gisin_setting(theta, phase):
+    """What the N-family correlator reads of one polar setting:
+    (cos theta, sin theta, cos phase, phase)."""
+    return (*_cos_sin(theta), np.cos(phase), phase)
+
+
+def _gisin_e(n, x, y):
+    """<A (x) B> on the N-family state from two ``_gisin_setting`` tuples."""
+    (ct, st, ca, a), (co, so, cb, b) = x, y
+    s3 = math.sqrt(n - 3.0)
+    return (ct * co * (n - 4.0)
+            + 2.0 * ct * so * (1.0 - s3) * cb
+            + 2.0 * st * co * (1.0 - s3) * ca
+            + 2.0 * st * so * (s3 * np.cos(a + b) + np.cos(a - b))) / float(n)
 
 
 def gisin_ab(n, theta, omega, alpha, beta):
     """Single-setting correlator <A (x) B> on the N-family state."""
-    s3 = math.sqrt(n - 3.0)
-    return (np.cos(theta) * np.cos(omega) * (n - 4.0)
-            + 2.0 * np.cos(theta) * np.sin(omega) * (1.0 - s3) * np.cos(beta)
-            + 2.0 * np.sin(theta) * np.cos(omega) * (1.0 - s3) * np.cos(alpha)
-            + 2.0 * np.sin(theta) * np.sin(omega)
-            * (s3 * np.cos(alpha + beta) + np.cos(alpha - beta))) / float(n)
+    return _gisin_e(n, _gisin_setting(theta, alpha), _gisin_setting(omega, beta))
 
 
 def chsh_gisin(n, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on the N-family state with polar observables."""
     if n < 3:
         raise ValueError(f"family parameter N must be >= 3, got {n}")
-    return (gisin_ab(n, theta, omega, alpha, beta)
-            + gisin_ab(n, theta_p, omega, alpha_p, beta)
-            + gisin_ab(n, theta, omega_p, alpha, beta_p)
-            - gisin_ab(n, theta_p, omega_p, alpha_p, beta_p))
+    return _chsh(lambda x, y: _gisin_e(n, x, y),
+                 _gisin_setting(theta, alpha), _gisin_setting(theta_p, alpha_p),
+                 _gisin_setting(omega, beta), _gisin_setting(omega_p, beta_p))
 
 
 def chsh_rstate(r, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on (|+-> + r|-+>)/sqrt(1+r^2) with polar observables."""
     k = 2.0 * r / (1.0 + r * r)
 
-    def e(t, o, a, b):
-        return k * np.sin(t) * np.sin(o) * np.cos(a - b) - np.cos(t) * np.cos(o)
+    def e(x, y):
+        (ct, st, a), (co, so, b) = x, y
+        return k * st * so * np.cos(a - b) - ct * co
 
-    return (e(theta, omega, alpha, beta) + e(theta_p, omega, alpha_p, beta)
-            + e(theta, omega_p, alpha, beta_p) - e(theta_p, omega_p, alpha_p, beta_p))
+    return _chsh(e, (*_cos_sin(theta), alpha), (*_cos_sin(theta_p), alpha_p),
+                 (*_cos_sin(omega), beta), (*_cos_sin(omega_p), beta_p))
 
 
 def chsh_product_plusminus(theta, theta_p, omega, omega_p, *_ignored_phases):
     """CHSH on the product state |+-> with polar observables.  The phases drop
     out; the value is bounded by 2 for every setting."""
-    return (-np.cos(theta) * np.cos(omega) - np.cos(theta_p) * np.cos(omega)
-            - np.cos(theta) * np.cos(omega_p) + np.cos(theta_p) * np.cos(omega_p))
+    ct, ct_p, co, co_p = np.cos(theta), np.cos(theta_p), np.cos(omega), np.cos(omega_p)
+    return -ct * co - ct_p * co - ct * co_p + ct_p * co_p
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,10 @@ def chsh_spin_j(j, alphas, alphas_p, betas, betas_p):
     npairs = (twoj + 1) // 2
     if a.shape[-1] != npairs:
         raise ValueError(f"spin j={j} needs {npairs} phases per observable")
-    combo = (np.cos(a - b) + np.cos(ap - b) + np.cos(a - bp) - np.cos(ap - bp)).sum(axis=-1)
+    combo = np.cos(a - b) + np.cos(ap - b) + np.cos(a - bp) - np.cos(ap - bp)
+    # summed over C-ordered rows: on a column-major block numpy would add the
+    # pairs in another order, and from 8 pairs on that moves the last bit
+    combo = np.ascontiguousarray(combo).sum(axis=-1)
     scale = 2.0 / (twoj + 1.0)
     if twoj % 2 == 0:
         return scale * (1.0 + combo)
@@ -222,11 +247,12 @@ def chsh_coherent(eta, sigma, phi, alpha, alpha_p, beta, beta_p,
     om = coherent_omega(eta, sigma, phi)
     cp = np.cos(phi)
 
-    def term(a, b):
-        return np.cos(a) * np.cos(b) - cp * np.sin(a) * np.sin(b)
+    def term(x, y):
+        (ca, sa), (cb, sb) = x, y
+        return ca * cb - cp * sa * sb
 
-    return 4.0 * om * delta * (term(alpha, beta) + term(alpha_p, beta)
-                               + term(alpha, beta_p) - term(alpha_p, beta_p))
+    return 4.0 * om * delta * _chsh(term, _cos_sin(alpha), _cos_sin(alpha_p),
+                                    _cos_sin(beta), _cos_sin(beta_p))
 
 
 def chsh_squeezed(lam, alpha, alpha_p, beta, beta_p):
@@ -258,9 +284,13 @@ def mermin3_ghz(alpha, alpha_p, beta, beta_p, gamma, gamma_p):
 def mermin4_ghz(a, a_p, b, b_p, c, c_p, d, d_p):
     """Order-4 Mermin combination on the 4-party GHZ state, matching the
     matrix route sign for sign."""
-    angles = (a, a_p, b, b_p, c, c_p, d, d_p)
+    # the 16 angle sums in np.ndindex(2, 2, 2, 2) order, each partial sum
+    # formed once.  They start from a, not from sum()'s 0 + a: that changes
+    # only the sign of a zero sum, and cos(-0.0) == cos(0.0).
+    sums = [a, a_p]
+    for pair in ((b, b_p), (c, c_p), (d, d_p)):
+        sums = [s + x for s in sums for x in pair]
     total = 0.0
-    for bits in np.ndindex(2, 2, 2, 2):
-        s = sum(angles[2 * party + bit] for party, bit in enumerate(bits))
+    for bits, s in zip(np.ndindex(2, 2, 2, 2), sums):
         total = total + _M4_SIGNS[sum(bits)] * np.cos(s)
     return -total / 2.0

@@ -5,11 +5,12 @@ seeded uniform sampling once the full grid would exceed the evaluation cap)
 followed by exact coordinate ascent started from the best scan points.  Every
 scenario evaluator is A cos t + B sin t + C in each single parameter t, so
 three evaluations give A, B and C and the parameter moves straight to its
-exact 1-D maximizer of |f|.  The scan is evaluated in blocks of bounded size
-with a running top-k, so its memory grows neither with the cap nor with the
-parameter count.  The whole pipeline is deterministic given (scenario,
-restarts, seed); restarts only ever add starting points, so the best value is
-monotone in them.
+exact 1-D maximizer of |f|.  The scan is evaluated in column-major blocks of
+at most 16,384 rows and 1 MiB of settings with a running top-k, so its memory
+grows neither with the cap nor with the parameter count, and each parameter's
+column reaches the cosines and sines as one contiguous array.  The whole
+pipeline is deterministic given (scenario, restarts, seed); restarts only ever
+add starting points, so the best value is monotone in them.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ GRID_POINTS_PER_DIM = 8
 EVALUATION_CAP = 1_000_000
 # coordinate-ascent sweeps per start; a run stopped here is not converged
 MAX_SWEEPS = 1000
-# scan rows evaluated at once: 65,536, or fewer once a block of float64
-# settings would exceed 65,536 rows x 8 columns, so memory does not grow
-# with the parameter count either
-_SCAN_BLOCK = 1 << 16
+# scan rows evaluated at once: 16,384, or fewer once a block of float64
+# settings would exceed 1 MiB (16,384 rows x 8 columns), so memory does not
+# grow with the parameter count either.  An evaluator holds a few dozen
+# block-length temporaries (chsh_gisin: 20 cosine and sine tables), so the
+# rows bound its memory as well.
+_SCAN_BLOCK = 1 << 14
 _SCAN_BLOCK_BYTES = _SCAN_BLOCK * 8 * 8
 TWO_PI = 2.0 * np.pi
 
@@ -156,7 +159,8 @@ def _scan_blocks(scenario: Scenario, rng: np.random.Generator):
     """The scan points as consecutive row blocks of at most
     ``_SCAN_BLOCK_BYTES`` and ``_SCAN_BLOCK`` rows: the midpoint grid in
     C order or, once the full grid would exceed the evaluation cap,
-    ``EVALUATION_CAP`` uniform points drawn from ``rng``."""
+    ``EVALUATION_CAP`` uniform points drawn from ``rng``.  Each block is
+    column-major, so the evaluators' ``p[..., i]`` columns are contiguous."""
     lo = np.array([d[0] for d in scenario.domain])
     hi = np.array([d[1] for d in scenario.domain])
     d = scenario.ndim
@@ -168,11 +172,12 @@ def _scan_blocks(scenario: Scenario, rng: np.random.Generator):
         for start in range(0, total, rows):
             digits = np.unravel_index(np.arange(start, min(start + rows, total)),
                                       (GRID_POINTS_PER_DIM,) * d)
-            yield np.stack([axis[k] for axis, k in zip(axes, digits)], axis=-1)
+            yield np.stack([axis[k] for axis, k in zip(axes, digits)]).T
         return
     for start in range(0, EVALUATION_CAP, rows):
         # consecutive draws continue one stream: the same points as one big draw
-        yield rng.uniform(lo, hi, size=(min(rows, EVALUATION_CAP - start), d))
+        draw = rng.uniform(lo, hi, size=(min(rows, EVALUATION_CAP - start), d))
+        yield np.asfortranarray(draw)
 
 
 def _scan_top(scenario: Scenario, rng: np.random.Generator, k: int):

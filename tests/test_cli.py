@@ -101,6 +101,12 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["chsh", "--optimize", "--seed", "-1"],
     ["lhv", "--seed", "-1"],
     ["lhv", "--samples", "99999999999999999999"],
+    # an empty list, and a precision past its bound, in every format
+    ["gisin", "--n-list", ","],
+    ["gisin", "--n-list", ",", "--format", "csv"],
+    ["chsh", "--precision", "100000000000"],
+    ["chsh", "--precision", "18", "--format", "csv"],
+    ["chsh", "--precision", "100000000000", "--format", "json"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -118,7 +124,7 @@ _FUZZ_FLAGS = {
     "chsh": {"--bell-index": ("0", "2", "4", "-1"), "--angles": _FUZZ_ANGLES4,
              "--polar": ("0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "0,0,0,0"),
              "--oracle": None, "--optimize": None},
-    "gisin": {"--n-list": ("3", "4,10", "2", "3.5", "1e9")},
+    "gisin": {"--n-list": ("3", "4,10", "2", "3.5", "1e9", ",")},
     "spin": {"--j": ("0.5", "1", "2", "0", "-1", "0.7", "512.5"), "--optimize": None},
     "coherent": {"--eta": ("0.1", "0.5", "7", "1e200"), "--sigma": ("0.1", "1.0", "-3"),
                  "--phi": ("3.14159", "0", "-1e9"), "--angles": _FUZZ_ANGLES4,
@@ -136,7 +142,8 @@ _FUZZ_FLAGS = {
                  "--lambda": ("0.3", "2"), "--eta": ("0.2", "9"), "--sigma": ("0.2", "0"),
                  "--phi": ("1", "-7")},
 }
-_FUZZ_COMMON = {"--format": ("text", "json", "csv", "xml"), "--precision": ("0", "3", "-1"),
+_FUZZ_COMMON = {"--format": ("text", "json", "csv", "xml"),
+                "--precision": ("0", "3", "-1", "18", "100000000000"),
                 "--seed": ("0", "7", "-1"), "--restarts": ("1", "0", "-2")}
 _FUZZ_HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "", "x", "0x1p3",
                  "--oracle")
@@ -166,7 +173,9 @@ def _fuzz_argv(rng):
     return argv
 
 
-@pytest.mark.parametrize("seed", range(4))
+# ten seeds: the first draws of an empty --n-list in text output (seeds 5
+# and 9) come after the first over-bound --precision (seed 1)
+@pytest.mark.parametrize("seed", range(10))
 def test_fuzzed_arguments_keep_the_exit_contract(capsys, monkeypatch, seed):
     # every --optimize scans at most 4096 points, so no case runs long
     monkeypatch.setattr(bellsim.optimize, "EVALUATION_CAP", 4096)

@@ -40,10 +40,11 @@ from bellsim.correlators import (
     STANDARD_MERMIN4_ANGLES,
     coherent_omega,
     coherent_pair_series,
+    gisin_ab,
     spin_j_max,
 )
 from bellsim.linalg import NumericGuardError
-from bellsim.observables import TSIRELSON_BOUND
+from bellsim.observables import _M4_SIGNS, TSIRELSON_BOUND
 from bellsim.states import DEFAULT_CUTOFF
 
 SQRT2 = np.sqrt(2.0)
@@ -411,3 +412,106 @@ class TestTensorConsistency:
             ab = tensor_op(polar_observable(t1, a1), polar_observable(t2, a2))
             assert expectation(ab, psi).real == pytest.approx(
                 np.cos(t1) * (-np.cos(t2)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Each closed form computes a distinct cosine or sine once.  The written-out
+# formulas below compute them term by term; the values must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
+                          np.asarray(y, dtype=float).view(np.int64))
+
+
+def _polar_terms(e):
+    def chsh(t, tp, o, op, a, ap, b, bp):
+        return e(t, o, a, b) + e(tp, o, ap, b) + e(t, op, a, bp) - e(tp, op, ap, bp)
+    return chsh
+
+
+def _term_by_term_gisin_ab(n, theta, omega, alpha, beta):
+    s3 = np.sqrt(n - 3.0)
+    return (np.cos(theta) * np.cos(omega) * (n - 4.0)
+            + 2.0 * np.cos(theta) * np.sin(omega) * (1.0 - s3) * np.cos(beta)
+            + 2.0 * np.sin(theta) * np.cos(omega) * (1.0 - s3) * np.cos(alpha)
+            + 2.0 * np.sin(theta) * np.sin(omega)
+            * (s3 * np.cos(alpha + beta) + np.cos(alpha - beta))) / float(n)
+
+
+_term_by_term_phi0_polar = _polar_terms(
+    lambda t, o, a, b: np.cos(t) * np.cos(o) + np.sin(t) * np.sin(o) * np.cos(a + b))
+
+
+def _term_by_term_rstate(r, *p):
+    k = 2.0 * r / (1.0 + r * r)
+    return _polar_terms(lambda t, o, a, b: k * np.sin(t) * np.sin(o) * np.cos(a - b)
+                        - np.cos(t) * np.cos(o))(*p)
+
+
+def _term_by_term_product(t, tp, o, op, *_):
+    return (-np.cos(t) * np.cos(o) - np.cos(tp) * np.cos(o)
+            - np.cos(t) * np.cos(op) + np.cos(tp) * np.cos(op))
+
+
+def _term_by_term_coherent(eta, sigma, phi, a, ap, b, bp):
+    delta = coherent_pair_series(eta) * coherent_pair_series(sigma)
+    cp = np.cos(phi)
+
+    def term(x, y):
+        return np.cos(x) * np.cos(y) - cp * np.sin(x) * np.sin(y)
+
+    return 4.0 * coherent_omega(eta, sigma, phi) * delta * (
+        term(a, b) + term(ap, b) + term(a, bp) - term(ap, bp))
+
+
+def _term_by_term_mermin4(*angles):
+    total = 0.0
+    for bits in np.ndindex(2, 2, 2, 2):
+        s = sum(angles[2 * party + bit] for party, bit in enumerate(bits))
+        total = total + _M4_SIGNS[sum(bits)] * np.cos(s)
+    return -total / 2.0
+
+
+class TestSharedTrigKeepsEveryBit:
+    # a column-major block, as the optimizer's scan hands it over, with
+    # angles on both sides of zero
+    BLOCK = np.asfortranarray(
+        np.random.default_rng(4096).uniform(-2 * np.pi, 2 * np.pi, (4096, 8)))
+
+    def columns(self):
+        return [self.BLOCK[:, i] for i in range(8)]
+
+    @pytest.mark.parametrize("n", [3, 5, 1000])
+    def test_gisin_is_the_signed_sum_of_its_correlators(self, n):
+        t, tp, o, op, a, ap, b, bp = self.columns()
+        signed = (gisin_ab(n, t, o, a, b) + gisin_ab(n, tp, o, ap, b)
+                  + gisin_ab(n, t, op, a, bp) - gisin_ab(n, tp, op, ap, bp))
+        assert _same_bits(chsh_gisin(n, t, tp, o, op, a, ap, b, bp), signed)
+        assert _same_bits(gisin_ab(n, t, o, a, b), _term_by_term_gisin_ab(n, t, o, a, b))
+
+    def test_phi0_polar(self):
+        p = self.columns()
+        assert _same_bits(chsh_phi0_polar(*p), _term_by_term_phi0_polar(*p))
+
+    @pytest.mark.parametrize("r", [0.5, -1.7])
+    def test_rstate(self, r):
+        p = self.columns()
+        assert _same_bits(chsh_rstate(r, *p), _term_by_term_rstate(r, *p))
+
+    def test_product_plusminus(self):
+        p = self.columns()
+        assert _same_bits(chsh_product_plusminus(*p), _term_by_term_product(*p))
+
+    @pytest.mark.parametrize("eta, sigma, phi", [(0.4, 0.7, 2.0), (0.1, 0.1, np.pi)])
+    def test_coherent(self, eta, sigma, phi):
+        p = self.columns()[:4]
+        assert _same_bits(chsh_coherent(eta, sigma, phi, *p),
+                          _term_by_term_coherent(eta, sigma, phi, *p))
+
+    def test_mermin4(self):
+        p = self.columns()
+        assert _same_bits(mermin4_ghz(*p), _term_by_term_mermin4(*p))
+        # a zero angle sum, where dropping sum()'s leading 0 flips a sign
+        zeros = [-0.0] * 8
+        assert _same_bits(mermin4_ghz(*zeros), _term_by_term_mermin4(*zeros))

@@ -170,6 +170,53 @@ def test_streamed_scan_keeps_whole_scan_order(monkeypatch, block, name, params):
         np.testing.assert_array_equal(starts, points[order[:k]])
 
 
+# one configuration of every registered scenario; spin 10 sums 10 pairs per
+# row, where numpy's pairwise sum over a column-major block would add them in
+# another order
+SCAN_LAYOUT_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
+                     ("gisin", {"n": 3}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
+                     ("spin", {"j": 1.5}), ("spin", {"j": 2}), ("spin", {"j": 10}),
+                     ("squeezed", {"lam": 0.4}),
+                     ("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
+                     ("mermin3", {}), ("mermin4", {})]
+
+
+def test_scan_layout_cases_cover_every_scenario():
+    assert {name for name, _ in SCAN_LAYOUT_CASES} == set(optimize.SCENARIO_FACTORIES)
+
+
+@pytest.mark.parametrize("name, params", SCAN_LAYOUT_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for n, kw in SCAN_LAYOUT_CASES])
+def test_scan_block_layout_keeps_every_bit(name, params):
+    scenario = make_scenario(name, **params)
+    block = next(optimize._scan_blocks(scenario, np.random.default_rng(5)))
+    assert block.flags.f_contiguous
+    values = scenario.evaluator(block).view(np.int64)
+    c_ordered = scenario.evaluator(np.ascontiguousarray(block)).view(np.int64)
+    np.testing.assert_array_equal(values, c_ordered)
+    rows = np.arange(0, len(block), 16)
+    one_by_one = np.array([float(scenario.evaluator(block[i].copy())) for i in rows])
+    np.testing.assert_array_equal(values[rows], one_by_one.view(np.int64))
+
+
+@pytest.mark.parametrize("name, params", [("gisin", {"n": 3}), ("chsh-polar", {}),
+                                          ("mermin4", {}), ("spin", {"j": 2})])
+def test_scan_memory_stays_under_the_wide_block_peak(name, params):
+    # 65,536-row blocks peaked at 8.0 MiB of traced allocations on these
+    # scans; an evaluator's cosine and sine tables are block-length arrays,
+    # so the block rows bound them
+    scenario = make_scenario(name, **params)
+    tracemalloc.start()
+    try:
+        _, scanned = optimize._scan_top(scenario, np.random.default_rng(0), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scanned == optimize.EVALUATION_CAP
+    assert peak <= 8 * 2 ** 20
+
+
 def test_search_memory_does_not_grow_with_the_scan():
     # spin 5 scans 10**6 points of 20 parameters, 160 MB as one array
     tracemalloc.start()
