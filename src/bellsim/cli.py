@@ -190,7 +190,9 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
                               "observables applied to the state")
     if optimize:
         sub.add_argument("--optimize", action="store_true")
-    sub.add_argument("--restarts", type=_int_between(1), default=8)
+    sub.add_argument("--restarts", type=_int_between(1), default=8,
+                     help="seeded uniform starts of the search, each ascended "
+                          "on f and on -f (default 8)")
     sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 
@@ -274,8 +276,9 @@ def cmd_gisin(args, parser):
 
 
 def cmd_spin(args, parser):
-    return _scenario_report(args, parser, _build(parser, make_scenario, "spin", j=args.j),
-                            {"j": args.j})
+    # the j the scenario computed: spin 1 for --j 1.0000000001
+    scenario = _build(parser, make_scenario, "spin", j=args.j)
+    return _scenario_report(args, parser, scenario, scenario.params)
 
 
 def cmd_fock(args, parser):

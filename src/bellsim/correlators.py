@@ -185,10 +185,8 @@ def chsh_spin_j(j, alphas, alphas_p, betas, betas_p):
     npairs = (twoj + 1) // 2
     if a.shape[-1] != npairs:
         raise ValueError(f"spin j={j} needs {npairs} phases per observable")
-    combo = np.cos(a - b) + np.cos(ap - b) + np.cos(a - bp) - np.cos(ap - bp)
-    # summed over C-ordered rows: on a column-major block numpy would add the
-    # pairs in another order, and from 8 pairs on that moves the last bit
-    combo = np.ascontiguousarray(combo).sum(axis=-1)
+    combo = (np.cos(a - b) + np.cos(ap - b) + np.cos(a - bp)
+             - np.cos(ap - bp)).sum(axis=-1)
     scale = 2.0 / (twoj + 1.0)
     if twoj % 2 == 0:
         return scale * (1.0 + combo)

@@ -1,16 +1,12 @@
 """Maximize |correlator| over observable parameters for a named scenario.
 
-The search is a coarse scan (a midpoint grid with 8 points per dimension, or
-seeded uniform sampling once the full grid would exceed the evaluation cap)
-followed by exact coordinate ascent started from the best scan points.  Every
-scenario evaluator is A cos t + B sin t + C in each single parameter t, so
-three evaluations give A, B and C and the parameter moves straight to its
-exact 1-D maximizer of |f|.  The scan is evaluated in column-major blocks of
-at most 16,384 rows and 1 MiB of settings with a running top-k, so its memory
-grows neither with the cap nor with the parameter count, and each parameter's
-column reaches the cosines and sines as one contiguous array.  The whole
-pipeline is deterministic given (scenario, restarts, seed); restarts only ever
-add starting points, so the best value is monotone in them.
+The search draws ``restarts`` seeded uniform starts and runs exact coordinate
+ascent from each, once on f and once on -f, so it climbs whichever sign of f
+has the larger peak.  Every scenario evaluator is A cos t + B sin t + C in
+each single parameter t, so three evaluations give A, B and C and the
+parameter moves straight to its exact 1-D maximizer.  The whole pipeline is
+deterministic given (scenario, restarts, seed); the first starts do not
+depend on their count, so the best value is monotone in restarts.
 """
 
 from __future__ import annotations
@@ -25,17 +21,8 @@ from . import correlators as co
 from . import linalg, observables, states
 from .observables import PairingScheme, TSIRELSON_BOUND
 
-GRID_POINTS_PER_DIM = 8
-EVALUATION_CAP = 1_000_000
 # coordinate-ascent sweeps per start; a run stopped here is not converged
 MAX_SWEEPS = 1000
-# scan rows evaluated at once: 16,384, or fewer once a block of float64
-# settings would exceed 1 MiB (16,384 rows x 8 columns), so memory does not
-# grow with the parameter count either.  An evaluator holds a few dozen
-# block-length temporaries (chsh_gisin: 20 cosine and sine tables), so the
-# rows bound its memory as well.
-_SCAN_BLOCK = 1 << 14
-_SCAN_BLOCK_BYTES = _SCAN_BLOCK * 8 * 8
 TWO_PI = 2.0 * np.pi
 
 PHASE_DOMAIN = (0.0, TWO_PI)
@@ -100,8 +87,9 @@ def _canonicalize(scenario: Scenario, x: np.ndarray) -> np.ndarray:
 
 
 class Ascent(NamedTuple):
-    """Where one coordinate ascent ended: ``fun`` is -|f(x)|, ``nfev`` the
-    evaluations it made and ``success`` whether it stopped on no gain."""
+    """Where one coordinate ascent ended: ``fun`` is minus the largest value
+    of the function reached, at ``x``; ``nfev`` the evaluations it made and
+    ``success`` whether it stopped on no gain."""
 
     x: np.ndarray
     fun: float
@@ -110,21 +98,20 @@ class Ascent(NamedTuple):
 
 
 def minimize(fun, x0) -> Ascent:
-    """Minimize -|fun| from ``x0`` by exact coordinate ascent on |fun|.
+    """Minimize -fun from ``x0`` by exact coordinate ascent on fun.
 
     ``maximize_violation`` calls it through the module global, so the
     benchmark's layer timing can wrap ``optimize.minimize``.
 
     With the other parameters fixed, fun = A cos t + B sin t + C in
-    parameter t; its values at t = 0, pi/2 and pi give A, B and C, and
-    |fun| is largest, at |C| + sqrt(A^2 + B^2), where t = atan2(sB, sA)
-    with s the sign of C.  A parameter moves only on a strict gain, and
-    sweeps repeat until one moves none, or ``MAX_SWEEPS`` ran out.  After
-    each sweep, its step is tried again, doubled while that gains.
-    ``fun`` sees one 1-D point per call.
+    parameter t; its values at t = 0, pi/2 and pi give A, B and C, and fun
+    is largest, at C + sqrt(A^2 + B^2), where t = atan2(B, A).  A parameter
+    moves only on a strict gain, and sweeps repeat until one moves none, or
+    ``MAX_SWEEPS`` ran out.  After each sweep, its step is tried again,
+    doubled while that gains.  ``fun`` sees one 1-D point per call.
     """
     x = np.array(x0, dtype=float)
-    best = abs(float(fun(x)))
+    best = float(fun(x))
     nfev = 1
     for _ in range(MAX_SWEEPS):
         start = x.copy()
@@ -135,10 +122,9 @@ def minimize(fun, x0) -> Ascent:
             nfev += 3
             a, c = 0.5 * (f0 - f2), 0.5 * (f0 + f2)
             b = f1 - c
-            value = abs(c) + math.hypot(a, b)
+            value = c + math.hypot(a, b)
             if value > best:
-                s = math.copysign(1.0, c)
-                x[i], best, moved = math.atan2(s * b, s * a), value, True
+                x[i], best, moved = math.atan2(b, a), value, True
         if not moved:
             return Ascent(x, -best, nfev, True)
         # pattern move: repeat the sweep's step, doubled while it gains; a
@@ -147,7 +133,7 @@ def minimize(fun, x0) -> Ascent:
         step = x - start
         while True:
             trial = x + step
-            value = abs(float(fun(trial)))
+            value = float(fun(trial))
             nfev += 1
             if not value > best:
                 break
@@ -155,75 +141,32 @@ def minimize(fun, x0) -> Ascent:
     return Ascent(x, -best, nfev, False)
 
 
-def _scan_blocks(scenario: Scenario, rng: np.random.Generator):
-    """The scan points as consecutive row blocks of at most
-    ``_SCAN_BLOCK_BYTES`` and ``_SCAN_BLOCK`` rows: the midpoint grid in
-    C order or, once the full grid would exceed the evaluation cap,
-    ``EVALUATION_CAP`` uniform points drawn from ``rng``.  Each block is
-    column-major, so the evaluators' ``p[..., i]`` columns are contiguous."""
-    lo = np.array([d[0] for d in scenario.domain])
-    hi = np.array([d[1] for d in scenario.domain])
-    d = scenario.ndim
-    rows = min(_SCAN_BLOCK, _SCAN_BLOCK_BYTES // (8 * d))
-    total = GRID_POINTS_PER_DIM ** d
-    if total <= EVALUATION_CAP:
-        axes = [lo[i] + (np.arange(GRID_POINTS_PER_DIM) + 0.5)
-                * (hi[i] - lo[i]) / GRID_POINTS_PER_DIM for i in range(d)]
-        for start in range(0, total, rows):
-            digits = np.unravel_index(np.arange(start, min(start + rows, total)),
-                                      (GRID_POINTS_PER_DIM,) * d)
-            yield np.stack([axis[k] for axis, k in zip(axes, digits)]).T
-        return
-    for start in range(0, EVALUATION_CAP, rows):
-        # consecutive draws continue one stream: the same points as one big draw
-        draw = rng.uniform(lo, hi, size=(min(rows, EVALUATION_CAP - start), d))
-        yield np.asfortranarray(draw)
-
-
-def _scan_top(scenario: Scenario, rng: np.random.Generator, k: int):
-    """The ``k`` scan points of largest |value|, ordered as a stable sort of
-    the whole scan by descending |value| would order them (ties in scan
-    order), and the number of points scanned."""
-    top_key = np.empty(0)
-    top_index = np.empty(0, dtype=np.intp)
-    top_points = np.empty((0, scenario.ndim))
-    scanned = 0
-    for block in _scan_blocks(scenario, rng):
-        key = -np.abs(np.asarray(scenario.evaluator(block), dtype=float))
-        kth = min(k, key.size) - 1
-        # keep every point tied with the block's k-th key, since an earlier
-        # tie outranks a later one; NaN keys sort last and are kept as well
-        keep = np.flatnonzero(~(key > np.partition(key, kth)[kth]))
-        key = np.concatenate([top_key, key[keep]])
-        index = np.concatenate([top_index, keep + scanned])
-        points = np.concatenate([top_points, block[keep]])
-        order = np.lexsort((index, key))[:k]
-        top_key, top_index, top_points = key[order], index[order], points[order]
-        scanned += len(block)
-    return top_points, scanned
-
-
 def maximize_violation(scenario: Scenario, restarts: int = 8,
                        seed: int = 0) -> OptimizationResult:
     """Largest |correlator| over the scenario domain.
 
-    Refines the top ``restarts`` scan points by exact coordinate ascent;
-    ties between refined optima break toward the lexicographically smallest
-    settings vector.  A winning run that hit the sweep cap is flagged as not
-    converged, never raised.
+    Draws ``restarts`` uniform starts from ``seed`` and ascends f and -f from
+    each: from a start where f < 0, ascending |f| would climb the peak of -f,
+    which for integer spin is the lower one.  Ties between the ascents'
+    optima break toward the lexicographically smallest settings vector.  A
+    winning run that hit the sweep cap is flagged as not converged, never
+    raised.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    starts, evaluations = _scan_top(scenario, np.random.default_rng(seed), restarts)
+    evaluator = scenario.evaluator
+    lo, hi = np.array(scenario.domain).T
+    starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, scenario.ndim))
+    evaluations = 0
     best = None  # (value, settings tuple, converged)
     for x0 in starts:
-        res = minimize(scenario.evaluator, x0)
-        evaluations += int(res.nfev)
-        settings = tuple(_canonicalize(scenario, res.x).tolist())
-        value = abs(float(scenario.evaluator(np.array(settings))))
-        cand = (value, settings, bool(res.success))
-        if best is None or value > best[0] or (value == best[0] and settings < best[1]):
-            best = cand
+        for fun in (evaluator, lambda p: -evaluator(p)):
+            res = minimize(fun, x0)
+            evaluations += int(res.nfev)
+            settings = tuple(_canonicalize(scenario, res.x).tolist())
+            value = abs(float(evaluator(np.array(settings))))
+            if best is None or value > best[0] or (value == best[0] and settings < best[1]):
+                best = (value, settings, bool(res.success))
     return OptimizationResult(best_value=best[0], best_settings=best[1],
                               evaluations=evaluations, converged=best[2])
 
@@ -304,9 +247,7 @@ def scenario_product_state() -> Scenario:
 
 
 def scenario_gisin(n) -> Scenario:
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"family parameter N must be >= 3, got {n}")
+    n = states._check_family_n(n)
     return _polar8_scenario(
         "gisin",
         lambda p: co.chsh_gisin(n, *(p[..., i] for i in range(8))),
@@ -417,7 +358,8 @@ SCENARIO_FACTORIES = {
 
 def make_scenario(name: str, **params) -> Scenario:
     """Build a registered scenario; raises KeyError for unknown names and
-    ValueError when a required parameter is missing."""
+    ValueError when a required parameter is missing or one it does not take
+    is given.  A parameter set to None counts as absent."""
     try:
         factory, required = SCENARIO_FACTORIES[name]
     except KeyError:
@@ -427,4 +369,7 @@ def make_scenario(name: str, **params) -> Scenario:
     missing = [k for k in required if params.get(k) is None]
     if missing:
         raise ValueError(f"scenario {name!r} requires parameters {missing}")
+    unused = sorted(k for k, v in params.items() if v is not None and k not in required)
+    if unused:
+        raise ValueError(f"scenario {name!r} does not take parameters {unused}")
     return factory(**{k: params[k] for k in required})

@@ -9,6 +9,8 @@ space so every invariant is exact there.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .linalg import NumericGuardError, StateVector
@@ -60,11 +62,21 @@ def bell_state(alpha: int) -> StateVector:
     return StateVector(np.array(table[alpha], dtype=np.complex128) * _INV_SQRT2, (2, 2))
 
 
-def gisin_family_state(n: int) -> StateVector:
-    """Two-qubit family (1, 1, 1, sqrt(N-3))/sqrt(N); a product state at N=4."""
+def _check_family_n(n) -> int:
+    """Validate the N-family parameter, N >= 3 and within float range (the
+    amplitudes take sqrt(N - 3)); return it as int."""
+    if not abs(n) <= sys.float_info.max:  # NaN fails here too
+        raise ValueError(f"family parameter N must be finite and at most "
+                         f"{sys.float_info.max:g}")
     n = int(n)
     if n < 3:
         raise ValueError(f"family parameter N must be >= 3, got {n}")
+    return n
+
+
+def gisin_family_state(n: int) -> StateVector:
+    """Two-qubit family (1, 1, 1, sqrt(N-3))/sqrt(N); a product state at N=4."""
+    n = _check_family_n(n)
     amps = np.array([1.0, 1.0, 1.0, np.sqrt(n - 3.0)]) / np.sqrt(n)
     return StateVector(amps, (2, 2))
 

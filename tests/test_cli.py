@@ -35,14 +35,19 @@ ANGLES = "0.3,1.2,-0.5,2.5"
     (["coherent"], "coherent", {"eta": 0.1, "phi": 3.14159, "sigma": 0.1}, 2.8284),
     (["squeezed", "--lambda", "0.6"], "squeezed", {"lam": 0.6}, 2.49567),
     (["chsh", "--optimize", "--restarts", "2"], "chsh-polar",
-     {"converged": True, "evaluations": 1000275, "restarts": 2, "seed": 0}, 2.82843),
+     {"converged": True, "evaluations": 700, "restarts": 2, "seed": 0}, 2.82843),
     (["spin", "--j", "2", "--optimize", "--restarts", "2"], "spin-2",
-     {"converged": True, "evaluations": 1000125, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
+     {"converged": True, "evaluations": 275, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
     (["mermin", "--parties", "4", "--optimize", "--restarts", "2"], "mermin4",
-     {"converged": True, "evaluations": 1000150, "restarts": 2, "seed": 0}, 5.65685),
+     {"converged": True, "evaluations": 275, "restarts": 2, "seed": 0}, 5.65685),
     # spin_j_max(20): one restart of the exact ascent reaches it
     (["spin", "--j", "20", "--optimize", "--restarts", "1"], "spin-20",
-     {"converged": True, "evaluations": 1000723, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),
+     {"converged": True, "evaluations": 1446, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),
+    # spin_j_max(128): the ascent on -f climbs past the lower peak of f
+    (["spin", "--j", "128", "--optimize", "--restarts", "1"], "spin-128",
+     {"converged": True, "evaluations": 9222, "j": 128.0, "restarts": 1, "seed": 0}, 2.8252),
+    # the j the scenario computed, not the j as typed
+    (["spin", "--j", "1.0000000001"], "spin-1", {"j": 1.0}, 2.55228),
 ])
 def test_route_report_pinned(capsys, argv, scenario, params, value):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -107,6 +112,10 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["chsh", "--precision", "100000000000"],
     ["chsh", "--precision", "18", "--format", "csv"],
     ["chsh", "--precision", "100000000000", "--format", "json"],
+    # an N past the float range, and parameters the scenario does not take
+    ["optimize", "--scenario", "gisin", "--n", "1" + "0" * 400],
+    ["optimize", "--scenario", "mermin3", "--lambda", "0.5"],
+    ["optimize", "--scenario", "chsh-phase", "--n", "5"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -138,7 +147,7 @@ _FUZZ_FLAGS = {
             "--vectors": ("1,0,0;0,1,0;0,0,1;1,0,0", "1,0,0;0,1,0", "2,0,0;0,1,0;0,0,1;1,0,0")},
     "optimize": {"--scenario": ("chsh-phase", "gisin", "r-state", "spin", "squeezed",
                                 "coherent", "mermin3", "nope"),
-                 "--n": ("3", "5", "2", "x"), "--r": ("0.5", "-2"), "--j": ("0.5", "1.5", "0"),
+                 "--n": ("3", "5", "2", "x", "1" + "0" * 400), "--r": ("0.5", "-2"), "--j": ("0.5", "1.5", "0"),
                  "--lambda": ("0.3", "2"), "--eta": ("0.2", "9"), "--sigma": ("0.2", "0"),
                  "--phi": ("1", "-7")},
 }
@@ -176,9 +185,7 @@ def _fuzz_argv(rng):
 # ten seeds: the first draws of an empty --n-list in text output (seeds 5
 # and 9) come after the first over-bound --precision (seed 1)
 @pytest.mark.parametrize("seed", range(10))
-def test_fuzzed_arguments_keep_the_exit_contract(capsys, monkeypatch, seed):
-    # every --optimize scans at most 4096 points, so no case runs long
-    monkeypatch.setattr(bellsim.optimize, "EVALUATION_CAP", 4096)
+def test_fuzzed_arguments_keep_the_exit_contract(capsys, seed):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         argv = _fuzz_argv(rng)

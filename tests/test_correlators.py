@@ -474,8 +474,8 @@ def _term_by_term_mermin4(*angles):
 
 
 class TestSharedTrigKeepsEveryBit:
-    # a column-major block, as the optimizer's scan hands it over, with
-    # angles on both sides of zero
+    # a column-major block of settings, each column one contiguous array,
+    # with angles on both sides of zero
     BLOCK = np.asfortranarray(
         np.random.default_rng(4096).uniform(-2 * np.pi, 2 * np.pi, (4096, 8)))
 

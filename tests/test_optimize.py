@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellsim import make_scenario, maximize_violation, optimize, table_gisin
-from bellsim.correlators import spin_j_max
+from bellsim.correlators import coherent_omega, coherent_pair_series, spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
 from bellsim.linalg import ATOL_OPT, ATOL_ORACLE
 from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin, scenario_squeezed
@@ -21,9 +21,15 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError):
             make_scenario("gisin")
 
+    def test_unused_parameter_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            make_scenario("mermin3", lam=0.5)
+        assert make_scenario("chsh-phase", n=None).name == "chsh-phase"
+
     def test_gisin_factory_validates(self):
-        with pytest.raises(ValueError):
-            scenario_gisin(2)
+        for n in (2, 10 ** 400):  # a float cannot hold 10**400
+            with pytest.raises(ValueError):
+                scenario_gisin(n)
 
     def test_scenario_sanity(self):
         s = make_scenario("chsh-polar")
@@ -111,9 +117,15 @@ def _r_state_max(r):
     return 2 * np.sqrt(1 + k * k)
 
 
+def _coherent_max(eta, sigma, phi):
+    # 4 Omega Delta times the CHSH maximum of the correlation matrix diag(1, -cos phi)
+    delta = coherent_pair_series(eta) * coherent_pair_series(sigma)
+    return 4 * coherent_omega(eta, sigma, phi) * delta * 2 * np.sqrt(1 + np.cos(phi) ** 2)
+
+
 # scenarios with a closed-form maximum, and that maximum
 EXACT_MAXIMA = [
-    *((("spin", {"j": j}), spin_j_max(j)) for j in (1, 5, 10, 20)),
+    *((("spin", {"j": j}), spin_j_max(j)) for j in (1, 5, 10, 20, 64, 128)),
     (("gisin", {"n": 3}), _gisin_max(3)),
     (("gisin", {"n": 12}), _gisin_max(12)),
     (("r-state", {"r": 0.5}), _r_state_max(0.5)),
@@ -126,6 +138,8 @@ EXACT_MAXIMA = [
     (("mermin3", {}), 4.0),
     (("mermin4", {}), 4 * SQRT2),
     (("product-state", {}), 2.0),
+    *((("coherent", dict(zip(("eta", "sigma", "phi"), p))), _coherent_max(*p))
+      for p in ((0.4, 0.7, 2.0), (1.0, 0.5, 1.0))),
 ]
 
 
@@ -139,86 +153,43 @@ def test_one_restart_reaches_the_exact_maximum(case, exact):
     assert result.best_value == pytest.approx(exact, abs=ATOL_OPT)
 
 
-def _whole_scan(scenario, rng):
-    """The whole scan as one array, the reference for the streamed blocks:
-    a meshgrid of the grid axes, or one uniform draw of the capped size."""
-    lo = np.array([d[0] for d in scenario.domain])
-    hi = np.array([d[1] for d in scenario.domain])
-    g = optimize.GRID_POINTS_PER_DIM
-    if g ** scenario.ndim <= optimize.EVALUATION_CAP:
-        axes = [lo[i] + (np.arange(g) + 0.5) * (hi[i] - lo[i]) / g
-                for i in range(scenario.ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-    return rng.uniform(lo, hi, size=(optimize.EVALUATION_CAP, scenario.ndim))
+def test_both_signs_reach_the_integer_spin_maximum_from_every_start():
+    # integer spin adds a constant to f, so its lower peak is the one of -f:
+    # ascending |f| from a start where f < 0 climbs that one
+    scenario = make_scenario("spin", j=2)
+    for seed in range(20):
+        result = maximize_violation(scenario, restarts=1, seed=seed)
+        assert result.best_value == pytest.approx(spin_j_max(2), abs=ATOL_OPT), seed
 
 
-# a cap of 8**6 keeps chsh-phase and mermin3 on the grid (heavy ties) and
-# gisin on the random route, with a short last block for 1000-row blocks
-@pytest.mark.parametrize("block", [1000, 4096, 8 ** 6 + 1])
-@pytest.mark.parametrize("name, params", [("chsh-phase", {}), ("mermin3", {}),
-                                          ("gisin", {"n": 5})])
-def test_streamed_scan_keeps_whole_scan_order(monkeypatch, block, name, params):
-    monkeypatch.setattr(optimize, "_SCAN_BLOCK", block)
-    monkeypatch.setattr(optimize, "EVALUATION_CAP", 8 ** 6)
-    scenario = make_scenario(name, **params)
-    points = _whole_scan(scenario, np.random.default_rng(3))
-    order = np.argsort(-np.abs(scenario.evaluator(points)), kind="stable")
-    for k in (1, 3, 20):
-        starts, scanned = optimize._scan_top(scenario, np.random.default_rng(3), k)
-        assert scanned == len(points)
-        np.testing.assert_array_equal(starts, points[order[:k]])
+# one configuration of every registered scenario; spin 10 sums 10 pairs per row
+BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
+               ("gisin", {"n": 3}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
+               ("spin", {"j": 1.5}), ("spin", {"j": 2}), ("spin", {"j": 10}),
+               ("squeezed", {"lam": 0.4}),
+               ("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
+               ("mermin3", {}), ("mermin4", {})]
 
 
-# one configuration of every registered scenario; spin 10 sums 10 pairs per
-# row, where numpy's pairwise sum over a column-major block would add them in
-# another order
-SCAN_LAYOUT_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
-                     ("gisin", {"n": 3}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
-                     ("spin", {"j": 1.5}), ("spin", {"j": 2}), ("spin", {"j": 10}),
-                     ("squeezed", {"lam": 0.4}),
-                     ("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
-                     ("mermin3", {}), ("mermin4", {})]
+def test_batch_cases_cover_every_scenario():
+    assert {name for name, _ in BATCH_CASES} == set(optimize.SCENARIO_FACTORIES)
 
 
-def test_scan_layout_cases_cover_every_scenario():
-    assert {name for name, _ in SCAN_LAYOUT_CASES} == set(optimize.SCENARIO_FACTORIES)
-
-
-@pytest.mark.parametrize("name, params", SCAN_LAYOUT_CASES,
+@pytest.mark.parametrize("name, params", BATCH_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
-                              for n, kw in SCAN_LAYOUT_CASES])
-def test_scan_block_layout_keeps_every_bit(name, params):
+                              for n, kw in BATCH_CASES])
+def test_batch_matches_one_point_calls_bit_for_bit(name, params):
+    # the evaluator contract: a (rows, d) batch gives each row's 1-D value
     scenario = make_scenario(name, **params)
-    block = next(optimize._scan_blocks(scenario, np.random.default_rng(5)))
-    assert block.flags.f_contiguous
-    values = scenario.evaluator(block).view(np.int64)
-    c_ordered = scenario.evaluator(np.ascontiguousarray(block)).view(np.int64)
-    np.testing.assert_array_equal(values, c_ordered)
-    rows = np.arange(0, len(block), 16)
-    one_by_one = np.array([float(scenario.evaluator(block[i].copy())) for i in rows])
-    np.testing.assert_array_equal(values[rows], one_by_one.view(np.int64))
-
-
-@pytest.mark.parametrize("name, params", [("gisin", {"n": 3}), ("chsh-polar", {}),
-                                          ("mermin4", {}), ("spin", {"j": 2})])
-def test_scan_memory_stays_under_the_wide_block_peak(name, params):
-    # 65,536-row blocks peaked at 8.0 MiB of traced allocations on these
-    # scans; an evaluator's cosine and sine tables are block-length arrays,
-    # so the block rows bound them
-    scenario = make_scenario(name, **params)
-    tracemalloc.start()
-    try:
-        _, scanned = optimize._scan_top(scenario, np.random.default_rng(0), 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert scanned == optimize.EVALUATION_CAP
-    assert peak <= 8 * 2 ** 20
+    lo, hi = np.array(scenario.domain).T
+    batch = np.random.default_rng(5).uniform(lo, hi, size=(64, scenario.ndim))
+    values = scenario.evaluator(batch).view(np.int64)
+    one_by_one = np.array([float(scenario.evaluator(row.copy())) for row in batch])
+    np.testing.assert_array_equal(values, one_by_one.view(np.int64))
 
 
 def test_search_memory_does_not_grow_with_the_scan():
-    # spin 5 scans 10**6 points of 20 parameters, 160 MB as one array
+    # spin 5 has 20 parameters
     tracemalloc.start()
     try:
         maximize_violation(make_scenario("spin", j=5), restarts=1)
@@ -228,19 +199,20 @@ def test_search_memory_does_not_grow_with_the_scan():
     assert peak < 64 * 2 ** 20
 
 
-def test_scan_memory_does_not_grow_with_the_parameter_count(monkeypatch):
-    # spin 20 has 80 parameters: 65,536-row blocks would hold 42 MB each, so
-    # blocks are sized by bytes; three full blocks are enough to show it
-    monkeypatch.setattr(optimize, "EVALUATION_CAP", 200_000)
-    scenario = make_scenario("spin", j=20)
+@pytest.mark.parametrize("name, params, restarts", [("gisin", {"n": 3}, 8),
+                                                    ("spin", {"j": 20}, 1)],
+                         ids=["gisin-3-restarts-8", "spin-20-restarts-1"])
+def test_search_memory_stays_under_one_mib(name, params, restarts):
+    # the search holds its starts and one point per ascent, so no batch of
+    # points grows with the restarts or the parameter count
+    scenario = make_scenario(name, **params)
     tracemalloc.start()
     try:
-        _, scanned = optimize._scan_top(scenario, np.random.default_rng(0), 8)
+        maximize_violation(scenario, restarts=restarts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scanned == 200_000
-    assert peak < 16 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_oracle_memory_does_not_grow_with_the_joint_matrix():

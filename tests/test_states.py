@@ -61,6 +61,11 @@ class TestGisinFamily:
         with pytest.raises(ValueError):
             gisin_family_state(2)
 
+    @pytest.mark.parametrize("n", [10 ** 400, float("inf")])
+    def test_n_beyond_float_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            gisin_family_state(n)
+
     def test_product_exactly_at_four(self):
         assert is_product(gisin_family_state(4))[0]
         for n in (3, 5, 6, 7, 8, 50):
