@@ -23,6 +23,7 @@ from . import lhv as lhvmod
 from .linalg import NumericGuardError
 from .observables import TSIRELSON_BOUND
 from .optimize import (
+    MAX_RESTARTS,
     SCENARIO_FACTORIES,
     make_scenario,
     maximize_violation,
@@ -190,9 +191,9 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
                               "observables applied to the state")
     if optimize:
         sub.add_argument("--optimize", action="store_true")
-    sub.add_argument("--restarts", type=_int_between(1), default=8,
+    sub.add_argument("--restarts", type=_int_between(1, MAX_RESTARTS), default=8,
                      help="seeded uniform starts of the search, each ascended "
-                          "on f and on -f (default 8)")
+                          f"on f and on -f, 1 to {MAX_RESTARTS} (default 8)")
     sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 

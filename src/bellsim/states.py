@@ -63,11 +63,13 @@ def bell_state(alpha: int) -> StateVector:
 
 
 def _check_family_n(n) -> int:
-    """Validate the N-family parameter, N >= 3 and within float range (the
-    amplitudes take sqrt(N - 3)); return it as int."""
+    """Validate the N-family parameter, an integer N >= 3 within float range
+    (the amplitudes take sqrt(N - 3)); return it as int."""
     if not abs(n) <= sys.float_info.max:  # NaN fails here too
         raise ValueError(f"family parameter N must be finite and at most "
                          f"{sys.float_info.max:g}")
+    if n != int(n):
+        raise ValueError(f"family parameter N must be an integer, got {n!r}")
     n = int(n)
     if n < 3:
         raise ValueError(f"family parameter N must be >= 3, got {n}")

@@ -116,6 +116,9 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["optimize", "--scenario", "gisin", "--n", "1" + "0" * 400],
     ["optimize", "--scenario", "mermin3", "--lambda", "0.5"],
     ["optimize", "--scenario", "chsh-phase", "--n", "5"],
+    # more restarts than MAX_RESTARTS
+    ["chsh", "--optimize", "--restarts", "1000000000000"],
+    ["gisin", "--n-list", "3", "--restarts", "1000000000000"],
 ])
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -153,7 +156,7 @@ _FUZZ_FLAGS = {
 }
 _FUZZ_COMMON = {"--format": ("text", "json", "csv", "xml"),
                 "--precision": ("0", "3", "-1", "18", "100000000000"),
-                "--seed": ("0", "7", "-1"), "--restarts": ("1", "0", "-2")}
+                "--seed": ("0", "7", "-1"), "--restarts": ("1", "0", "-2", "1000000000000")}
 _FUZZ_HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "", "x", "0x1p3",
                  "--oracle")
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,12 @@ class TestScenarioRegistry:
         for n in (2, 10 ** 400):  # a float cannot hold 10**400
             with pytest.raises(ValueError):
                 scenario_gisin(n)
+
+    @pytest.mark.parametrize("n", [3.7, 2.5])
+    def test_non_integer_gisin_n_rejected(self, n):
+        # not truncated to the N = 3 or N = 2 scenario
+        with pytest.raises(ValueError, match="integer"):
+            make_scenario("gisin", n=n)
 
     def test_scenario_sanity(self):
         s = make_scenario("chsh-polar")
@@ -106,6 +113,13 @@ class TestMaximizeViolation:
         with pytest.raises(ValueError):
             maximize_violation(make_scenario("chsh-phase"), restarts=0)
 
+    def test_restarts_above_bound_rejected(self):
+        # rejected before any start is drawn, not a memory error
+        with pytest.raises(ValueError, match=str(optimize.MAX_RESTARTS)):
+            maximize_violation(make_scenario("chsh-phase"), restarts=optimize.MAX_RESTARTS + 1)
+        with pytest.raises(ValueError):
+            table_gisin([3], restarts=10 ** 12)
+
 
 def _gisin_max(n):
     d = (np.sqrt(n - 3.0) - 1.0) / n
@@ -162,6 +176,73 @@ def test_both_signs_reach_the_integer_spin_maximum_from_every_start():
         assert result.best_value == pytest.approx(spin_j_max(2), abs=ATOL_OPT), seed
 
 
+def _one_point_ascent(fun, x0):
+    # the search one start and one sign at a time, one 1-D point per call:
+    # the reference the lockstep search must match bit for bit
+    x = np.array(x0, dtype=float)
+    best = float(fun(x))
+    nfev = 1
+    for _ in range(optimize.MAX_SWEEPS):
+        start = x.copy()
+        moved = False
+        for i in range(x.size):
+            f0, f1, f2 = (float(fun(np.concatenate([x[:i], [t], x[i + 1:]])))
+                          for t in (0.0, 0.5 * np.pi, np.pi))
+            nfev += 3
+            a, c = 0.5 * (f0 - f2), 0.5 * (f0 + f2)
+            b = f1 - c
+            value = c + math.hypot(a, b)
+            if value > best:
+                x[i], best, moved = math.atan2(b, a), value, True
+        if not moved:
+            return x, nfev, True
+        step = x - start
+        while True:
+            trial = x + step
+            value = float(fun(trial))
+            nfev += 1
+            if not value > best:
+                break
+            x, best, step = trial, value, 2.0 * step
+    return x, nfev, False
+
+
+def _one_start_at_a_time(scenario, restarts, seed):
+    evaluator = scenario.evaluator
+    lo, hi = np.array(scenario.domain).T
+    starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, scenario.ndim))
+    evaluations, best = 0, None
+    for x0 in starts:
+        for fun in (evaluator, lambda p: -evaluator(p)):
+            x, nfev, success = _one_point_ascent(fun, x0)
+            evaluations += nfev
+            settings = tuple(optimize._canonicalize(scenario, x).tolist())
+            value = abs(float(evaluator(np.array(settings))))
+            if best is None or value > best[0] or (value == best[0] and settings < best[1]):
+                best = (value, settings, success)
+    return best[0], best[1], evaluations, best[2]
+
+
+# every exact-maximum configuration at three (restarts, seed) pairs, and more
+# starts than one block holds
+LOCKSTEP_CASES = [(case, restarts, seed) for case, _ in EXACT_MAXIMA
+                  for restarts, seed in ((1, 0), (3, 7), (8, 1))]
+LOCKSTEP_CASES.append((("chsh-phase", {}), 2 * optimize.START_BLOCK + 2, 4))
+
+
+@pytest.mark.parametrize("case, restarts, seed", LOCKSTEP_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}-r{r}-s{s}"
+                              for (n, kw), r, s in LOCKSTEP_CASES])
+def test_lockstep_search_matches_one_start_at_a_time(case, restarts, seed):
+    name, params = case
+    scenario = make_scenario(name, **params)
+    result = maximize_violation(scenario, restarts=restarts, seed=seed)
+    value, settings, evaluations, converged = _one_start_at_a_time(scenario, restarts, seed)
+    assert float.hex(result.best_value) == float.hex(value)
+    assert [float.hex(v) for v in result.best_settings] == [float.hex(v) for v in settings]
+    assert (result.evaluations, result.converged) == (evaluations, converged)
+
+
 # one configuration of every registered scenario; spin 10 sums 10 pairs per row
 BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
                ("gisin", {"n": 3}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
@@ -172,6 +253,7 @@ BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
 
 
 def test_batch_cases_cover_every_scenario():
+    # so every evaluator is checked on the search's (rows, 3, d) probe too
     assert {name for name, _ in BATCH_CASES} == set(optimize.SCENARIO_FACTORIES)
 
 
@@ -179,13 +261,19 @@ def test_batch_cases_cover_every_scenario():
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
                               for n, kw in BATCH_CASES])
 def test_batch_matches_one_point_calls_bit_for_bit(name, params):
-    # the evaluator contract: a (rows, d) batch gives each row's 1-D value
+    # the evaluator contract: a (rows, d) batch, and the search's C-ordered
+    # (rows, 3, d) probe, give each point's 1-D value
     scenario = make_scenario(name, **params)
     lo, hi = np.array(scenario.domain).T
-    batch = np.random.default_rng(5).uniform(lo, hi, size=(64, scenario.ndim))
-    values = scenario.evaluator(batch).view(np.int64)
-    one_by_one = np.array([float(scenario.evaluator(row.copy())) for row in batch])
-    np.testing.assert_array_equal(values, one_by_one.view(np.int64))
+    rng = np.random.default_rng(5)
+    for shape in ((64,), (16, 3)):
+        batch = rng.uniform(lo, hi, size=(*shape, scenario.ndim))
+        values = scenario.evaluator(batch)
+        assert values.shape == shape
+        one_by_one = np.array([float(scenario.evaluator(point.copy()))
+                               for point in batch.reshape(-1, scenario.ndim)])
+        np.testing.assert_array_equal(values.reshape(-1).view(np.int64),
+                                      one_by_one.view(np.int64))
 
 
 def test_search_memory_does_not_grow_with_the_scan():
@@ -203,8 +291,8 @@ def test_search_memory_does_not_grow_with_the_scan():
                                                     ("spin", {"j": 20}, 1)],
                          ids=["gisin-3-restarts-8", "spin-20-restarts-1"])
 def test_search_memory_stays_under_one_mib(name, params, restarts):
-    # the search holds its starts and one point per ascent, so no batch of
-    # points grows with the restarts or the parameter count
+    # the search holds one block of starts and its (rows, 3, d) probe, so
+    # no batch of points grows with the restarts
     scenario = make_scenario(name, **params)
     tracemalloc.start()
     try:

@@ -66,6 +66,11 @@ class TestGisinFamily:
         with pytest.raises(ValueError):
             gisin_family_state(n)
 
+    @pytest.mark.parametrize("n", [3.7, 2.5])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            gisin_family_state(n)
+
     def test_product_exactly_at_four(self):
         assert is_product(gisin_family_state(4))[0]
         for n in (3, 5, 6, 7, 8, 50):
