@@ -193,7 +193,8 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
         sub.add_argument("--optimize", action="store_true")
     sub.add_argument("--restarts", type=_int_between(1, MAX_RESTARTS), default=8,
                      help="seeded uniform starts of the search, each ascended "
-                          f"on f and on -f, 1 to {MAX_RESTARTS} (default 8)")
+                          "on f (and on -f where no setting shift negates f), "
+                          f"1 to {MAX_RESTARTS} (default 8)")
     sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 

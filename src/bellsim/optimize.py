@@ -1,15 +1,18 @@
 """Maximize |correlator| over observable parameters for a named scenario.
 
 The search draws ``restarts`` seeded uniform starts and runs exact coordinate
-ascent from each, once on f and once on -f, so it climbs whichever sign of f
-has the larger peak.  Every scenario evaluator is A cos t + B sin t + C in
-each single parameter t, so three evaluations give A, B and C and the
-parameter moves straight to its exact 1-D maximizer.  The ascents of up to
-``START_BLOCK`` starts run in lockstep, one evaluator call per coordinate
-step for all of them, and each ends where it would end on its own, bit for
-bit.  The whole pipeline is deterministic given (scenario, restarts, seed);
-the first starts do not depend on their count, so the best value is
-monotone in restarts.
+ascent on f from each.  Where a shift of one party's settings negates f,
+f and -f share their peak; elsewhere (integer spin) it ascends -f from each
+start too, so it climbs whichever sign of f has the larger peak.  Each step
+moves one setting straight to its exact maximizer with the others fixed.  A
+polar setting is a Bloch vector n, f = c + v.n in it, and four evaluations
+give c and v (the see-saw step of Werner and Wolf, QIC 1, 1 (2001)); every
+evaluator is A cos t + B sin t + C in a phase t, and three evaluations give
+A, B and C.  The ascents of up to ``START_BLOCK`` starts run in lockstep,
+one evaluator call per step for all of them, and each ends where it would
+end on its own, bit for bit.  The whole pipeline is deterministic given
+(scenario, restarts, seed); the first starts do not depend on their count,
+so the best value is monotone in restarts.
 """
 
 from __future__ import annotations
@@ -26,13 +29,18 @@ from .observables import PairingScheme, TSIRELSON_BOUND
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
 MAX_SWEEPS = 1000
-# starts ascended together (two rows each): an evaluator call costs about
-# the same up to some 100 rows and grows with them past that, so larger
-# blocks save few calls and only add memory
+# starts ascended together (two rows each where -f is ascended too): an
+# evaluator call costs about the same up to some 100 rows and grows with
+# them past that, so larger blocks save few calls and only add memory
 START_BLOCK = 64
-# about 90 s of the 8-parameter N-family search (2-core x86_64)
+# about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
 MAX_RESTARTS = 10 ** 5
 TWO_PI = 2.0 * np.pi
+# where a phase step evaluates its parameter t, one row per point
+PHASE_PROBE = np.array([[0.0], [0.5 * np.pi], [np.pi]])
+# where a Bloch step evaluates its (theta, alpha): n = +z, -z, +x, +y
+BLOCH_PROBE = np.array([[0.0, 0.0], [np.pi, 0.0],
+                        [0.5 * np.pi, 0.0], [0.5 * np.pi, 0.5 * np.pi]])
 
 PHASE_DOMAIN = (0.0, TWO_PI)
 POLAR_DOMAIN = (0.0, np.pi)
@@ -46,10 +54,13 @@ class Scenario:
     values of shape (...); ``kinds`` labels each parameter "phase" or
     "polar"; ``polar_mate`` maps a polar index to the phase index it pairs
     with, so canonicalizing theta -> 2 pi - theta can shift the mate by pi
-    without changing the value.  ``oracle``, when set, evaluates one setting
-    vector through the matrix route (each party's observables applied to the
-    state), sharing no code with ``evaluator``; ``defaults`` is the
-    maximizing setting vector, when known.
+    without changing the value.  ``negation`` is a shift of the settings
+    that negates the value, evaluator(x + negation) = -evaluator(x), or
+    empty where there is none (integer spin, whose constant term no setting
+    negates).  ``oracle``, when set, evaluates one setting vector through
+    the matrix route (each party's observables applied to the state),
+    sharing no code with ``evaluator``; ``defaults`` is the maximizing
+    setting vector, when known.
     """
 
     name: str
@@ -57,6 +68,7 @@ class Scenario:
     domain: tuple
     kinds: tuple
     polar_mate: dict = field(default_factory=dict)
+    negation: tuple = ()
     classical_bound: float = co.CHSH_CLASSICAL_BOUND
     quantum_bound: float = TSIRELSON_BOUND
     params: dict = field(default_factory=dict)
@@ -68,6 +80,8 @@ class Scenario:
             raise ValueError("scenario needs a nonempty parameter domain")
         if len(self.kinds) != len(self.domain):
             raise ValueError("one kind label per parameter required")
+        if self.negation and len(self.negation) != len(self.domain):
+            raise ValueError("the negating shift needs one entry per parameter")
 
     @property
     def ndim(self) -> int:
@@ -107,22 +121,29 @@ class Ascent(NamedTuple):
     success: np.ndarray
 
 
-def minimize(fun, x0, signs) -> Ascent:
+def minimize(fun, x0, signs, polar_mate) -> Ascent:
     """Minimize -sign*fun from each row of ``x0`` by exact coordinate ascent
     on sign*fun, all rows in lockstep.
 
     ``maximize_violation`` calls it through the module global, so the
     benchmark's layer timing can wrap ``optimize.minimize``.
 
-    With the other parameters fixed, g = sign*fun = A cos t + B sin t + C in
-    parameter t; its values at t = 0, pi/2 and pi give A, B and C, and g is
-    largest, at C + sqrt(A^2 + B^2), where t = atan2(B, A).  A parameter
-    moves only on a strict gain, and a row's sweeps repeat until one moves
-    none, or ``MAX_SWEEPS`` ran out.  After each sweep, its step is tried
-    again, doubled while that gains.  Each coordinate step makes one ``fun``
-    call on an (m, 3, d) probe of the m rows still ascending, and each
-    doubling round one on an (m, d) batch; the row updates run per row with
-    ``math``, so every row takes the steps it would take on its own.
+    A sweep steps through the settings in parameter order, each straight to
+    its exact maximizer with the others fixed.  A polar setting, the pair
+    (theta, alpha) = (i, polar_mate[i]), is one Bloch vector n = (sin theta
+    cos alpha, sin theta sin alpha, cos theta), and g = sign*fun = c + v.n in
+    it; g at n = +z, -z, +x and +y gives c and v, and g is largest, at
+    c + |v|, where n = v/|v|.  Any other parameter t is a phase, and
+    g = A cos t + B sin t + C in it; g at t = 0, pi/2 and pi gives A, B and C,
+    and g is largest, at C + sqrt(A^2 + B^2), where t = atan2(B, A).  A
+    setting moves only on a strict gain, and a row's sweeps repeat until one
+    moves none, or ``MAX_SWEEPS`` ran out.  After each sweep, its step is
+    tried again, doubled while that gains.  Each step makes one ``fun`` call
+    on an (m, 4, d) or (m, 3, d) probe of the m rows still ascending, and
+    each doubling round one on an (m, d) batch; the row updates run per row
+    with ``math``, so every row takes the steps it would take on its own.
+    ``nfev`` counts the points of these calls: 4 per Bloch step, 3 per phase
+    step and 1 per pattern-move trial of each row.
     """
     x = np.array(x0, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -130,21 +151,35 @@ def minimize(fun, x0, signs) -> Ascent:
     best = signs * fun(x)
     nfev = np.ones(k, dtype=np.int64)
     success = np.zeros(k, dtype=bool)
-    probe_t = np.array([0.0, 0.5 * np.pi, np.pi])
+    # one step per setting: a polar index with its mate, or a lone phase
+    steps = [(i, polar_mate[i]) if i in polar_mate else (i,)
+             for i in range(d) if i not in polar_mate.values()]
     rows = np.arange(k)
     for _ in range(MAX_SWEEPS):
         start = x[rows]
         moved = np.zeros(rows.size, dtype=bool)
-        for i in range(d):
-            probe = np.repeat(x[rows, None, :], 3, axis=1)
-            probe[:, :, i] = probe_t
+        for cols in steps:
+            bloch = len(cols) == 2
+            probe_at = BLOCH_PROBE if bloch else PHASE_PROBE
+            probe = np.repeat(x[rows, None, :], len(probe_at), axis=1)
+            probe[:, :, cols] = probe_at
             f = signs[rows, None] * fun(probe)
-            nfev[rows] += 3
-            a, c = 0.5 * (f[:, 0] - f[:, 2]), 0.5 * (f[:, 0] + f[:, 2])
-            b = f[:, 1] - c
-            value = c + list(map(math.hypot, a.tolist(), b.tolist()))
-            gain = value > best[rows]
-            x[rows[gain], i] = list(map(math.atan2, b[gain].tolist(), a[gain].tolist()))
+            nfev[rows] += len(probe_at)
+            if bloch:
+                c, vz = 0.5 * (f[:, 0] + f[:, 1]), 0.5 * (f[:, 0] - f[:, 1])
+                vx, vy = f[:, 2] - c, f[:, 3] - c
+                value = c + list(map(math.hypot, vx.tolist(), vy.tolist(), vz.tolist()))
+                gain = value > best[rows]
+                vx, vy, vz = vx[gain].tolist(), vy[gain].tolist(), vz[gain].tolist()
+                x[rows[gain], cols[0]] = list(map(math.atan2, map(math.hypot, vx, vy), vz))
+                x[rows[gain], cols[1]] = list(map(math.atan2, vy, vx))
+            else:
+                a, c = 0.5 * (f[:, 0] - f[:, 2]), 0.5 * (f[:, 0] + f[:, 2])
+                b = f[:, 1] - c
+                value = c + list(map(math.hypot, a.tolist(), b.tolist()))
+                gain = value > best[rows]
+                x[rows[gain], cols[0]] = list(map(math.atan2, b[gain].tolist(),
+                                                  a[gain].tolist()))
             best[rows[gain]] = value[gain]
             moved |= gain
         success[rows[~moved]] = True
@@ -169,9 +204,11 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
                        seed: int = 0) -> OptimizationResult:
     """Largest |correlator| over the scenario domain.
 
-    Draws ``restarts`` uniform starts from ``seed`` and ascends f and -f from
-    each: from a start where f < 0, ascending |f| would climb the peak of -f,
-    which for integer spin is the lower one.  The starts are drawn and
+    Draws ``restarts`` uniform starts from ``seed`` and ascends f from each.
+    Where the scenario declares a ``negation`` shift, f and -f have the same
+    peak, and that is all.  Elsewhere (integer spin) it ascends -f from each
+    start too: from a start where f < 0, ascending |f| would climb the peak
+    of -f, which there is the lower one.  The starts are drawn and
     ascended ``START_BLOCK`` at a time, so memory does not grow with
     ``restarts``; consecutive draws give the rows of one (restarts, d) draw.
     Ties between the ascents' optima break toward the lexicographically
@@ -187,9 +224,10 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
     best = None  # (value, settings tuple, converged)
     for first in range(0, restarts, START_BLOCK):
         starts = rng.uniform(lo, hi, size=(min(START_BLOCK, restarts - first), scenario.ndim))
-        # start-major rows: each start on f, then on -f
-        res = minimize(evaluator, np.repeat(starts, 2, axis=0),
-                       np.tile([1.0, -1.0], len(starts)))
+        # start-major rows: each start on f, then on -f where needed
+        signs = (1.0,) if scenario.negation else (1.0, -1.0)
+        res = minimize(evaluator, np.repeat(starts, len(signs), axis=0),
+                       np.tile(signs, len(starts)), scenario.polar_mate)
         evaluations += int(res.nfev)
         canonical = np.array([_canonicalize(scenario, x) for x in res.x])
         values = np.abs(evaluator(canonical)).tolist()
@@ -215,13 +253,23 @@ def table_gisin(n_values, restarts: int = 8, seed: int = 0):
 # Scenario factories
 # ---------------------------------------------------------------------------
 
+def _negation(n_params, shifted):
+    """pi on the first ``shifted`` parameters, one party's settings; none
+    when ``shifted`` is 0."""
+    return (np.pi,) * shifted + (0.0,) * (n_params - shifted) if shifted else ()
+
+
 def _phase_scenario(name, evaluator, n_phases, classical=co.CHSH_CLASSICAL_BOUND,
-                    quantum=TSIRELSON_BOUND, params=None, oracle=None, defaults=()):
+                    quantum=TSIRELSON_BOUND, params=None, oracle=None, defaults=(),
+                    negated=2):
+    # phase + pi negates a phase-flip observable; by default the first two
+    # phases are party A's two settings, and every term has one of them
     return Scenario(
         name=name,
         evaluator=evaluator,
         domain=(PHASE_DOMAIN,) * n_phases,
         kinds=("phase",) * n_phases,
+        negation=_negation(n_phases, negated),
         classical_bound=classical,
         quantum_bound=quantum,
         params=params or {},
@@ -231,13 +279,16 @@ def _phase_scenario(name, evaluator, n_phases, classical=co.CHSH_CLASSICAL_BOUND
 
 
 def _polar8_scenario(name, evaluator, params=None):
-    # parameter order: theta, theta', omega, omega', alpha, alpha', beta, beta'
+    # parameter order: theta, theta', omega, omega', alpha, alpha', beta, beta'.
+    # theta + pi takes n to -n, so it negates party A's observable; the
+    # canonical form of that shift is theta -> pi - theta, alpha -> alpha + pi
     return Scenario(
         name=name,
         evaluator=evaluator,
         domain=(POLAR_DOMAIN,) * 4 + (PHASE_DOMAIN,) * 4,
         kinds=("polar",) * 4 + ("phase",) * 4,
         polar_mate={0: 4, 1: 5, 2: 6, 3: 7},
+        negation=_negation(8, 2),
         params=params or {},
     )
 
@@ -307,8 +358,10 @@ def scenario_spin(j) -> Scenario:
             p[..., 3 * npairs:4 * npairs],
         )
 
+    # alpha + pi on every pair negates the pair sum, and with it f for
+    # half-integer j; for integer j the constant term stays
     return _phase_scenario(f"spin-{twoj / 2:g}", evaluator, 4 * npairs,
-                           params={"j": twoj / 2.0},
+                           params={"j": twoj / 2.0}, negated=2 * npairs * (twoj % 2),
                            defaults=np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs))
 
 

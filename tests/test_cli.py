@@ -35,11 +35,11 @@ ANGLES = "0.3,1.2,-0.5,2.5"
     (["coherent"], "coherent", {"eta": 0.1, "phi": 3.14159, "sigma": 0.1}, 2.8284),
     (["squeezed", "--lambda", "0.6"], "squeezed", {"lam": 0.6}, 2.49567),
     (["chsh", "--optimize", "--restarts", "2"], "chsh-polar",
-     {"converged": True, "evaluations": 700, "restarts": 2, "seed": 0}, 2.82843),
+     {"converged": True, "evaluations": 68, "restarts": 2, "seed": 0}, 2.82843),
     (["spin", "--j", "2", "--optimize", "--restarts", "2"], "spin-2",
      {"converged": True, "evaluations": 275, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
     (["mermin", "--parties", "4", "--optimize", "--restarts", "2"], "mermin4",
-     {"converged": True, "evaluations": 275, "restarts": 2, "seed": 0}, 5.65685),
+     {"converged": True, "evaluations": 125, "restarts": 2, "seed": 0}, 5.65685),
     # spin_j_max(20): one restart of the exact ascent reaches it
     (["spin", "--j", "20", "--optimize", "--restarts", "1"], "spin-20",
      {"converged": True, "evaluations": 1446, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),

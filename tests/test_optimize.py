@@ -176,24 +176,43 @@ def test_both_signs_reach_the_integer_spin_maximum_from_every_start():
         assert result.best_value == pytest.approx(spin_j_max(2), abs=ATOL_OPT), seed
 
 
-def _one_point_ascent(fun, x0):
+# (theta, alpha) at n = +z, -z, +x and +y
+BLOCH_POINTS = ((0.0, 0.0), (np.pi, 0.0), (0.5 * np.pi, 0.0), (0.5 * np.pi, 0.5 * np.pi))
+
+
+def _one_point_ascent(fun, x0, polar_mate):
     # the search one start and one sign at a time, one 1-D point per call:
     # the reference the lockstep search must match bit for bit
     x = np.array(x0, dtype=float)
     best = float(fun(x))
     nfev = 1
+    settings = [(i, polar_mate[i]) if i in polar_mate else (i,)
+                for i in range(x.size) if i not in polar_mate.values()]
     for _ in range(optimize.MAX_SWEEPS):
         start = x.copy()
         moved = False
-        for i in range(x.size):
-            f0, f1, f2 = (float(fun(np.concatenate([x[:i], [t], x[i + 1:]])))
-                          for t in (0.0, 0.5 * np.pi, np.pi))
-            nfev += 3
-            a, c = 0.5 * (f0 - f2), 0.5 * (f0 + f2)
-            b = f1 - c
-            value = c + math.hypot(a, b)
-            if value > best:
-                x[i], best, moved = math.atan2(b, a), value, True
+        for cols in settings:
+            points = BLOCH_POINTS if len(cols) == 2 else ((0.0,), (0.5 * np.pi,), (np.pi,))
+            f = []
+            for point in points:
+                y = x.copy()
+                y[list(cols)] = point
+                f.append(float(fun(y)))
+            nfev += len(points)
+            if len(cols) == 2:
+                c, vz = 0.5 * (f[0] + f[1]), 0.5 * (f[0] - f[1])
+                vx, vy = f[2] - c, f[3] - c
+                value = c + math.hypot(vx, vy, vz)
+                if value > best:
+                    x[cols[0]] = math.atan2(math.hypot(vx, vy), vz)
+                    x[cols[1]] = math.atan2(vy, vx)
+                    best, moved = value, True
+            else:
+                a, c = 0.5 * (f[0] - f[2]), 0.5 * (f[0] + f[2])
+                b = f[1] - c
+                value = c + math.hypot(a, b)
+                if value > best:
+                    x[cols[0]], best, moved = math.atan2(b, a), value, True
         if not moved:
             return x, nfev, True
         step = x - start
@@ -211,10 +230,12 @@ def _one_start_at_a_time(scenario, restarts, seed):
     evaluator = scenario.evaluator
     lo, hi = np.array(scenario.domain).T
     starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, scenario.ndim))
+    signs = (1.0,) if scenario.negation else (1.0, -1.0)
     evaluations, best = 0, None
     for x0 in starts:
-        for fun in (evaluator, lambda p: -evaluator(p)):
-            x, nfev, success = _one_point_ascent(fun, x0)
+        for sign in signs:
+            x, nfev, success = _one_point_ascent(lambda p: sign * evaluator(p), x0,
+                                                 scenario.polar_mate)
             evaluations += nfev
             settings = tuple(optimize._canonicalize(scenario, x).tolist())
             value = abs(float(evaluator(np.array(settings))))
@@ -253,7 +274,8 @@ BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
 
 
 def test_batch_cases_cover_every_scenario():
-    # so every evaluator is checked on the search's (rows, 3, d) probe too
+    # so every evaluator is checked on the search's (rows, 3, d) and
+    # (rows, 4, d) probes too
     assert {name for name, _ in BATCH_CASES} == set(optimize.SCENARIO_FACTORIES)
 
 
@@ -262,11 +284,11 @@ def test_batch_cases_cover_every_scenario():
                               for n, kw in BATCH_CASES])
 def test_batch_matches_one_point_calls_bit_for_bit(name, params):
     # the evaluator contract: a (rows, d) batch, and the search's C-ordered
-    # (rows, 3, d) probe, give each point's 1-D value
+    # (rows, 3, d) and (rows, 4, d) probes, give each point's 1-D value
     scenario = make_scenario(name, **params)
     lo, hi = np.array(scenario.domain).T
     rng = np.random.default_rng(5)
-    for shape in ((64,), (16, 3)):
+    for shape in ((64,), (16, 3), (16, 4)):
         batch = rng.uniform(lo, hi, size=(*shape, scenario.ndim))
         values = scenario.evaluator(batch)
         assert values.shape == shape
@@ -274,6 +296,94 @@ def test_batch_matches_one_point_calls_bit_for_bit(name, params):
                                for point in batch.reshape(-1, scenario.ndim)])
         np.testing.assert_array_equal(values.reshape(-1).view(np.int64),
                                       one_by_one.view(np.int64))
+
+
+# every polar scenario: the N-family at three N, the r-state at two r
+POLAR_CASES = [("chsh-polar", {}), ("product-state", {}), ("gisin", {"n": 3}),
+               ("gisin", {"n": 12}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
+               ("r-state", {"r": 0.99})]
+
+
+@pytest.mark.parametrize("name, params", POLAR_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for n, kw in POLAR_CASES])
+def test_polar_evaluator_is_affine_in_each_bloch_vector(name, params):
+    # the Bloch step's premise: with the other settings fixed, f = c + v.n
+    # in the Bloch vector n of each polar setting, so n = +z, -z, +x and +y
+    # give c and v
+    scenario = make_scenario(name, **params)
+    lo, hi = np.array(scenario.domain).T
+    x = np.random.default_rng(8).uniform(lo, hi, size=(64, scenario.ndim))
+    assert len(scenario.polar_mate) == 4
+    for theta, alpha in scenario.polar_mate.items():
+        f = []
+        for point in BLOCH_POINTS:
+            y = x.copy()
+            y[:, [theta, alpha]] = point
+            f.append(scenario.evaluator(y))
+        c, vz = (f[0] + f[1]) / 2, (f[0] - f[1]) / 2
+        vx, vy = f[2] - c, f[3] - c
+        t, a = x[:, theta], x[:, alpha]
+        rebuilt = c + vx * np.sin(t) * np.cos(a) + vy * np.sin(t) * np.sin(a) + vz * np.cos(t)
+        np.testing.assert_allclose(scenario.evaluator(x), rebuilt, rtol=0, atol=1e-14)
+
+
+NEGATED_CASES = [(name, params) for name, params in BATCH_CASES
+                 if make_scenario(name, **params).negation]
+
+
+@pytest.mark.parametrize("name, params", NEGATED_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for n, kw in NEGATED_CASES])
+def test_declared_shift_negates_f(name, params):
+    # where it holds, f and -f share their peak and the search ascends f alone
+    scenario = make_scenario(name, **params)
+    lo, hi = np.array(scenario.domain).T
+    x = np.random.default_rng(9).uniform(lo, hi, size=(64, scenario.ndim))
+    np.testing.assert_allclose(scenario.evaluator(x + scenario.negation),
+                               -scenario.evaluator(x), rtol=0, atol=1e-14)
+
+
+def test_only_integer_spin_lacks_a_negating_shift():
+    lacking = [case for case in BATCH_CASES if case not in NEGATED_CASES]
+    assert lacking == [("spin", {"j": 2}), ("spin", {"j": 10})]
+    # integer j adds the constant 2/(2j+1) to f, so the shift that negates
+    # half-integer spin (pi on Alice's phases) leaves twice that constant
+    # over, and f's peak stays above -f's: -f needs its own ascent
+    scenario = make_scenario("spin", j=2)
+    shift = np.repeat([np.pi, 0.0], scenario.ndim // 2)
+    x = np.random.default_rng(10).uniform(0.0, 2 * np.pi, size=(64, scenario.ndim))
+    np.testing.assert_allclose(scenario.evaluator(x + shift) + scenario.evaluator(x),
+                               4 / 5, rtol=0, atol=1e-14)
+
+
+def test_r_state_near_one_reaches_its_maximum_from_every_start():
+    # the near-flat ridge at r = 0.99 stopped 8 of these seeds at the sweep
+    # cap while polar settings took one 1-D step per angle
+    scenario = make_scenario("r-state", r=0.99)
+    for seed in range(20):
+        result = maximize_violation(scenario, restarts=1, seed=seed)
+        assert result.converged, seed
+        assert result.best_value == pytest.approx(_r_state_max(0.99), abs=ATOL_OPT), seed
+
+
+@pytest.mark.parametrize("name, params, width", [("gisin", {"n": 3}, 4), ("mermin3", {}, 3),
+                                                  ("spin", {"j": 2}, 3)],
+                         ids=["polar", "phase", "integer-spin"])
+def test_evaluations_count_every_point_evaluated(name, params, width):
+    # 4 points per Bloch step, 3 per phase step, 1 per pattern-move trial
+    scenario = make_scenario(name, **params)
+    shapes = []
+
+    def counted(p):
+        shapes.append(p.shape)
+        return scenario.evaluator(p)
+
+    lo, hi = np.array(scenario.domain).T
+    x0 = np.random.default_rng(11).uniform(lo, hi, size=(5, scenario.ndim))
+    res = optimize.minimize(counted, x0, [1.0, -1.0, 1.0, -1.0, 1.0], scenario.polar_mate)
+    assert {shape[1] for shape in shapes if len(shape) == 3} == {width}
+    assert sum(math.prod(shape[:-1]) for shape in shapes) == res.nfev
 
 
 def test_search_memory_does_not_grow_with_the_scan():
@@ -291,7 +401,7 @@ def test_search_memory_does_not_grow_with_the_scan():
                                                     ("spin", {"j": 20}, 1)],
                          ids=["gisin-3-restarts-8", "spin-20-restarts-1"])
 def test_search_memory_stays_under_one_mib(name, params, restarts):
-    # the search holds one block of starts and its (rows, 3, d) probe, so
+    # the search holds one block of starts and its (rows, 4, d) probe, so
     # no batch of points grows with the restarts
     scenario = make_scenario(name, **params)
     tracemalloc.start()
