@@ -193,8 +193,7 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
         sub.add_argument("--optimize", action="store_true")
     sub.add_argument("--restarts", type=_int_between(1, MAX_RESTARTS), default=8,
                      help="seeded uniform starts of the search, each ascended "
-                          "on f (and on -f where no setting shift negates f), "
-                          f"1 to {MAX_RESTARTS} (default 8)")
+                          f"on f, 1 to {MAX_RESTARTS} (default 8)")
     sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 

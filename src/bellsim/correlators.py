@@ -143,7 +143,8 @@ def chsh_gisin(n, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
 
 def chsh_rstate(r, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on (|+-> + r|-+>)/sqrt(1+r^2) with polar observables."""
-    k = 2.0 * r / (1.0 + r * r)
+    # 2r/(1 + r^2) without the inf/inf of 2r and r^2 past 1.3e154
+    k = r / (0.5 + 0.5 * r * r)
 
     def e(x, y):
         (ct, st, a), (co, so, b) = x, y
@@ -229,9 +230,14 @@ def coherent_pair_series(x, max_terms: int = 60, rel_tol: float = 1e-15):
 
 
 def coherent_omega(eta, sigma, phi):
-    """exp(-(eta^2+sigma^2)) / (1 + cos(phi) exp(-2(eta^2+sigma^2)))."""
+    """exp(-(eta^2+sigma^2)) / (1 + cos(phi) exp(-2(eta^2+sigma^2))).  Raises
+    NumericGuardError where the denominator is not positive: the branches cancel."""
     s = eta * eta + sigma * sigma
-    return np.exp(-s) / (1.0 + np.cos(phi) * np.exp(-2.0 * s))
+    norm = 1.0 + np.cos(phi) * np.exp(-2.0 * s)
+    if np.any(norm <= 0.0):
+        raise NumericGuardError("degenerate normalization: the two branches cancel "
+                                f"exactly (eta={eta}, sigma={sigma}, phi={phi})")
+    return np.exp(-s) / norm
 
 
 def chsh_coherent(eta, sigma, phi, alpha, alpha_p, beta, beta_p,

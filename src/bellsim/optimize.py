@@ -1,11 +1,13 @@
 """Maximize |correlator| over observable parameters for a named scenario.
 
 The search draws ``restarts`` seeded uniform starts and runs exact coordinate
-ascent on f from each.  Where a shift of one party's settings negates f,
-f and -f share their peak; elsewhere (integer spin) it ascends -f from each
-start too, so it climbs whichever sign of f has the larger peak.  Each step
-moves one setting straight to its exact maximizer with the others fixed.  A
-polar setting is a Bloch vector n, f = c + v.n in it, and four evaluations
+ascent on f from each, and on f alone, since the peak of f is never below
+the peak of -f.  A shift of one party's settings (theta + pi on Alice's
+polar settings, pi on her phases) maps f to -f; on integer spin j,
+f = s(1 + C) with s = 2/(2j+1), the same shift maps C to -C, and the peak
+s(1 + max C) of f lies above the peak s(max C - 1) of -f.  Each step moves
+one setting straight to its exact maximizer with the others fixed.  A polar
+setting is a Bloch vector n, f = c + v.n in it, and four evaluations
 give c and v (the see-saw step of Werner and Wolf, QIC 1, 1 (2001)); every
 evaluator is A cos t + B sin t + C in a phase t, and three evaluations give
 A, B and C.  The ascents of up to ``START_BLOCK`` starts run in lockstep,
@@ -29,9 +31,9 @@ from .observables import PairingScheme, TSIRELSON_BOUND
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
 MAX_SWEEPS = 1000
-# starts ascended together (two rows each where -f is ascended too): an
-# evaluator call costs about the same up to some 100 rows and grows with
-# them past that, so larger blocks save few calls and only add memory
+# starts ascended together, one row each: an evaluator call costs about the
+# same up to some 100 rows and grows with them past that, so larger blocks
+# save few calls and only add memory
 START_BLOCK = 64
 # about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
 MAX_RESTARTS = 10 ** 5
@@ -48,27 +50,22 @@ POLAR_DOMAIN = (0.0, np.pi)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A (state family, observable family, parameter domain) triple.
+    """A state family with an observable family on ``ndim`` parameters.
 
-    ``evaluator`` maps a parameter array of shape (..., d) to correlator
-    values of shape (...); ``kinds`` labels each parameter "phase" or
-    "polar"; ``polar_mate`` maps a polar index to the phase index it pairs
-    with, so canonicalizing theta -> 2 pi - theta can shift the mate by pi
-    without changing the value.  ``negation`` is a shift of the settings
-    that negates the value, evaluator(x + negation) = -evaluator(x), or
-    empty where there is none (integer spin, whose constant term no setting
-    negates).  ``oracle``, when set, evaluates one setting vector through
-    the matrix route (each party's observables applied to the state),
-    sharing no code with ``evaluator``; ``defaults`` is the maximizing
-    setting vector, when known.
+    ``evaluator`` maps a parameter array of shape (..., ndim) to correlator
+    values of shape (...).  ``polar_mate`` maps each polar angle theta to the
+    phase alpha it pairs with in one Bloch vector, so canonicalizing
+    theta -> 2 pi - theta can shift the mate by pi without changing the
+    value; every other parameter is a phase.  ``oracle``, when set,
+    evaluates one setting vector through the matrix route (each party's
+    observables applied to the state), sharing no code with ``evaluator``;
+    ``defaults`` is the maximizing setting vector, when known.
     """
 
     name: str
     evaluator: object
-    domain: tuple
-    kinds: tuple
+    ndim: int
     polar_mate: dict = field(default_factory=dict)
-    negation: tuple = ()
     classical_bound: float = co.CHSH_CLASSICAL_BOUND
     quantum_bound: float = TSIRELSON_BOUND
     params: dict = field(default_factory=dict)
@@ -76,16 +73,14 @@ class Scenario:
     defaults: tuple = ()
 
     def __post_init__(self):
-        if not self.domain:
-            raise ValueError("scenario needs a nonempty parameter domain")
-        if len(self.kinds) != len(self.domain):
-            raise ValueError("one kind label per parameter required")
-        if self.negation and len(self.negation) != len(self.domain):
-            raise ValueError("the negating shift needs one entry per parameter")
+        if self.ndim < 1:
+            raise ValueError("scenario needs at least one parameter")
 
     @property
-    def ndim(self) -> int:
-        return len(self.domain)
+    def domain(self) -> tuple:
+        """(lo, hi) per parameter: [0, pi] for a polar angle, [0, 2 pi] for a phase."""
+        return tuple(POLAR_DOMAIN if i in self.polar_mate else PHASE_DOMAIN
+                     for i in range(self.ndim))
 
 
 @dataclass(frozen=True)
@@ -99,13 +94,12 @@ class OptimizationResult:
 def _canonicalize(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """Wrap settings into their domains without changing the evaluator value."""
     out = np.array(x, dtype=float)
-    for i, kind in enumerate(scenario.kinds):
+    for i in range(scenario.ndim):
         out[i] = out[i] % TWO_PI
-        if kind == "polar" and out[i] > np.pi:
+        if i in scenario.polar_mate and out[i] > np.pi:
             out[i] = TWO_PI - out[i]
-            mate = scenario.polar_mate.get(i)
-            if mate is not None:
-                out[mate] = (out[mate] + np.pi) % TWO_PI
+            mate = scenario.polar_mate[i]
+            out[mate] = (out[mate] + np.pi) % TWO_PI
     return out
 
 
@@ -121,9 +115,9 @@ class Ascent(NamedTuple):
     success: np.ndarray
 
 
-def minimize(fun, x0, signs, polar_mate) -> Ascent:
-    """Minimize -sign*fun from each row of ``x0`` by exact coordinate ascent
-    on sign*fun, all rows in lockstep.
+def minimize(fun, x0, polar_mate) -> Ascent:
+    """Minimize -fun from each row of ``x0`` by exact coordinate ascent on
+    fun, all rows in lockstep.
 
     ``maximize_violation`` calls it through the module global, so the
     benchmark's layer timing can wrap ``optimize.minimize``.
@@ -131,24 +125,24 @@ def minimize(fun, x0, signs, polar_mate) -> Ascent:
     A sweep steps through the settings in parameter order, each straight to
     its exact maximizer with the others fixed.  A polar setting, the pair
     (theta, alpha) = (i, polar_mate[i]), is one Bloch vector n = (sin theta
-    cos alpha, sin theta sin alpha, cos theta), and g = sign*fun = c + v.n in
-    it; g at n = +z, -z, +x and +y gives c and v, and g is largest, at
+    cos alpha, sin theta sin alpha, cos theta), and fun = c + v.n in it;
+    fun at n = +z, -z, +x and +y gives c and v, and fun is largest, at
     c + |v|, where n = v/|v|.  Any other parameter t is a phase, and
-    g = A cos t + B sin t + C in it; g at t = 0, pi/2 and pi gives A, B and C,
-    and g is largest, at C + sqrt(A^2 + B^2), where t = atan2(B, A).  A
-    setting moves only on a strict gain, and a row's sweeps repeat until one
-    moves none, or ``MAX_SWEEPS`` ran out.  After each sweep, its step is
-    tried again, doubled while that gains.  Each step makes one ``fun`` call
-    on an (m, 4, d) or (m, 3, d) probe of the m rows still ascending, and
-    each doubling round one on an (m, d) batch; the row updates run per row
-    with ``math``, so every row takes the steps it would take on its own.
+    fun = A cos t + B sin t + C in it; fun at t = 0, pi/2 and pi gives A, B
+    and C, and fun is largest, at C + sqrt(A^2 + B^2), where
+    t = atan2(B, A).  A setting moves only on a strict gain, and a row's
+    sweeps repeat until one moves none, or ``MAX_SWEEPS`` ran out.  After
+    each sweep, its step is tried again, doubled while that gains.  Each
+    step makes one ``fun`` call on an (m, 4, d) or (m, 3, d) probe of the m
+    rows still ascending, and each doubling round one on an (m, d) batch;
+    the row updates run per row with ``math``, so every row takes the steps
+    it would take on its own.
     ``nfev`` counts the points of these calls: 4 per Bloch step, 3 per phase
     step and 1 per pattern-move trial of each row.
     """
     x = np.array(x0, dtype=float)
-    signs = np.asarray(signs, dtype=float)
     k, d = x.shape
-    best = signs * fun(x)
+    best = np.array(fun(x), dtype=float)
     nfev = np.ones(k, dtype=np.int64)
     success = np.zeros(k, dtype=bool)
     # one step per setting: a polar index with its mate, or a lone phase
@@ -163,7 +157,7 @@ def minimize(fun, x0, signs, polar_mate) -> Ascent:
             probe_at = BLOCH_PROBE if bloch else PHASE_PROBE
             probe = np.repeat(x[rows, None, :], len(probe_at), axis=1)
             probe[:, :, cols] = probe_at
-            f = signs[rows, None] * fun(probe)
+            f = fun(probe)
             nfev[rows] += len(probe_at)
             if bloch:
                 c, vz = 0.5 * (f[:, 0] + f[:, 1]), 0.5 * (f[:, 0] - f[:, 1])
@@ -192,7 +186,7 @@ def minimize(fun, x0, signs, polar_mate) -> Ascent:
         climbing = rows
         while climbing.size:
             trial = x[climbing] + step
-            value = signs[climbing] * fun(trial)
+            value = fun(trial)
             nfev[climbing] += 1
             gain = value > best[climbing]
             climbing, step = climbing[gain], 2.0 * step[gain]
@@ -204,13 +198,12 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
                        seed: int = 0) -> OptimizationResult:
     """Largest |correlator| over the scenario domain.
 
-    Draws ``restarts`` uniform starts from ``seed`` and ascends f from each.
-    Where the scenario declares a ``negation`` shift, f and -f have the same
-    peak, and that is all.  Elsewhere (integer spin) it ascends -f from each
-    start too: from a start where f < 0, ascending |f| would climb the peak
-    of -f, which there is the lower one.  The starts are drawn and
-    ascended ``START_BLOCK`` at a time, so memory does not grow with
-    ``restarts``; consecutive draws give the rows of one (restarts, d) draw.
+    Draws ``restarts`` uniform starts from ``seed`` and ascends f, not |f|,
+    from each: from a start where f < 0, ascending |f| would climb the peak
+    of -f, which is never the higher one (see the module docstring).  The
+    starts are drawn and ascended ``START_BLOCK`` at a time, so memory does
+    not grow with ``restarts``; consecutive draws give the rows of one
+    (restarts, d) draw.
     Ties between the ascents' optima break toward the lexicographically
     smallest settings vector.  A winning run that hit the sweep cap is
     flagged as not converged, never raised.
@@ -224,10 +217,7 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
     best = None  # (value, settings tuple, converged)
     for first in range(0, restarts, START_BLOCK):
         starts = rng.uniform(lo, hi, size=(min(START_BLOCK, restarts - first), scenario.ndim))
-        # start-major rows: each start on f, then on -f where needed
-        signs = (1.0,) if scenario.negation else (1.0, -1.0)
-        res = minimize(evaluator, np.repeat(starts, len(signs), axis=0),
-                       np.tile(signs, len(starts)), scenario.polar_mate)
+        res = minimize(evaluator, starts, scenario.polar_mate)
         evaluations += int(res.nfev)
         canonical = np.array([_canonicalize(scenario, x) for x in res.x])
         values = np.abs(evaluator(canonical)).tolist()
@@ -253,44 +243,10 @@ def table_gisin(n_values, restarts: int = 8, seed: int = 0):
 # Scenario factories
 # ---------------------------------------------------------------------------
 
-def _negation(n_params, shifted):
-    """pi on the first ``shifted`` parameters, one party's settings; none
-    when ``shifted`` is 0."""
-    return (np.pi,) * shifted + (0.0,) * (n_params - shifted) if shifted else ()
-
-
-def _phase_scenario(name, evaluator, n_phases, classical=co.CHSH_CLASSICAL_BOUND,
-                    quantum=TSIRELSON_BOUND, params=None, oracle=None, defaults=(),
-                    negated=2):
-    # phase + pi negates a phase-flip observable; by default the first two
-    # phases are party A's two settings, and every term has one of them
-    return Scenario(
-        name=name,
-        evaluator=evaluator,
-        domain=(PHASE_DOMAIN,) * n_phases,
-        kinds=("phase",) * n_phases,
-        negation=_negation(n_phases, negated),
-        classical_bound=classical,
-        quantum_bound=quantum,
-        params=params or {},
-        oracle=oracle,
-        defaults=tuple(defaults),
-    )
-
-
 def _polar8_scenario(name, evaluator, params=None):
-    # parameter order: theta, theta', omega, omega', alpha, alpha', beta, beta'.
-    # theta + pi takes n to -n, so it negates party A's observable; the
-    # canonical form of that shift is theta -> pi - theta, alpha -> alpha + pi
-    return Scenario(
-        name=name,
-        evaluator=evaluator,
-        domain=(POLAR_DOMAIN,) * 4 + (PHASE_DOMAIN,) * 4,
-        kinds=("polar",) * 4 + ("phase",) * 4,
-        polar_mate={0: 4, 1: 5, 2: 6, 3: 7},
-        negation=_negation(8, 2),
-        params=params or {},
-    )
+    # parameter order: theta, theta', omega, omega', alpha, alpha', beta, beta'
+    return Scenario(name, evaluator, 8, polar_mate={0: 4, 1: 5, 2: 6, 3: 7},
+                    params=params or {})
 
 
 def _matrix_route(psi, scheme, build_operator, settings):
@@ -306,7 +262,7 @@ def _matrix_route(psi, scheme, build_operator, settings):
 def scenario_chsh_phase(bell_index=0) -> Scenario:
     """Phase-flip CHSH on a Bell state.  The closed form is the one of Bell
     index 0; the oracle evaluates the indexed state."""
-    return _phase_scenario(
+    return Scenario(
         "chsh-phase", lambda p: co.chsh_phi0_phase(*(p[..., i] for i in range(4))), 4,
         oracle=lambda s: _matrix_route(states.bell_state(bell_index), PairingScheme.qubit(),
                                        observables.chsh_operator, s),
@@ -358,11 +314,8 @@ def scenario_spin(j) -> Scenario:
             p[..., 3 * npairs:4 * npairs],
         )
 
-    # alpha + pi on every pair negates the pair sum, and with it f for
-    # half-integer j; for integer j the constant term stays
-    return _phase_scenario(f"spin-{twoj / 2:g}", evaluator, 4 * npairs,
-                           params={"j": twoj / 2.0}, negated=2 * npairs * (twoj % 2),
-                           defaults=np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs))
+    return Scenario(f"spin-{twoj / 2:g}", evaluator, 4 * npairs, params={"j": twoj / 2.0},
+                    defaults=tuple(np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs)))
 
 
 def scenario_squeezed(lam, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
@@ -370,10 +323,8 @@ def scenario_squeezed(lam, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
     if not 0.0 < lam < 1.0:
         raise ValueError("squeezing parameter must satisfy 0 < lam < 1")
     cutoff = states._check_cutoff(cutoff)
-    return _phase_scenario(
-        "squeezed",
-        lambda p: co.chsh_squeezed(lam, *(p[..., i] for i in range(4))),
-        4,
+    return Scenario(
+        "squeezed", lambda p: co.chsh_squeezed(lam, *(p[..., i] for i in range(4))), 4,
         params={"lam": lam},
         oracle=lambda s: _matrix_route(
             states.squeezed_state(lam, cutoff=cutoff), PairingScheme.even_odd(cutoff),
@@ -385,9 +336,8 @@ def scenario_squeezed(lam, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
 def scenario_coherent(eta, sigma, phi, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
     eta, sigma, phi = float(eta), float(sigma), float(phi)
     cutoff = states._check_cutoff(cutoff)
-    return _phase_scenario(
-        "coherent",
-        lambda p: co.chsh_coherent(eta, sigma, phi, *(p[..., i] for i in range(4))),
+    return Scenario(
+        "coherent", lambda p: co.chsh_coherent(eta, sigma, phi, *(p[..., i] for i in range(4))),
         4,
         params={"eta": eta, "sigma": sigma, "phi": phi},
         oracle=lambda s: _matrix_route(
@@ -400,12 +350,10 @@ def scenario_coherent(eta, sigma, phi, cutoff=states.DEFAULT_CUTOFF) -> Scenario
 
 def scenario_mermin3() -> Scenario:
     # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
-    return _phase_scenario(
-        "mermin3",
-        lambda p: co.mermin3_ghz(*(p[..., i] for i in range(6))),
-        6,
-        classical=co.MERMIN3_CLASSICAL_BOUND,
-        quantum=co.MERMIN3_QUANTUM_BOUND,
+    return Scenario(
+        "mermin3", lambda p: co.mermin3_ghz(*(p[..., i] for i in range(6))), 6,
+        classical_bound=co.MERMIN3_CLASSICAL_BOUND,
+        quantum_bound=co.MERMIN3_QUANTUM_BOUND,
         oracle=lambda s: _matrix_route(states.ghz_state(3), PairingScheme.qubit(),
                                        observables.mermin3_operator, s),
         defaults=co.STANDARD_MERMIN3_ANGLES,
@@ -413,12 +361,10 @@ def scenario_mermin3() -> Scenario:
 
 
 def scenario_mermin4() -> Scenario:
-    return _phase_scenario(
-        "mermin4",
-        lambda p: co.mermin4_ghz(*(p[..., i] for i in range(8))),
-        8,
-        classical=co.MERMIN4_CLASSICAL_BOUND,
-        quantum=co.MERMIN4_QUANTUM_BOUND,
+    return Scenario(
+        "mermin4", lambda p: co.mermin4_ghz(*(p[..., i] for i in range(8))), 8,
+        classical_bound=co.MERMIN4_CLASSICAL_BOUND,
+        quantum_bound=co.MERMIN4_QUANTUM_BOUND,
         oracle=lambda s: _matrix_route(states.ghz_state(4), PairingScheme.qubit(),
                                        observables.mermin4_operator, s),
         defaults=co.STANDARD_MERMIN4_ANGLES,

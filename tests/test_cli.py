@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -37,15 +38,15 @@ ANGLES = "0.3,1.2,-0.5,2.5"
     (["chsh", "--optimize", "--restarts", "2"], "chsh-polar",
      {"converged": True, "evaluations": 68, "restarts": 2, "seed": 0}, 2.82843),
     (["spin", "--j", "2", "--optimize", "--restarts", "2"], "spin-2",
-     {"converged": True, "evaluations": 275, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
+     {"converged": True, "evaluations": 125, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
     (["mermin", "--parties", "4", "--optimize", "--restarts", "2"], "mermin4",
      {"converged": True, "evaluations": 125, "restarts": 2, "seed": 0}, 5.65685),
     # spin_j_max(20): one restart of the exact ascent reaches it
     (["spin", "--j", "20", "--optimize", "--restarts", "1"], "spin-20",
-     {"converged": True, "evaluations": 1446, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),
-    # spin_j_max(128): the ascent on -f climbs past the lower peak of f
+     {"converged": True, "evaluations": 723, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),
+    # spin_j_max(128): one restart, ascended on f alone, reaches it too
     (["spin", "--j", "128", "--optimize", "--restarts", "1"], "spin-128",
-     {"converged": True, "evaluations": 9222, "j": 128.0, "restarts": 1, "seed": 0}, 2.8252),
+     {"converged": True, "evaluations": 4611, "j": 128.0, "restarts": 1, "seed": 0}, 2.8252),
     # the j the scenario computed, not the j as typed
     (["spin", "--j", "1.0000000001"], "spin-1", {"j": 1.0}, 2.55228),
 ])
@@ -185,6 +186,10 @@ def _fuzz_argv(rng):
     return argv
 
 
+# a nan or inf in any report format: text and csv print nan/inf, json NaN/Infinity
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
 # ten seeds: the first draws of an empty --n-list in text output (seeds 5
 # and 9) come after the first over-bound --precision (seed 1)
 @pytest.mark.parametrize("seed", range(10))
@@ -198,9 +203,11 @@ def test_fuzzed_arguments_keep_the_exit_contract(capsys, seed):
             code = exc.code
         except Exception as exc:  # what the CLI would print as a traceback
             pytest.fail(f"{argv} raised {exc!r}")
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+        if code == 0:
+            assert not _NON_FINITE.search(out), (argv, out)
 
 
 def test_bellsim_runs_with_scipy_blocked():
@@ -313,6 +320,18 @@ class TestCoherent:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("route", [["coherent"], ["coherent", "--optimize"],
+                                       ["optimize", "--scenario", "coherent"]],
+                             ids=["closed-form", "optimize-switch", "optimize-command"])
+    def test_degenerate_state_is_guard_failure_on_the_closed_form(self, capsys, route):
+        # at phi = pi and eta = sigma = 0 the two branches cancel, as --oracle reports
+        code, out, err = run_cli(capsys, *route, "--phi", "3.141592653589793",
+                                 "--eta", "0", "--sigma", "0", "--restarts", "1")
+        assert code == 1
+        assert "degenerate normalization" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestSqueezed:
     def test_threshold_value(self, capsys):
@@ -398,6 +417,13 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(4 * np.sqrt(2) * 0.5 / 1.25, abs=1e-5)
+
+    def test_r_state_at_the_top_of_the_float_range(self, capsys):
+        # 2r/(1 + r^2) would be inf/inf here; the maximum is 2 sqrt(1 + k^2), k ~ 2e-308
+        code, out, _ = run_cli(capsys, "optimize", "--scenario", "r-state", "--r", "1e308",
+                               "--restarts", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == 2.0
 
     def test_seed_determinism(self, capsys):
         args = ["optimize", "--scenario", "mermin3", "--seed", "5", "--format", "json"]

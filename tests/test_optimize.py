@@ -41,11 +41,11 @@ class TestScenarioRegistry:
     def test_scenario_sanity(self):
         s = make_scenario("chsh-polar")
         assert s.ndim == 8
-        assert s.kinds[:4] == ("polar",) * 4
+        assert s.domain == ((0.0, np.pi),) * 4 + ((0.0, 2 * np.pi),) * 4
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
-            Scenario(name="x", evaluator=lambda p: 0.0, domain=(), kinds=())
+            Scenario(name="x", evaluator=lambda p: 0.0, ndim=0)
 
 
 # every scenario with an oracle, with the oracle's sign relative to the closed form
@@ -167,9 +167,9 @@ def test_one_restart_reaches_the_exact_maximum(case, exact):
     assert result.best_value == pytest.approx(exact, abs=ATOL_OPT)
 
 
-def test_both_signs_reach_the_integer_spin_maximum_from_every_start():
+def test_ascent_on_f_reaches_the_integer_spin_maximum_from_every_start():
     # integer spin adds a constant to f, so its lower peak is the one of -f:
-    # ascending |f| from a start where f < 0 climbs that one
+    # ascending |f| from a start where f < 0 would climb that one
     scenario = make_scenario("spin", j=2)
     for seed in range(20):
         result = maximize_violation(scenario, restarts=1, seed=seed)
@@ -181,7 +181,7 @@ BLOCH_POINTS = ((0.0, 0.0), (np.pi, 0.0), (0.5 * np.pi, 0.0), (0.5 * np.pi, 0.5 
 
 
 def _one_point_ascent(fun, x0, polar_mate):
-    # the search one start and one sign at a time, one 1-D point per call:
+    # the search one start at a time, one 1-D point per call:
     # the reference the lockstep search must match bit for bit
     x = np.array(x0, dtype=float)
     best = float(fun(x))
@@ -230,17 +230,14 @@ def _one_start_at_a_time(scenario, restarts, seed):
     evaluator = scenario.evaluator
     lo, hi = np.array(scenario.domain).T
     starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, scenario.ndim))
-    signs = (1.0,) if scenario.negation else (1.0, -1.0)
     evaluations, best = 0, None
     for x0 in starts:
-        for sign in signs:
-            x, nfev, success = _one_point_ascent(lambda p: sign * evaluator(p), x0,
-                                                 scenario.polar_mate)
-            evaluations += nfev
-            settings = tuple(optimize._canonicalize(scenario, x).tolist())
-            value = abs(float(evaluator(np.array(settings))))
-            if best is None or value > best[0] or (value == best[0] and settings < best[1]):
-                best = (value, settings, success)
+        x, nfev, success = _one_point_ascent(evaluator, x0, scenario.polar_mate)
+        evaluations += nfev
+        settings = tuple(optimize._canonicalize(scenario, x).tolist())
+        value = abs(float(evaluator(np.array(settings))))
+        if best is None or value > best[0] or (value == best[0] and settings < best[1]):
+            best = (value, settings, success)
     return best[0], best[1], evaluations, best[2]
 
 
@@ -328,33 +325,61 @@ def test_polar_evaluator_is_affine_in_each_bloch_vector(name, params):
         np.testing.assert_allclose(scenario.evaluator(x), rebuilt, rtol=0, atol=1e-14)
 
 
-NEGATED_CASES = [(name, params) for name, params in BATCH_CASES
-                 if make_scenario(name, **params).negation]
+def _is_integer_spin(name, params):
+    return name == "spin" and params["j"] % 1 == 0
+
+
+def _alice_shift(scenario):
+    # pi on party A's settings: theta and theta' of a polar scenario, alpha
+    # and alpha' of every spin pair, the first two phases of the others
+    shifted = scenario.ndim // 2 if scenario.name.startswith("spin") else 2
+    return np.pi * (np.arange(scenario.ndim) < shifted)
+
+
+NEGATED_CASES = [case for case in BATCH_CASES if not _is_integer_spin(*case)]
 
 
 @pytest.mark.parametrize("name, params", NEGATED_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
                               for n, kw in NEGATED_CASES])
 def test_declared_shift_negates_f(name, params):
-    # where it holds, f and -f share their peak and the search ascends f alone
+    # so f and -f share their peak, and ascending f alone loses nothing
     scenario = make_scenario(name, **params)
     lo, hi = np.array(scenario.domain).T
     x = np.random.default_rng(9).uniform(lo, hi, size=(64, scenario.ndim))
-    np.testing.assert_allclose(scenario.evaluator(x + scenario.negation),
+    np.testing.assert_allclose(scenario.evaluator(x + _alice_shift(scenario)),
                                -scenario.evaluator(x), rtol=0, atol=1e-14)
 
 
 def test_only_integer_spin_lacks_a_negating_shift():
-    lacking = [case for case in BATCH_CASES if case not in NEGATED_CASES]
-    assert lacking == [("spin", {"j": 2}), ("spin", {"j": 10})]
-    # integer j adds the constant 2/(2j+1) to f, so the shift that negates
-    # half-integer spin (pi on Alice's phases) leaves twice that constant
-    # over, and f's peak stays above -f's: -f needs its own ascent
-    scenario = make_scenario("spin", j=2)
-    shift = np.repeat([np.pi, 0.0], scenario.ndim // 2)
-    x = np.random.default_rng(10).uniform(0.0, 2 * np.pi, size=(64, scenario.ndim))
-    np.testing.assert_allclose(scenario.evaluator(x + shift) + scenario.evaluator(x),
-                               4 / 5, rtol=0, atol=1e-14)
+    # integer j adds the constant s = 2/(2j+1) to f, so the shift that
+    # negates half-integer spin leaves 2s over: f peaks 2s above -f
+    for name, params in BATCH_CASES:
+        if _is_integer_spin(name, params):
+            scenario = make_scenario(name, **params)
+            x = np.random.default_rng(10).uniform(0.0, 2 * np.pi, size=(64, scenario.ndim))
+            np.testing.assert_allclose(
+                scenario.evaluator(x + _alice_shift(scenario)) + scenario.evaluator(x),
+                4 / (2 * params["j"] + 1), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, params", BATCH_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for n, kw in BATCH_CASES])
+def test_peak_of_minus_f_is_not_above_the_peak_of_f(name, params):
+    # why the search ascends f alone: a shift of one party's settings
+    # negates f, so both peaks agree, except on integer spin j, where
+    # f = s(1 + C), s = 2/(2j+1), and -f peaks 2s lower
+    scenario = make_scenario(name, **params)
+    lo, hi = np.array(scenario.domain).T
+    x0 = np.random.default_rng(9).uniform(lo, hi, size=(8, scenario.ndim))
+    peak = -optimize.minimize(scenario.evaluator, x0, scenario.polar_mate).fun
+    peak_of_minus_f = -optimize.minimize(lambda p: -scenario.evaluator(p), x0,
+                                         scenario.polar_mate).fun
+    if _is_integer_spin(name, params):
+        assert peak_of_minus_f < peak
+    else:
+        assert peak_of_minus_f <= peak + ATOL_OPT
 
 
 def test_r_state_near_one_reaches_its_maximum_from_every_start():
@@ -365,6 +390,13 @@ def test_r_state_near_one_reaches_its_maximum_from_every_start():
         result = maximize_violation(scenario, restarts=1, seed=seed)
         assert result.converged, seed
         assert result.best_value == pytest.approx(_r_state_max(0.99), abs=ATOL_OPT), seed
+
+
+@pytest.mark.xfail(strict=True, reason="at r = 0.999 the search stops 1.5e-9 short of "
+                                       "2 sqrt(1 + k^2) and still reports converged")
+def test_r_state_at_0_999_reports_converged_only_at_its_maximum():
+    result = maximize_violation(make_scenario("r-state", r=0.999), restarts=1, seed=0)
+    assert not result.converged or abs(result.best_value - _r_state_max(0.999)) <= ATOL_OPT
 
 
 @pytest.mark.parametrize("name, params, width", [("gisin", {"n": 3}, 4), ("mermin3", {}, 3),
@@ -381,7 +413,7 @@ def test_evaluations_count_every_point_evaluated(name, params, width):
 
     lo, hi = np.array(scenario.domain).T
     x0 = np.random.default_rng(11).uniform(lo, hi, size=(5, scenario.ndim))
-    res = optimize.minimize(counted, x0, [1.0, -1.0, 1.0, -1.0, 1.0], scenario.polar_mate)
+    res = optimize.minimize(counted, x0, scenario.polar_mate)
     assert {shape[1] for shape in shapes if len(shape) == 3} == {width}
     assert sum(math.prod(shape[:-1]) for shape in shapes) == res.nfev
 
