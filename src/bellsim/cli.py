@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -320,8 +321,19 @@ def cmd_optimize(args, parser):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-" before a digit or ".digit" as a value, so ``--r -1e-3`` and
+    ``--angles -0.5,0,0,0`` parse like their ``=`` spellings; argparse's own
+    pattern only takes a bare -12 or -1.5.  No bellsim option starts with a
+    digit.  Subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellsim",
         description="Bell-CHSH and Mermin correlators, violation maximization, "
                     "and local-hidden-variable Monte Carlo.",

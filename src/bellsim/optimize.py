@@ -6,11 +6,9 @@ the peak of -f.  A shift of one party's settings (theta + pi on Alice's
 polar settings, pi on her phases) maps f to -f; on integer spin j,
 f = s(1 + C) with s = 2/(2j+1), the same shift maps C to -C, and the peak
 s(1 + max C) of f lies above the peak s(max C - 1) of -f.  Each step moves
-one setting straight to its exact maximizer with the others fixed.  A polar
-setting is a Bloch vector n, f = c + v.n in it, and four evaluations
-give c and v (the see-saw step of Werner and Wolf, QIC 1, 1 (2001)); every
-evaluator is A cos t + B sin t + C in a phase t, and three evaluations give
-A, B and C.  The ascents of up to ``START_BLOCK`` starts run in lockstep,
+one setting, a unit vector u, straight to its exact maximizer with the
+others fixed: f = c + v.u, so u = v/|v| (the see-saw step of Werner and
+Wolf, QIC 1, 1 (2001)).  The ascents of up to ``START_BLOCK`` starts run in lockstep,
 one evaluator call per step for all of them, and each ends where it would
 end on its own, bit for bit.  The whole pipeline is deterministic given
 (scenario, restarts, seed); the first starts do not depend on their count,
@@ -38,11 +36,10 @@ START_BLOCK = 64
 # about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
 MAX_RESTARTS = 10 ** 5
 TWO_PI = 2.0 * np.pi
-# where a phase step evaluates its parameter t, one row per point
-PHASE_PROBE = np.array([[0.0], [0.5 * np.pi], [np.pi]])
-# where a Bloch step evaluates its (theta, alpha): n = +z, -z, +x, +y
-BLOCH_PROBE = np.array([[0.0, 0.0], [np.pi, 0.0],
-                        [0.5 * np.pi, 0.0], [0.5 * np.pi, 0.5 * np.pi]])
+# where a step evaluates a setting, keyed by its angle count, one row per
+# point: u = +e1, -e1, +e2, then +e3 for a Bloch vector
+PROBE = {1: np.array([[0.0], [np.pi], [0.5 * np.pi]]),
+         2: np.array([[0.0, 0.0], [np.pi, 0.0], [0.5 * np.pi, 0.0], [0.5 * np.pi, 0.5 * np.pi]])}
 
 PHASE_DOMAIN = (0.0, TWO_PI)
 POLAR_DOMAIN = (0.0, np.pi)
@@ -92,15 +89,16 @@ class OptimizationResult:
 
 
 def _canonicalize(scenario: Scenario, x: np.ndarray) -> np.ndarray:
-    """Wrap settings into their domains without changing the evaluator value."""
+    """Wrap settings of shape (..., ndim) into their domains without changing
+    the evaluator value: theta > pi folds to 2 pi - theta, its mate shifted
+    by pi, before the phases wrap."""
     out = np.array(x, dtype=float)
-    for i in range(scenario.ndim):
-        out[i] = out[i] % TWO_PI
-        if i in scenario.polar_mate and out[i] > np.pi:
-            out[i] = TWO_PI - out[i]
-            mate = scenario.polar_mate[i]
-            out[mate] = (out[mate] + np.pi) % TWO_PI
-    return out
+    thetas, mates = list(scenario.polar_mate), list(scenario.polar_mate.values())
+    theta = out[..., thetas] % TWO_PI
+    flip = theta > np.pi
+    out[..., thetas] = np.where(flip, TWO_PI - theta, theta)
+    out[..., mates] += np.where(flip, np.pi, 0.0)
+    return out % TWO_PI
 
 
 class Ascent(NamedTuple):
@@ -123,21 +121,20 @@ def minimize(fun, x0, polar_mate) -> Ascent:
     benchmark's layer timing can wrap ``optimize.minimize``.
 
     A sweep steps through the settings in parameter order, each straight to
-    its exact maximizer with the others fixed.  A polar setting, the pair
-    (theta, alpha) = (i, polar_mate[i]), is one Bloch vector n = (sin theta
-    cos alpha, sin theta sin alpha, cos theta), and fun = c + v.n in it;
-    fun at n = +z, -z, +x and +y gives c and v, and fun is largest, at
-    c + |v|, where n = v/|v|.  Any other parameter t is a phase, and
-    fun = A cos t + B sin t + C in it; fun at t = 0, pi/2 and pi gives A, B
-    and C, and fun is largest, at C + sqrt(A^2 + B^2), where
-    t = atan2(B, A).  A setting moves only on a strict gain, and a row's
-    sweeps repeat until one moves none, or ``MAX_SWEEPS`` ran out.  After
-    each sweep, its step is tried again, doubled while that gains.  Each
-    step makes one ``fun`` call on an (m, 4, d) or (m, 3, d) probe of the m
-    rows still ascending, and each doubling round one on an (m, d) batch;
-    the row updates run per row with ``math``, so every row takes the steps
-    it would take on its own.
-    ``nfev`` counts the points of these calls: 4 per Bloch step, 3 per phase
+    its exact maximizer with the others fixed.  A setting is a unit vector
+    u: a polar pair (theta, alpha) = (i, polar_mate[i]) is (cos theta,
+    sin theta cos alpha, sin theta sin alpha), any other parameter t is a
+    phase, (cos t, sin t).  fun = c + v.u, and fun at u = +e1, -e1, +e2
+    (and +e3) gives c = (f(+e1) + f(-e1))/2, v1 = (f(+e1) - f(-e1))/2 and
+    vi = f(+ei) - c; fun is largest, at c + |v|, where u = v/|v|: the last
+    angle, t or alpha, is atan2(vk, vk-1), and theta atan2(|(v2, v3)|, v1).
+    A setting moves only on a strict gain, and a row's sweeps repeat until
+    one moves none, or ``MAX_SWEEPS`` ran out.  After each sweep, its step
+    is tried again, doubled while that gains.  Each step makes one ``fun``
+    call on an (m, 4, d) or (m, 3, d) probe of the m rows still ascending,
+    and each doubling round one on an (m, d) batch; the row updates run per
+    row with ``math``, so every row takes the steps it would take on its own.
+    ``nfev`` counts the points of these calls: 4 per polar step, 3 per phase
     step and 1 per pattern-move trial of each row.
     """
     x = np.array(x0, dtype=float)
@@ -153,27 +150,20 @@ def minimize(fun, x0, polar_mate) -> Ascent:
         start = x[rows]
         moved = np.zeros(rows.size, dtype=bool)
         for cols in steps:
-            bloch = len(cols) == 2
-            probe_at = BLOCH_PROBE if bloch else PHASE_PROBE
+            probe_at = PROBE[len(cols)]
             probe = np.repeat(x[rows, None, :], len(probe_at), axis=1)
             probe[:, :, cols] = probe_at
             f = fun(probe)
             nfev[rows] += len(probe_at)
-            if bloch:
-                c, vz = 0.5 * (f[:, 0] + f[:, 1]), 0.5 * (f[:, 0] - f[:, 1])
-                vx, vy = f[:, 2] - c, f[:, 3] - c
-                value = c + list(map(math.hypot, vx.tolist(), vy.tolist(), vz.tolist()))
-                gain = value > best[rows]
-                vx, vy, vz = vx[gain].tolist(), vy[gain].tolist(), vz[gain].tolist()
-                x[rows[gain], cols[0]] = list(map(math.atan2, map(math.hypot, vx, vy), vz))
-                x[rows[gain], cols[1]] = list(map(math.atan2, vy, vx))
-            else:
-                a, c = 0.5 * (f[:, 0] - f[:, 2]), 0.5 * (f[:, 0] + f[:, 2])
-                b = f[:, 1] - c
-                value = c + list(map(math.hypot, a.tolist(), b.tolist()))
-                gain = value > best[rows]
-                x[rows[gain], cols[0]] = list(map(math.atan2, b[gain].tolist(),
-                                                  a[gain].tolist()))
+            c = 0.5 * (f[:, 0] + f[:, 1])
+            v = [0.5 * (f[:, 0] - f[:, 1])] + [f[:, i] - c for i in range(2, len(probe_at))]
+            # |v| as hypot(v2, ..., v1): hypot(vx, vy, vz) for a Bloch vector
+            value = c + list(map(math.hypot, *(vi.tolist() for vi in v[1:] + v[:1])))
+            gain = value > best[rows]
+            v = [vi[gain].tolist() for vi in v]
+            if len(cols) == 2:
+                x[rows[gain], cols[0]] = list(map(math.atan2, map(math.hypot, *v[1:]), v[0]))
+            x[rows[gain], cols[-1]] = list(map(math.atan2, v[-1], v[-2]))
             best[rows[gain]] = value[gain]
             moved |= gain
         success[rows[~moved]] = True
@@ -219,7 +209,7 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
         starts = rng.uniform(lo, hi, size=(min(START_BLOCK, restarts - first), scenario.ndim))
         res = minimize(evaluator, starts, scenario.polar_mate)
         evaluations += int(res.nfev)
-        canonical = np.array([_canonicalize(scenario, x) for x in res.x])
+        canonical = _canonicalize(scenario, res.x)
         values = np.abs(evaluator(canonical)).tolist()
         for value, settings, success in zip(values, canonical.tolist(), res.success.tolist()):
             settings = tuple(settings)

@@ -215,12 +215,12 @@ def squeezed_state(lam: float, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
 
 
 def ghz_state(n_parties: int) -> StateVector:
-    """n-qubit (|+...+> - |-...->)/sqrt(2), n >= 3."""
+    """n-qubit (|+...+> - |-...->)/sqrt(2), 3 <= n <= 20 (2^n amplitudes)."""
+    if not 3 <= n_parties <= 20:  # NaN fails here too
+        raise ValueError(f"GHZ state needs 3 to 20 parties, got {n_parties!r}")
     n = int(n_parties)
-    if n < 3:
-        raise ValueError(f"GHZ state needs at least 3 parties, got {n}")
-    if n > 20:
-        raise ValueError("refusing to build a GHZ state above 2^20 amplitudes")
+    if n != n_parties:  # not truncated to the party count below it
+        raise ValueError(f"GHZ state needs an integer party count, got {n_parties!r}")
     amps = np.zeros(2 ** n)
     amps[0] = _INV_SQRT2
     amps[-1] = -_INV_SQRT2

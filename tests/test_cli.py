@@ -79,6 +79,7 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["gisin", "--n-list", "3,nan"],
     ["lhv", "--vectors", "nan,0,0;0,1,0;1,0,0;0,0,1"],
     ["optimize", "--scenario", "r-state", "--r", "inf"],
+    ["optimize", "--scenario", "r-state", "--r", "-inf"],
     ["optimize", "--scenario", "spin", "--j", "nan"],
     ["optimize", "--scenario", "squeezed", "--lambda", "nan"],
     ["optimize", "--scenario", "coherent", "--eta", "inf", "--sigma", "0.1", "--phi", "3"],
@@ -90,6 +91,7 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["chsh", "--bell-index", "2", "--optimize"],
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--optimize"],
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--oracle"],
+    ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--bell-index", "1"],
     # --optimize searches its own settings on the closed form
     ["chsh", "--optimize", "--oracle"],
     ["chsh", "--optimize", "--angles", "0,0,0,0"],
@@ -128,6 +130,22 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     out = capsys.readouterr()
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--scenario", "r-state", "--r", "-1e-3", "--restarts", "1"],
+    ["coherent", "--phi", "-1e-3"],
+    ["chsh", "--angles", "-0.5,0,0,0"],
+    ["chsh", "--polar", "-0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2"],
+    ["lhv", "--samples", "1000", "--vectors", "-1,0,0;0,1,0;0,0,1;0,-1,0"],
+])
+def test_negative_value_reads_as_its_equals_spelling(capsys, argv):
+    # argparse alone reads only a bare -12 or -1.5 as a value, and these
+    # as an unknown flag: "expected one argument"
+    i = next(k for k, a in enumerate(argv) if re.match(r"-\.?\d", a))
+    spaced = run_cli(capsys, *argv)
+    assert spaced[0] == 0
+    assert spaced == run_cli(capsys, *argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
 
 
 _FUZZ_ANGLES4 = ("0.3,1.2,-0.5,2.5", "0,0,0", "1,2,3,4,5")

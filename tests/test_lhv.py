@@ -60,6 +60,15 @@ class TestModelContract:
                 response_b=lambda s, lam: np.where(lam @ np.asarray(s) >= 0, 1, -1),
             )
 
+    def test_sampler_shape_enforced_at_construction(self):
+        with pytest.raises(ValueError, match="sampler"):
+            LhvModel(
+                name="flat",
+                sample=lambda rng, n: rng.standard_normal((n, 2)),
+                response_a=lambda s, lam: np.ones(len(lam)),
+                response_b=lambda s, lam: -np.ones(len(lam)),
+            )
+
     def test_nonbinary_responses_rejected(self):
         with pytest.raises(ValueError):
             LhvModel(

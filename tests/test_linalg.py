@@ -9,6 +9,7 @@ from bellsim import (
     chsh_operator,
     commutator,
     expectation,
+    is_dichotomic,
     operator_norm,
     polar_observable,
     tensor_op,
@@ -42,6 +43,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([1, 0, 0, 0], shape=(3, 2))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            StateVector([])
+
+    def test_inner_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            PLUS.inner(bell_state(0))
+
     def test_amplitudes_are_read_only(self):
         psi = StateVector([1, 0])
         with pytest.raises(ValueError):
@@ -60,6 +69,12 @@ class TestDenseOperator:
     def test_rejects_nonfinite(self):
         with pytest.raises(NumericGuardError):
             DenseOperator([[np.inf, 0], [0, 1]])
+
+    def test_non_hermitian_involution_is_not_dichotomic(self):
+        # it squares to the identity, but its eigenvectors are not orthogonal
+        op = DenseOperator([[1.0, 1.0], [0.0, -1.0]])
+        assert np.array_equal((op @ op).matrix, np.eye(2))
+        assert not is_dichotomic(op)
 
 
 class TestTensorProducts:

@@ -57,6 +57,8 @@ class TestPairingScheme:
             PairingScheme(pairs=((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             PairingScheme(pairs=((0, 3),), fixed_points=(1,))
+        with pytest.raises(ValueError, match="malformed"):
+            PairingScheme(pairs=((0, 0),))
 
 
 class TestPhaseFlip:

@@ -325,6 +325,28 @@ def test_polar_evaluator_is_affine_in_each_bloch_vector(name, params):
         np.testing.assert_allclose(scenario.evaluator(x), rebuilt, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name, params", POLAR_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for n, kw in POLAR_CASES])
+def test_canonicalize_folds_theta_into_zero_to_pi(name, params):
+    # theta -> 2 pi - theta with its mate shifted by pi names the same Bloch
+    # vector: theta = 4.0 and -0.5 fold, 7.0 only wraps
+    scenario = make_scenario(name, **params)
+    thetas, mates = list(scenario.polar_mate), list(scenario.polar_mate.values())
+    x = np.random.default_rng(13).uniform(-2 * np.pi, 4 * np.pi, size=(3, scenario.ndim))
+    x[:, thetas] = [[4.0], [-0.5], [7.0]]
+    rows = np.array([optimize._canonicalize(scenario, row) for row in x])
+    assert np.all((0.0 <= rows[:, thetas]) & (rows[:, thetas] <= np.pi))
+    assert np.all((0.0 <= rows[:, mates]) & (rows[:, mates] < 2 * np.pi))
+    np.testing.assert_allclose(rows[:, thetas[0]], [2 * np.pi - 4.0, 0.5, 7.0 - 2 * np.pi],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(scenario.evaluator(rows), scenario.evaluator(x),
+                               rtol=0, atol=1e-14)
+    # the search canonicalizes a whole (k, d) block of ascents at once
+    np.testing.assert_array_equal(optimize._canonicalize(scenario, x).view(np.int64),
+                                  rows.view(np.int64))
+
+
 def _is_integer_spin(name, params):
     return name == "spin" and params["j"] % 1 == 0
 

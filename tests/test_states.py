@@ -217,6 +217,15 @@ class TestSymmetricAndCats:
         with pytest.raises(NumericGuardError):
             cat_state_single(0.0, -1)
 
+    def test_cat_sign_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="sign"):
+            cat_state_single(0.5, 0)
+
+    def test_symmetric_equal_amplitudes_with_pi_phase_is_degenerate(self):
+        # |eta, eta> - |eta, eta> cancels exactly
+        with pytest.raises(NumericGuardError, match="degenerate"):
+            symmetric_coherent(0.5, 0.5, np.pi)
+
     def test_symmetric_equal_amplitudes_is_product(self):
         psi = symmetric_coherent(0.8, 0.8, 0.7)
         assert is_product(psi)[0]
@@ -289,6 +298,18 @@ class TestGhz:
     def test_requires_three_parties(self):
         with pytest.raises(ValueError):
             ghz_state(2)
+
+    @pytest.mark.parametrize("n", [21, float("inf"), float("nan")])
+    def test_party_count_above_twenty_or_not_finite_rejected(self, n):
+        # 2^21 amplitudes and up are refused, inf and NaN before int() sees them
+        with pytest.raises(ValueError, match="3 to 20"):
+            ghz_state(n)
+
+    @pytest.mark.parametrize("n", [3.7, 19.5])
+    def test_non_integer_party_count_rejected(self, n):
+        # not truncated to the 3- or 2-party state
+        with pytest.raises(ValueError, match="integer"):
+            ghz_state(n)
 
 
 class TestIsProduct:
