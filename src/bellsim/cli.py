@@ -4,7 +4,11 @@ Each subcommand evaluates one named scenario with the closed-form route by
 default (matrix route behind --oracle, parameter search behind --optimize)
 and renders a uniform report: scenario, params, settings, value, bounds and
 the violation verdict.  Exit codes: 0 success, 2 usage error, 1 numeric
-guard failure.
+guard failure or a stdout closed before the report was written.
+
+The parser checks every argument against the numpy-free rules of
+``bellsim.limits``, and each handler checks the rest of its argv before it
+imports the numeric modules it uses, so a usage error costs no numpy.
 """
 
 from __future__ import annotations
@@ -14,24 +18,13 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 
-import numpy as np
-
-from . import correlators as co
-from . import lhv as lhvmod
-from .linalg import NumericGuardError
-from .observables import TSIRELSON_BOUND
-from .optimize import (
-    MAX_RESTARTS,
-    SCENARIO_FACTORIES,
-    make_scenario,
-    maximize_violation,
-    scenario_chsh_phase,
-    table_gisin,
-)
-from .states import DEFAULT_CUTOFF
+from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, MAX_RESTARTS,
+                     MAX_SAMPLES, TSIRELSON_BOUND, NumericGuardError, _check_cutoff,
+                     _check_spin, _check_squeezing)
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -103,7 +96,7 @@ def _emit(report: dict, args, parser) -> None:
 
 
 def _single_report(scenario, params, settings, value,
-                   classical=co.CHSH_CLASSICAL_BOUND, quantum=TSIRELSON_BOUND,
+                   classical=CHSH_CLASSICAL_BOUND, quantum=TSIRELSON_BOUND,
                    bound_guard=0.0):
     # closed-form paths classify strictly; optimizer paths pass a small guard
     # so the refinement's float noise cannot promote a threshold case
@@ -143,11 +136,12 @@ def _floats(text: str):
 
 
 def _unit_vectors(text: str):
+    from .lhv import _unit  # only the lhv subcommand reads --vectors
     groups = [g for g in text.split(";") if g.strip()]
     if len(groups) != 4:
         raise argparse.ArgumentTypeError("expected four semicolon-separated 3-vectors")
     try:
-        return [lhvmod._unit(_floats(g), label)
+        return [_unit(_floats(g), label)
                 for label, g in zip(("a", "a'", "b", "b'"), groups)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -162,6 +156,25 @@ def _int_between(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return integer
+
+
+def _checked(parse, check):
+    """A flag type: ``parse`` the text, then run the library's own ``check``
+    on the value, so a value the library rejects is a usage error here."""
+    def checked(text: str):
+        value = parse(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return checked
+
+
+_spin = _checked(_finite, _check_spin)
+_squeezing = _checked(_finite, _check_squeezing)
+_cutoff = _checked(int, _check_cutoff)
 
 
 def _expect_len(parser, values, n, flag):
@@ -199,8 +212,8 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
 
 
 # optimize's scenario parameters: destination -> (flag, type)
-_SCENARIO_PARAMS = {"n": ("--n", int), "r": ("--r", _finite), "j": ("--j", _finite),
-                    "lam": ("--lambda", _finite), "eta": ("--eta", _finite),
+_SCENARIO_PARAMS = {"n": ("--n", int), "r": ("--r", _finite), "j": ("--j", _spin),
+                    "lam": ("--lambda", _squeezing), "eta": ("--eta", _finite),
                     "sigma": ("--sigma", _finite), "phi": ("--phi", _finite)}
 
 
@@ -208,15 +221,19 @@ _SCENARIO_PARAMS = {"n": ("--n", int), "r": ("--r", _finite), "j": ("--j", _fini
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _check_search(args, parser):
+    if args.optimize and (args.oracle or args.angles is not None):
+        parser.error("--optimize searches its own settings on the closed form: "
+                     "drop --oracle and --angles")
+
+
 def _scenario_report(args, parser, scenario, params, settings=None):
     """``scenario`` on the route the flags pick: the parameter search with
     --optimize, else ``settings`` (default --angles, else the scenario's
     maximizing defaults) on the closed form or, with --oracle, the matrix
     route."""
     if args.optimize:
-        if args.oracle or args.angles is not None:
-            parser.error("--optimize searches its own settings on the closed form: "
-                         "drop --oracle and --angles")
+        from .optimize import maximize_violation
         result = maximize_violation(scenario, restarts=args.restarts, seed=args.seed)
         params = dict(scenario.params, restarts=args.restarts, seed=args.seed,
                       evaluations=result.evaluations, converged=result.converged)
@@ -230,6 +247,7 @@ def _scenario_report(args, parser, scenario, params, settings=None):
         name = scenario.name.removesuffix("-phase") + "-oracle"
         value = scenario.oracle(settings)
     else:
+        import numpy as np
         name = scenario.name
         value = scenario.evaluator(np.array(settings))
     return _single_report(name, params, settings, float(value),
@@ -241,7 +259,8 @@ def _build(parser, factory, *args, **kwargs):
     try:
         return factory(*args, **kwargs)
     except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+        # a KeyError's str() quotes its message
+        parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))
 
 
 def cmd_chsh(args, parser):
@@ -249,14 +268,17 @@ def cmd_chsh(args, parser):
     if args.optimize and args.bell_index != 0:
         parser.error("--optimize searches Bell index 0 only")
     if args.polar is not None:
-        p = _expect_len(parser, args.polar, 8, "--polar")
+        _expect_len(parser, args.polar, 8, "--polar")
         if args.bell_index != 0:
             parser.error("--polar settings are wired to Bell index 0")
         if args.optimize or args.oracle:
             parser.error("--polar settings are evaluated on the closed form only: "
                          "drop --optimize and --oracle")
+    _check_search(args, parser)
+    from .optimize import make_scenario, scenario_chsh_phase
+    if args.polar is not None:
         return _scenario_report(args, parser, make_scenario("chsh-polar"), {"bell_index": 0},
-                                p)
+                                args.polar)
     args.oracle |= args.bell_index != 0  # the closed form is Bell index 0's
     scenario = (make_scenario("chsh-polar") if args.optimize
                 else scenario_chsh_phase(args.bell_index))
@@ -268,6 +290,7 @@ def cmd_gisin(args, parser):
         parser.error("--n-list needs at least one entry")
     if any(abs(v - round(v)) > 0 or v < 3 for v in args.n_list):
         parser.error("--n-list entries must be integers >= 3")
+    from .optimize import table_gisin
     ns = [int(round(v)) for v in args.n_list]
     rows = [
         {"n": n, "value": float(v), "violated": bool(v > 2.0 + _OPT_BOUND_GUARD)}
@@ -278,6 +301,7 @@ def cmd_gisin(args, parser):
 
 
 def cmd_spin(args, parser):
+    from .optimize import make_scenario
     # the j the scenario computed: spin 1 for --j 1.0000000001
     scenario = _build(parser, make_scenario, "spin", j=args.j)
     return _scenario_report(args, parser, scenario, scenario.params)
@@ -286,6 +310,8 @@ def cmd_spin(args, parser):
 def cmd_fock(args, parser):
     """coherent and squeezed: Fock-space families truncated at --cutoff."""
     _expect_len(parser, args.angles, 4, "--angles")
+    _check_search(args, parser)
+    from .optimize import SCENARIO_FACTORIES
     factory, required = SCENARIO_FACTORIES[args.command]
     scenario = _build(parser, factory, *(getattr(args, k) for k in required),
                       cutoff=args.cutoff)
@@ -294,24 +320,28 @@ def cmd_fock(args, parser):
 
 
 def cmd_mermin(args, parser):
+    _expect_len(parser, args.angles, 2 * args.parties, "--angles")  # two per party
+    _check_search(args, parser)
+    from .optimize import make_scenario
     scenario = make_scenario(f"mermin{args.parties}")
-    _expect_len(parser, args.angles, scenario.ndim, "--angles")
     return _scenario_report(args, parser, scenario, {"parties": args.parties})
 
 
 def cmd_lhv(args, parser):
-    model = _build(parser, lhvmod.get_model, args.model)
-    est = _build(parser, lhvmod.chsh_lhv, model, *args.vectors, n=args.samples,
+    from . import lhv
+    model = _build(parser, lhv.get_model, args.model)
+    est = _build(parser, lhv.chsh_lhv, model, *args.vectors, n=args.samples,
                  seed=args.seed)
     report = _single_report("lhv", {"model": args.model, "samples": args.samples,
                                     "seed": args.seed},
-                            np.concatenate(args.vectors), est.mean)
+                            [x for v in args.vectors for x in v], est.mean)
     report["std_error"] = est.std_error
-    report["quantum_value"] = lhvmod.singlet_quantum_chsh(*args.vectors)
+    report["quantum_value"] = lhv.singlet_quantum_chsh(*args.vectors)
     return report
 
 
 def cmd_optimize(args, parser):
+    from .optimize import make_scenario
     scenario = _build(parser, make_scenario, args.scenario,
                       **{k: getattr(args, k) for k in _SCENARIO_PARAMS})
     return _scenario_report(args, parser, scenario, scenario.params)
@@ -358,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_gisin)
 
     p = subs.add_parser("spin", help="CHSH on the spin-j singlet")
-    p.add_argument("--j", type=_finite, required=True,
+    p.add_argument("--j", type=_spin, required=True,
                    help="spin (integer or half-integer)")
     _add_search(p, oracle=False)
     _add_common(p)
@@ -367,19 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("coherent", help="CHSH on the entangled coherent state")
     p.add_argument("--eta", type=_finite, default=0.1)
     p.add_argument("--sigma", type=_finite, default=0.1)
-    p.add_argument("--phi", type=_finite, default=float(np.pi))
+    p.add_argument("--phi", type=_finite, default=math.pi)
     p.add_argument("--angles", type=_floats, default=None,
                    help="alpha,alpha',beta,beta' (default: maximizing set for phi)")
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
     _add_search(p, oracle=True)
     _add_common(p)
     p.set_defaults(handler=cmd_fock)
 
     p = subs.add_parser("squeezed", help="CHSH on the two-mode squeezed state")
-    p.add_argument("--lambda", dest="lam", type=_finite, required=True,
+    p.add_argument("--lambda", dest="lam", type=_squeezing, required=True,
                    help="squeezing parameter in (0, 1)")
     p.add_argument("--angles", type=_floats, default=None)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
     _add_search(p, oracle=True)
     _add_common(p)
     p.set_defaults(handler=cmd_fock)
@@ -393,14 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lhv", help="local-hidden-variable Monte Carlo CHSH")
     p.add_argument("--model", default="sign")
-    p.add_argument("--samples", type=_int_between(1), default=lhvmod.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_int_between(1, MAX_SAMPLES), default=DEFAULT_SAMPLES,
+                   help=f"Monte Carlo samples, 1 to {MAX_SAMPLES} "
+                        f"(default {DEFAULT_SAMPLES})")
     p.add_argument("--vectors", type=_unit_vectors, default=_DEFAULT_LHV_VECTORS,
                    help="four unit 3-vectors a;a';b;b' as comma/semicolon lists")
     _add_common(p)
     p.set_defaults(handler=cmd_lhv)
 
     p = subs.add_parser("optimize", help="maximize |correlator| for a scenario")
-    p.add_argument("--scenario", required=True, choices=sorted(SCENARIO_FACTORIES))
+    p.add_argument("--scenario", required=True,
+                   help="a registered scenario such as gisin or spin; an unknown "
+                        "name is a usage error that lists them all")
     for dest, (flag, kind) in _SCENARIO_PARAMS.items():
         p.add_argument(flag, dest=dest, type=kind, default=None)
     _add_search(p, oracle=False, optimize=False)
@@ -418,7 +452,14 @@ def main(argv=None) -> int:
     except NumericGuardError as exc:
         print(f"numeric guard failure: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args, parser)
+    try:
+        _emit(report, args, parser)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout closed before the report was written (bellsim chsh | true): devnull
+        # takes its place, as Python's signal docs advise, so the final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

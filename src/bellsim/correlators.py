@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, NumericGuardError, StateVector, expectation
-from .observables import _M4_SIGNS, TSIRELSON_BOUND
+from .limits import CHSH_CLASSICAL_BOUND, TSIRELSON_BOUND, NumericGuardError, _check_squeezing
+from .linalg import DenseOperator, StateVector, expectation
+from .observables import _M4_SIGNS
 
-CHSH_CLASSICAL_BOUND = 2.0
 MERMIN3_CLASSICAL_BOUND = 2.0
 MERMIN3_QUANTUM_BOUND = 4.0
 MERMIN4_CLASSICAL_BOUND = 2.0
@@ -262,9 +262,7 @@ def chsh_coherent(eta, sigma, phi, alpha, alpha_p, beta, beta_p,
 def chsh_squeezed(lam, alpha, alpha_p, beta, beta_p):
     """CHSH on the two-mode squeezed state:
     2 lam/(1+lam^2) (cos(a+b) + cos(a'+b) + cos(a+b') - cos(a'+b'))."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0) or np.any(lam >= 1.0):
-        raise ValueError("squeezing parameter must satisfy 0 < lam < 1")
+    lam = _check_squeezing(lam)
     pref = 2.0 * lam / (1.0 + lam * lam)
     return pref * (np.cos(alpha + beta) + np.cos(alpha_p + beta)
                    + np.cos(alpha + beta_p) - np.cos(alpha_p + beta_p))

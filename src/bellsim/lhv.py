@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import DEFAULT_SAMPLES, MAX_SAMPLES
+
 BLOCK_SIZE = 1 << 16
-DEFAULT_SAMPLES = 1_000_000
-# largest sample count one estimate takes: about two minutes of the sign model
-# at 10^6 samples per 0.12 s; every larger count is rejected, not run
-MAX_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .limits import NumericGuardError
+
 # Centralized tolerances.  Construction-time checks use ATOL_CONSTRUCT,
 # numeric cross-checks between independent evaluation routes use ATOL_ORACLE,
 # and a search result counts as the maximum within ATOL_OPT (the exact ascent
@@ -15,10 +17,6 @@ import numpy as np
 ATOL_CONSTRUCT = 1e-12
 ATOL_ORACLE = 1e-9
 ATOL_OPT = 1e-10
-
-
-class NumericGuardError(ValueError):
-    """A numeric precondition failed (normalization, truncation tail, ...)."""
 
 
 class StateVector:

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, NumericGuardError, is_dichotomic
-from .states import _check_cutoff, _check_spin
-
-SQRT2 = float(np.sqrt(2.0))
-TSIRELSON_BOUND = 2.0 * SQRT2
+from .limits import TSIRELSON_BOUND, NumericGuardError, _check_cutoff, _check_spin
+from .linalg import DenseOperator, is_dichotomic
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)

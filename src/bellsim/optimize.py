@@ -25,7 +25,8 @@ import numpy as np
 
 from . import correlators as co
 from . import linalg, observables, states
-from .observables import PairingScheme, TSIRELSON_BOUND
+from .limits import MAX_RESTARTS, TSIRELSON_BOUND, _check_squeezing
+from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
 MAX_SWEEPS = 1000
@@ -33,8 +34,6 @@ MAX_SWEEPS = 1000
 # same up to some 100 rows and grows with them past that, so larger blocks
 # save few calls and only add memory
 START_BLOCK = 64
-# about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
-MAX_RESTARTS = 10 ** 5
 TWO_PI = 2.0 * np.pi
 # where a step evaluates a setting, keyed by its angle count, one row per
 # point: u = +e1, -e1, +e2, then +e3 for a Bloch vector
@@ -309,9 +308,7 @@ def scenario_spin(j) -> Scenario:
 
 
 def scenario_squeezed(lam, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
-    lam = float(lam)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("squeezing parameter must satisfy 0 < lam < 1")
+    lam = _check_squeezing(lam)
     cutoff = states._check_cutoff(cutoff)
     return Scenario(
         "squeezed", lambda p: co.chsh_squeezed(lam, *(p[..., i] for i in range(4))), 4,

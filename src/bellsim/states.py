@@ -13,40 +13,22 @@ import sys
 
 import numpy as np
 
-from .linalg import NumericGuardError, StateVector
+# the bounds and checks live in limits; states keeps their names
+from .limits import (
+    DEFAULT_CUTOFF,
+    MAX_CUTOFF,
+    MAX_TWOJ,
+    NumericGuardError,
+    _check_cutoff,
+    _check_spin,
+    _check_squeezing,
+)
+from .linalg import StateVector
 
-DEFAULT_CUTOFF = 40
-# A two-mode state holds cutoff^2 amplitudes: 16 MiB at the largest cutoff.
-MAX_CUTOFF = 1024
-# Largest 2j: a spin party then has dimension 1025, close to MAX_CUTOFF.
-MAX_TWOJ = 1024
 TAIL_TOL = 1e-10
 SCHMIDT_TOL = 1e-10
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _check_cutoff(cutoff: int) -> int:
-    message = f"Fock cutoff must be a positive even integer up to {MAX_CUTOFF}, got {cutoff}"
-    if not 2 <= cutoff <= MAX_CUTOFF:  # before int(): NaN and inf fail here
-        raise ValueError(message)
-    cutoff = int(cutoff)
-    if cutoff % 2:
-        raise ValueError(message)
-    return cutoff
-
-
-def _check_spin(j) -> int:
-    """Validate j is a positive integer or half-integer with 2j at most
-    MAX_TWOJ; return 2j as int."""
-    message = (f"spin must be a positive integer or half-integer up to "
-               f"{MAX_TWOJ / 2:g}, got {j}")
-    if not 0 < 2 * j <= MAX_TWOJ:  # before round(): NaN and inf fail here
-        raise ValueError(message)
-    twoj = int(round(2 * j))
-    if abs(2 * j - twoj) > 1e-9 or twoj < 1:
-        raise ValueError(message)
-    return twoj
 
 
 def bell_state(alpha: int) -> StateVector:
@@ -202,8 +184,7 @@ def cat_state_pair(eta: float, sigma: float, phi: float, sign: int,
 def squeezed_state(lam: float, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
     """Two-mode squeezed state: sum of lam^n |n,n>, 0 < lam < 1."""
     cutoff = _check_cutoff(cutoff)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"squeezing parameter must satisfy 0 < lam < 1, got {lam}")
+    lam = _check_squeezing(lam)
     if lam ** (2 * cutoff) >= 1e-12:
         raise NumericGuardError(
             f"squeezed state at lam={lam}: tail {lam ** (2 * cutoff):.3e} exceeds "

@@ -239,6 +239,53 @@ def test_bellsim_runs_with_scipy_blocked():
     assert proc.stdout.splitlines()[-1] == "0 0"
 
 
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports bellsim from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellsim.__file__)))
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+# usage errors of the cold-start benchmark, each caught before numpy loads
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["mermin", "--parties", "6"],
+    ["spin", "--j", "1.3"],
+    ["squeezed", "--lambda", "1.5"],
+    ["chsh", "--angles=0,1,2"],
+    ["coherent", "--oracle", "--cutoff", "3"],
+    ["chsh", "--optimize", "--restarts", "0"],
+    ["lhv", "--samples", "0"],
+    ["chsh", "--precision", "-2"],
+])
+def test_usage_error_never_imports_numpy(argv):
+    # a None entry in sys.modules makes every numpy import raise
+    code = ("import sys; sys.modules['numpy'] = None; from bellsim.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    proc = _python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_scenario_command_loads_neither_lhv_nor_numpy_random():
+    code = ("import sys; from bellsim.cli import main; main(['chsh']); "
+            "print('bellsim.lhv' in sys.modules, 'numpy.random' in sys.modules)")
+    proc = _python("-c", code, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out.splitlines()[-1] == "False False"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    proc = _python("-m", "bellsim.cli", "chsh", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # long before the interpreter has started
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+
+
 class TestChsh:
     def test_default_run(self, capsys):
         code, out, _ = run_cli(capsys, "chsh")

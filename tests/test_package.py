@@ -1,0 +1,44 @@
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bellsim
+
+SUBMODULES = ("limits", "linalg", "states", "observables", "correlators", "optimize", "lhv")
+
+
+@pytest.mark.parametrize("name", bellsim.__all__)
+def test_public_name_is_the_object_its_submodule_defines(name):
+    value = getattr(bellsim, name)
+    owners = [m for m in (importlib.import_module(f"bellsim.{s}") for s in SUBMODULES)
+              if hasattr(m, name)]
+    assert owners
+    # a re-export is the same object wherever it is read
+    assert all(getattr(m, name) is value for m in owners)
+
+
+def test_dir_lists_every_public_name():
+    assert set(bellsim.__all__) <= set(dir(bellsim))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        bellsim.nope
+
+
+def _fresh_python(code):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellsim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_numpy():
+    assert _fresh_python("import bellsim, sys; print('numpy' in sys.modules)") == "False"
+
+
+def test_submodule_is_an_attribute_before_its_import():
+    assert _fresh_python("import bellsim; print(bellsim.lhv.__name__)") == "bellsim.lhv"
