@@ -24,7 +24,7 @@ import sys
 
 from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, MAX_RESTARTS,
                      MAX_SAMPLES, TSIRELSON_BOUND, NumericGuardError, _check_cutoff,
-                     _check_spin, _check_squeezing)
+                     _check_spin, _check_squeezing, _check_unit)
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -136,12 +136,11 @@ def _floats(text: str):
 
 
 def _unit_vectors(text: str):
-    from .lhv import _unit  # only the lhv subcommand reads --vectors
     groups = [g for g in text.split(";") if g.strip()]
     if len(groups) != 4:
         raise argparse.ArgumentTypeError("expected four semicolon-separated 3-vectors")
     try:
-        return [_unit(_floats(g), label)
+        return [_check_unit(_floats(g), label)
                 for label, g in zip(("a", "a'", "b", "b'"), groups)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None

@@ -2,10 +2,14 @@
 
 A model is a hidden-variable distribution plus two deterministic +-1 response
 functions, one per side; by interface shape the A response never sees the B
-setting and vice versa.  Estimates are computed in fixed blocks of samples,
-each block drawing from its own child seed, so sharding blocks across workers
-cannot change the merged result.  All per-sample products are accumulated as
-exact integers.
+setting and vice versa, and a response to sample i sees only lam[i].
+Estimates are computed in fixed blocks of BLOCK_SIZE samples, each block
+drawing from its own child seed, so sharding blocks across workers cannot
+change the merged result.  One call per block draws its lam and consumes it in
+row chunks of 8192: the int64 responses of a chunk and their per-sample
+combination stay near 64 KiB, inside the cache, and the block's arrays are
+freed before the next block draws.  All per-sample combinations are summed as
+exact integers, so neither the chunks nor the blocks can change a result.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import DEFAULT_SAMPLES, MAX_SAMPLES
+from .limits import DEFAULT_SAMPLES, MAX_SAMPLES, _check_unit
 
 BLOCK_SIZE = 1 << 16
+# rows of lam per response call; divides BLOCK_SIZE
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -37,9 +43,11 @@ class LhvModel:
     ``sample(rng, n)`` returns an (n, 3) array of hidden-variable vectors
     drawn from ``rng`` alone; ``response_a(setting, lam)`` /
     ``response_b(setting, lam)`` return +-1 integer arrays over the batch.
-    Models must satisfy the anti-correlation constraint
-    response_b(v, lam) = -response_a(v, lam); construction probes it on
-    random draws.
+    Models must be local: the response to sample i depends on lam[i] alone,
+    never on other rows, so a batch may be answered in any row chunks.  They
+    must also satisfy the anti-correlation constraint
+    response_b(v, lam) = -response_a(v, lam).  Construction probes all three
+    rules on random draws.
     """
 
     name: str
@@ -63,6 +71,10 @@ class LhvModel:
                     "model violates the anti-correlation constraint "
                     "response_b(v, lam) = -response_a(v, lam)"
                 )
+            if not (np.array_equal(self.response_a(v, lam[:32]), ra[:32])
+                    and np.array_equal(self.response_b(v, lam[:32]), rb[:32])):
+                raise ValueError("model is not local: the response to sample i "
+                                 "must depend on lam[i] alone")
 
 
 def _random_unit(rng) -> np.ndarray:
@@ -73,12 +85,26 @@ def _random_unit(rng) -> np.ndarray:
 def uniform_sphere(rng, n: int) -> np.ndarray:
     """n directions uniform on the unit sphere, via normalized Gaussians."""
     g = rng.standard_normal((n, 3))
-    return g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    # x*x + y*y + z*z in the order np.linalg.norm sums them: the same bits
+    norm = g[:, 0] * g[:, 0]
+    norm += g[:, 1] * g[:, 1]
+    norm += g[:, 2] * g[:, 2]
+    np.sqrt(norm, out=norm)
+    g /= np.maximum(norm, 1e-300, out=norm)[:, None]
+    return g
 
 
 def _sign_response(setting, lam):
     # sign(0) counts as +1; a measure-zero convention
-    return np.where(lam @ np.asarray(setting, dtype=float) >= 0.0, 1, -1)
+    r = (lam @ np.asarray(setting, dtype=float) >= 0.0).astype(np.int64)
+    r *= 2
+    r -= 1
+    return r
+
+
+def _sign_response_b(setting, lam):
+    r = _sign_response(setting, lam)
+    return np.negative(r, out=r)
 
 
 SIGN_MODEL = LhvModel(
@@ -87,7 +113,7 @@ SIGN_MODEL = LhvModel(
     # their uniform directions without the cost of normalizing
     sample=lambda rng, n: rng.standard_normal((n, 3)),
     response_a=_sign_response,
-    response_b=lambda setting, lam: -_sign_response(setting, lam),
+    response_b=_sign_response_b,
 )
 
 MODELS = {SIGN_MODEL.name: SIGN_MODEL}
@@ -106,10 +132,25 @@ def get_model(name: str) -> LhvModel:
 
 
 def _unit(vec, label: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-9:  # NaN fails too
-        raise ValueError(f"setting {label} must be a unit 3-vector, got {vec}")
-    return v
+    return np.array(_check_unit(vec, label))
+
+
+def _block(model: LhvModel, side_a, side_b, combine, square: int, seed: int,
+           block: int, size: int) -> tuple[int, int]:
+    """Exact sum of ``combine`` over one block of ``size`` samples, and the
+    count of samples that do not square to ``square``."""
+    # one child stream per fixed-size block; the merge over blocks is then
+    # independent of how blocks are distributed across workers
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    lam = model.sample(rng, size)
+    total = bad = 0
+    for start in range(0, size, _CHUNK):
+        rows = lam[start:start + _CHUNK]
+        c = combine([np.asarray(model.response_a(v, rows), dtype=np.int64) for v in side_a],
+                    [np.asarray(model.response_b(v, rows), dtype=np.int64) for v in side_b])
+        total += int(c.sum())
+        bad += int(np.count_nonzero(c * c != square))
+    return total, bad
 
 
 def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
@@ -123,17 +164,12 @@ def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
     side_b = [_unit(v, "b" + "'" * k) for k, v in enumerate(side_b)]
     if not 1 <= n <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n}")
-    total = 0
-    bad = 0
+    total = bad = 0
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        # one child stream per fixed-size block; the merge over blocks is then
-        # independent of how blocks are distributed across workers
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        lam = model.sample(rng, min(BLOCK_SIZE, n - start))
-        c = combine([np.asarray(model.response_a(v, lam), dtype=np.int64) for v in side_a],
-                    [np.asarray(model.response_b(v, lam), dtype=np.int64) for v in side_b])
-        total += int(np.sum(c))
-        bad += int(np.count_nonzero(c * c != square))
+        block_total, block_bad = _block(model, side_a, side_b, combine, square, seed,
+                                        block, min(BLOCK_SIZE, n - start))
+        total += block_total
+        bad += block_bad
     mean = total / n
     var = (square * n - n * mean * mean) / (n - 1) if n > 1 else 0.0
     return LhvEstimate(mean=mean, std_error=math.sqrt(max(var, 0.0) / n),
@@ -156,7 +192,8 @@ def chsh_lhv(model: LhvModel, a, a_p, b, b_p, n: int = DEFAULT_SAMPLES,
     samples that did not (always zero for a valid model).
     """
     def combine(ra, rb):
-        return ra[0] * rb[0] + ra[1] * rb[0] + ra[0] * rb[1] - ra[1] * rb[1]
+        # the combination above, factored: exact in integers
+        return (ra[0] + ra[1]) * rb[0] + (ra[0] - ra[1]) * rb[1]
 
     return _estimate(model, [a, a_p], [b, b_p], combine, 4, n, seed)
 

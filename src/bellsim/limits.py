@@ -17,8 +17,9 @@ MAX_TWOJ = 1024
 # about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
 MAX_RESTARTS = 10 ** 5
 DEFAULT_SAMPLES = 1_000_000
-# largest sample count one estimate takes: about two minutes of the sign model
-# at 10^6 samples per 0.12 s; every larger count is rejected, not run
+# largest sample count one estimate takes: about 70 s of the sign model's CHSH
+# at 10^6 samples per 0.07 s (2-core x86_64); every larger count is rejected,
+# not run
 MAX_SAMPLES = 10**9
 
 CHSH_CLASSICAL_BOUND = 2.0
@@ -58,3 +59,17 @@ def _check_squeezing(lam) -> float:
     if not 0.0 < lam < 1.0:  # NaN fails here too
         raise ValueError(f"squeezing parameter must satisfy 0 < lam < 1, got {lam}")
     return lam
+
+
+def _check_unit(vec, label: str) -> list:
+    """Validate a unit 3-vector, its norm within 1e-9 of 1; return its
+    components as floats."""
+    try:
+        # a nested sequence or array is no component: it shortens v
+        v = [float(x) for x in vec if not hasattr(x, "__len__")]
+        ok = len(v) == len(vec) == 3 and abs(math.hypot(*v) - 1.0) <= 1e-9  # NaN fails
+    except TypeError:  # a scalar, or an iterator without a length
+        ok = False
+    if not ok:
+        raise ValueError(f"setting {label} must be a unit 3-vector, got {vec}")
+    return v

@@ -245,7 +245,8 @@ def _python(*args, **kwargs):
     return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
 
 
-# usage errors of the cold-start benchmark, each caught before numpy loads
+# usage errors of the cold-start benchmark and a bad --vectors, each caught
+# before numpy loads
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
     ["mermin", "--parties", "6"],
@@ -256,6 +257,7 @@ def _python(*args, **kwargs):
     ["chsh", "--optimize", "--restarts", "0"],
     ["lhv", "--samples", "0"],
     ["chsh", "--precision", "-2"],
+    ["lhv", "--vectors", "2,0,0;0,1,0;1,0,0;0,0,1"],
 ])
 def test_usage_error_never_imports_numpy(argv):
     # a None entry in sys.modules makes every numpy import raise

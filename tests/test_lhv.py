@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,17 @@ Z = np.array([0.0, 0.0, 1.0])
 
 def vec_at(theta):
     return np.array([np.cos(theta), np.sin(theta), 0.0])
+
+
+def _shifted_sign(setting, lam):
+    # a threshold off zero makes the responses see the radius, so the
+    # normalisation in uniform_sphere reaches the result
+    return np.where(lam @ np.asarray(setting, dtype=float) >= 0.25, 1, -1)
+
+
+SHIFTED_SPHERE = LhvModel(name="shifted-sphere", sample=uniform_sphere,
+                          response_a=_shifted_sign,
+                          response_b=lambda s, lam: -_shifted_sign(s, lam))
 
 
 class TestModelContract:
@@ -68,6 +81,18 @@ class TestModelContract:
                 response_a=lambda s, lam: np.ones(len(lam)),
                 response_b=lambda s, lam: -np.ones(len(lam)),
             )
+
+    @pytest.mark.parametrize("mix", [
+        lambda lam: lam - lam.mean(0),  # centred on the batch mean
+        lambda lam: lam[::-1],  # answers row i from another row
+    ], ids=["batch-mean", "reversed-rows"])
+    def test_row_mixing_model_rejected(self, mix):
+        def response(s, lam):
+            return np.where(mix(lam) @ np.asarray(s) >= 0, 1, -1)
+
+        with pytest.raises(ValueError, match="not local"):
+            LhvModel(name="mixing", sample=uniform_sphere, response_a=response,
+                     response_b=lambda s, lam: -response(s, lam))
 
     def test_nonbinary_responses_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +178,73 @@ class TestChshLhv:
             assert abs(est.mean) <= 2.0 + 5 * est.std_error
 
 
+def _gaussian(rng, n):
+    return rng.standard_normal((n, 3))
+
+
+def _block_draws(n, seed):
+    # the documented stream: block k of BLOCK_SIZE rows from child seed k
+    for block, start in enumerate(range(0, n, lhv.BLOCK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        yield rng.standard_normal((min(lhv.BLOCK_SIZE, n - start), 3))
+
+
+def _silent_sign(setting, lam):
+    # answers 0 where lam_x > 2.5, about 0.6 % of the draws and none of the
+    # 64 rows of the construction probe
+    r = np.where(lam @ np.asarray(setting) >= 0, 1, -1)
+    r[lam[:, 0] > 2.5] = 0
+    return r
+
+
+SILENT = LhvModel(name="silent", sample=_gaussian, response_a=_silent_sign,
+                  response_b=lambda s, lam: -_silent_sign(s, lam))
+
+
+class TestDichotomyFailures:
+    N = 3 * (1 << 16) + 8195  # crosses block and chunk boundaries
+
+    def test_chsh_counts_every_silent_sample(self):
+        seed = 21
+        expected = sum(int(np.count_nonzero(lam[:, 0] > 2.5))
+                       for lam in _block_draws(self.N, seed))
+        est = chsh_lhv(SILENT, X, Y, vec_at(0.5), vec_at(2.5), n=self.N, seed=seed)
+        assert 0 < expected < self.N // 100
+        assert est.dichotomy_failures == expected
+
+    def test_e_counts_and_sums_independently(self):
+        seed = 22
+        b = vec_at(1.0)
+        failures = total = 0
+        for lam in _block_draws(self.N, seed):
+            silent = lam[:, 0] > 2.5
+            failures += int(np.count_nonzero(silent))
+            agree = (lam @ X >= 0) == (lam @ b >= 0)  # A(a) B(b) = -1
+            total += int(np.count_nonzero(~agree & ~silent))
+            total -= int(np.count_nonzero(agree & ~silent))
+        est = estimate_E(SILENT, X, b, n=self.N, seed=seed)
+        assert est.dichotomy_failures == failures > 0
+        assert est.mean == total / self.N
+
+
+class TestWorkingSet:
+    # one block of lam is BLOCK_SIZE * 3 float64 = 1.5 MiB; the estimate may
+    # hold at most two such blocks at once, whatever n is
+    LIMIT = 2 * lhv.BLOCK_SIZE * 3 * 8
+
+    @pytest.mark.parametrize("model", [SIGN_MODEL, SHIFTED_SPHERE], ids=["sign", "sphere"])
+    def test_traced_peak_stays_within_two_blocks(self, model):
+        vecs = (X, Y, vec_at(0.5), vec_at(2.5))
+        chsh_lhv(model, *vecs, n=lhv.BLOCK_SIZE, seed=1)  # warm any lazy caches
+        tracemalloc.start()
+        try:
+            chsh_lhv(model, *vecs, n=4 * lhv.BLOCK_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.LIMIT
+
+
 class TestQuantumReference:
     def test_cosine_law(self):
         rng = np.random.default_rng(7)
@@ -170,9 +262,59 @@ class TestQuantumReference:
         assert abs(est.mean - quantum) > 0.1
 
 
+# (model, estimator, n) -> float.hex of mean and std_error, dichotomy_failures;
+# n straddles the 8192-row chunk and the 65536-row block
+GOLDEN = {
+    ("sign", "chsh", 1): ("-0x1.0000000000000p+1", "0x0.0p+0", 0),
+    ("sign", "E", 1): ("-0x1.0000000000000p+0", "0x0.0p+0", 0),
+    ("sign", "chsh", 8191): ("-0x1.4c0a605302981p-6", "0x1.6a1074f42fbfep-6", 0),
+    ("sign", "E", 8191): ("-0x1.7aabd55eaaf55p-2", "0x1.506a770e2c186p-7", 0),
+    ("sign", "chsh", 8193): ("-0x1.4bf5a052fd681p-6", "0x1.6a0524db80b7bp-6", 0),
+    ("sign", "E", 8193): ("-0x1.7a942b5ea50adp-2", "0x1.506347e95e64bp-7", 0),
+    ("sign", "chsh", 65536): ("0x1.a000000000000p-10", "0x1.00007ab85d4e6p-7", 0),
+    ("sign", "E", 65536): ("-0x1.75a0000000000p-2", "0x1.dcb4b8c4e53acp-9", 0),
+    ("sign", "chsh", 65537): ("0x1.a7fe5801a7fe6p-10", "0x1.fffff50715d3cp-8", 0),
+    ("sign", "E", 65537): ("-0x1.75a28a5d75a29p-2", "0x1.dcb34afaa78afp-9", 0),
+    ("sign", "chsh", 300001): ("-0x1.465e41d67e074p-8", "0x1.de9b150df55e9p-9", 0),
+    ("sign", "E", 300001): ("-0x1.755184feee476p-2", "0x1.bdaaf6ba25ab3p-10", 0),
+    ("sphere", "chsh", 1): ("-0x1.0000000000000p+1", "0x0.0p+0", 0),
+    ("sphere", "E", 1): ("-0x1.0000000000000p+0", "0x0.0p+0", 0),
+    ("sphere", "chsh", 8191): ("-0x1.29894c4a62531p-3", "0x1.692056250bf3bp-6", 0),
+    ("sphere", "E", 8191): ("-0x1.8c2c61630b186p-2", "0x1.4de2e379cd273p-7", 0),
+    ("sphere", "chsh", 8193): ("-0x1.2876bc4a1daf1p-3", "0x1.6916d09fbbbf1p-6", 0),
+    ("sphere", "E", 8193): ("-0x1.8c139f6304e7ep-2", "0x1.4ddc203f79a39p-7", 0),
+    ("sphere", "chsh", 65536): ("-0x1.27c0000000000p-3", "0x1.feaae0f8671b4p-8", 0),
+    ("sphere", "E", 65536): ("-0x1.85c0000000000p-2", "0x1.d9779807b3bf5p-9", 0),
+    ("sphere", "chsh", 65537): ("-0x1.27aed85127aeep-3", "0x1.feaa095f4cc3cp-8", 0),
+    ("sphere", "E", 65537): ("-0x1.85c27a3d85c28p-2", "0x1.d97628c4cf4d3p-9", 0),
+    ("sphere", "chsh", 300001): ("-0x1.234afb36432ecp-3", "0x1.dd653c3aab454p-9", 0),
+    ("sphere", "E", 300001): ("-0x1.890de430a12d5p-2", "0x1.b9f203721566fp-10", 0),
+}
+
+
 class TestPinnedStreams:
-    # exact means of the seeded block streams; any change to the draws, the
+    # exact results of the seeded block streams; any change to the draws, the
     # responses or the integer accumulation moves them
+    @pytest.mark.parametrize("key", sorted(GOLDEN, key=str), ids=str)
+    def test_golden_estimates(self, key):
+        name, estimator, n = key
+        model = {"sign": SIGN_MODEL, "sphere": SHIFTED_SPHERE}[name]
+        if estimator == "chsh":
+            est = chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=11)
+        else:
+            est = estimate_E(model, X, vec_at(1.0), n=n, seed=9)
+        assert (est.mean.hex(), est.std_error.hex(), est.dichotomy_failures) == GOLDEN[key]
+        assert est.samples == n
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_sphere_bits(self, seed):
+        n = 100_003
+        got = uniform_sphere(np.random.default_rng(seed), n)
+        g = np.random.default_rng(seed).standard_normal((n, 3))
+        want = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        assert got.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
+
     def test_chsh_mean(self):
         est = chsh_lhv(SIGN_MODEL, X, Y, vec_at(0.5), vec_at(2.5),
                        n=(1 << 16) + 999, seed=11)
