@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "ATOL_CONSTRUCT", "ATOL_OPT", "ATOL_ORACLE", "DenseOperator", "StateVector",
-        "commutator", "expectation", "identity_operator", "is_dichotomic",
+        "commutator", "expectation", "is_dichotomic",
         "operator_norm", "tensor_op", "tensor_state",
     ), "linalg"),
     **dict.fromkeys(("DEFAULT_CUTOFF", "NumericGuardError", "TSIRELSON_BOUND"), "limits"),
@@ -30,8 +30,8 @@ _EXPORTS = {
     ), "observables"),
     **dict.fromkeys((
         "CorrelatorReport", "chsh_coherent", "chsh_gisin", "chsh_phi0_phase",
-        "chsh_phi0_polar", "chsh_product_plusminus", "chsh_rstate", "chsh_spin1",
-        "chsh_spin_j", "chsh_squeezed", "generic_correlator", "mermin3_ghz", "mermin4_ghz",
+        "chsh_phi0_polar", "chsh_product_plusminus", "chsh_rstate", "chsh_spin_j",
+        "chsh_squeezed", "generic_correlator", "mermin3_ghz", "mermin4_ghz",
         "spin_j_max",
     ), "correlators"),
     **dict.fromkeys((

@@ -23,8 +23,9 @@ import re
 import sys
 
 from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, MAX_RESTARTS,
-                     MAX_SAMPLES, TSIRELSON_BOUND, NumericGuardError, _check_cutoff,
-                     _check_spin, _check_squeezing, _check_unit)
+                     MAX_SAMPLES, SCENARIOS, TSIRELSON_BOUND, NumericGuardError,
+                     _check_cutoff, _check_family_n, _check_finite, _check_scenario,
+                     _check_unit)
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -121,16 +122,6 @@ MAX_PRECISION = 17
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # not a number at all: same message as nan or inf
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _floats(text: str):
     return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
 
@@ -171,9 +162,17 @@ def _checked(parse, check):
     return checked
 
 
-_spin = _checked(_finite, _check_spin)
-_squeezing = _checked(_finite, _check_squeezing)
+_finite = _checked(float, _check_finite)
 _cutoff = _checked(int, _check_cutoff)
+_family_n = _checked(float, _check_family_n)
+
+
+def _family_ns(text: str):
+    """--n-list: comma-separated N-family parameters, at least one."""
+    ns = [_family_n(tok) for tok in text.split(",") if tok.strip()]
+    if not ns:
+        raise argparse.ArgumentTypeError("expected at least one entry")
+    return ns
 
 
 def _expect_len(parser, values, n, flag):
@@ -183,7 +182,10 @@ def _expect_len(parser, values, n, flag):
     return values
 
 
-def _add_common(sub):
+def _add_common(sub, handler):
+    """The flags every subcommand takes, and its handler, which raises usage
+    errors through ``sub`` so that they name the subcommand."""
+    sub.set_defaults(handler=handler, parser=sub)
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
                      help="output rendering (default text)")
     sub.add_argument("--precision", type=_int_between(0, MAX_PRECISION), default=5,
@@ -210,10 +212,16 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
     sub.set_defaults(oracle=False, optimize=False, angles=None)
 
 
-# optimize's scenario parameters: destination -> (flag, type)
-_SCENARIO_PARAMS = {"n": ("--n", int), "r": ("--r", _finite), "j": ("--j", _spin),
-                    "lam": ("--lambda", _squeezing), "eta": ("--eta", _finite),
-                    "sigma": ("--sigma", _finite), "phi": ("--phi", _finite)}
+# every scenario parameter of the table, by keyword
+_PARAMS = {p.keyword: p for spec in SCENARIOS.values() for p in spec.params}
+
+
+def _add_params(sub, scenario=None, required=False, **defaults):
+    """A flag for each parameter of ``scenario``, or of every scenario, typed
+    by the parameter's check: required, or defaulting to ``defaults`` or None."""
+    for p in SCENARIOS[scenario].params if scenario else _PARAMS.values():
+        sub.add_argument(p.flag, dest=p.keyword, type=_checked(p.parse, p.check),
+                         required=required, default=defaults.get(p.keyword), help=p.help)
 
 
 # ---------------------------------------------------------------------------
@@ -285,35 +293,26 @@ def cmd_chsh(args, parser):
 
 
 def cmd_gisin(args, parser):
-    if not args.n_list:
-        parser.error("--n-list needs at least one entry")
-    if any(abs(v - round(v)) > 0 or v < 3 for v in args.n_list):
-        parser.error("--n-list entries must be integers >= 3")
     from .optimize import table_gisin
-    ns = [int(round(v)) for v in args.n_list]
     rows = [
         {"n": n, "value": float(v), "violated": bool(v > 2.0 + _OPT_BOUND_GUARD)}
-        for n, v in table_gisin(ns, restarts=args.restarts, seed=args.seed)
+        for n, v in table_gisin(args.n_list, restarts=args.restarts, seed=args.seed)
     ]
     return {"scenario": "gisin", "params": {"restarts": args.restarts, "seed": args.seed},
             "rows": rows}
 
 
-def cmd_spin(args, parser):
-    from .optimize import make_scenario
-    # the j the scenario computed: spin 1 for --j 1.0000000001
-    scenario = _build(parser, make_scenario, "spin", j=args.j)
-    return _scenario_report(args, parser, scenario, scenario.params)
-
-
-def cmd_fock(args, parser):
-    """coherent and squeezed: Fock-space families truncated at --cutoff."""
+def cmd_scenario(args, parser):
+    """spin, coherent, squeezed and optimize: the scenario --scenario or else
+    the subcommand names, from its flags; a flag the subcommand lacks is absent."""
     _expect_len(parser, args.angles, 4, "--angles")
     _check_search(args, parser)
-    from .optimize import SCENARIO_FACTORIES
-    factory, required = SCENARIO_FACTORIES[args.command]
-    scenario = _build(parser, factory, *(getattr(args, k) for k in required),
-                      cutoff=args.cutoff)
+    name = getattr(args, "scenario", args.command)
+    params = _build(parser, _check_scenario, name,
+                    {k: getattr(args, k, None) for k in (*_PARAMS, "cutoff")})
+    from .optimize import make_scenario
+    scenario = _build(parser, make_scenario, name, **params)
+    # the parameters the scenario computed: spin 1 for --j 1.0000000001
     params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
     return _scenario_report(args, parser, scenario, params)
 
@@ -337,13 +336,6 @@ def cmd_lhv(args, parser):
     report["std_error"] = est.std_error
     report["quantum_value"] = lhv.singlet_quantum_chsh(*args.vectors)
     return report
-
-
-def cmd_optimize(args, parser):
-    from .optimize import make_scenario
-    scenario = _build(parser, make_scenario, args.scenario,
-                      **{k: getattr(args, k) for k in _SCENARIO_PARAMS})
-    return _scenario_report(args, parser, scenario, scenario.params)
 
 
 # ---------------------------------------------------------------------------
@@ -376,49 +368,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polar", type=_floats, default=None,
                    help="theta,theta',omega,omega',alpha,alpha',beta,beta'")
     _add_search(p, oracle=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_chsh)
+    _add_common(p, cmd_chsh)
 
     p = subs.add_parser("gisin", help="maximal CHSH value of the N-family state")
-    p.add_argument("--n-list", type=_floats, required=True,
-                   help="comma-separated N values, each >= 3")
+    p.add_argument("--n-list", type=_family_ns, required=True,
+                   help="comma-separated N values, each an integer >= 3")
     _add_search(p, oracle=False, optimize=False)
-    _add_common(p)
-    p.set_defaults(handler=cmd_gisin)
+    _add_common(p, cmd_gisin)
 
     p = subs.add_parser("spin", help="CHSH on the spin-j singlet")
-    p.add_argument("--j", type=_spin, required=True,
-                   help="spin (integer or half-integer)")
+    _add_params(p, "spin", required=True)
     _add_search(p, oracle=False)
-    _add_common(p)
-    p.set_defaults(handler=cmd_spin)
+    _add_common(p, cmd_scenario)
 
     p = subs.add_parser("coherent", help="CHSH on the entangled coherent state")
-    p.add_argument("--eta", type=_finite, default=0.1)
-    p.add_argument("--sigma", type=_finite, default=0.1)
-    p.add_argument("--phi", type=_finite, default=math.pi)
+    _add_params(p, "coherent", eta=0.1, sigma=0.1, phi=math.pi)
     p.add_argument("--angles", type=_floats, default=None,
                    help="alpha,alpha',beta,beta' (default: maximizing set for phi)")
     p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
     _add_search(p, oracle=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_fock)
+    _add_common(p, cmd_scenario)
 
     p = subs.add_parser("squeezed", help="CHSH on the two-mode squeezed state")
-    p.add_argument("--lambda", dest="lam", type=_squeezing, required=True,
-                   help="squeezing parameter in (0, 1)")
+    _add_params(p, "squeezed", required=True)
     p.add_argument("--angles", type=_floats, default=None)
     p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
     _add_search(p, oracle=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_fock)
+    _add_common(p, cmd_scenario)
 
     p = subs.add_parser("mermin", help="Mermin correlator on a GHZ state")
-    p.add_argument("--parties", type=int, choices=(3, 4), required=True)
+    p.add_argument("--parties", type=int, required=True,
+                   choices=[s.parties for s in SCENARIOS.values() if s.parties > 2])
     p.add_argument("--angles", type=_floats, default=None)
     _add_search(p, oracle=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_mermin)
+    _add_common(p, cmd_mermin)
 
     p = subs.add_parser("lhv", help="local-hidden-variable Monte Carlo CHSH")
     p.add_argument("--model", default="sign")
@@ -427,18 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_SAMPLES})")
     p.add_argument("--vectors", type=_unit_vectors, default=_DEFAULT_LHV_VECTORS,
                    help="four unit 3-vectors a;a';b;b' as comma/semicolon lists")
-    _add_common(p)
-    p.set_defaults(handler=cmd_lhv)
+    _add_common(p, cmd_lhv)
 
     p = subs.add_parser("optimize", help="maximize |correlator| for a scenario")
-    p.add_argument("--scenario", required=True,
-                   help="a registered scenario such as gisin or spin; an unknown "
-                        "name is a usage error that lists them all")
-    for dest, (flag, kind) in _SCENARIO_PARAMS.items():
-        p.add_argument(flag, dest=dest, type=kind, default=None)
+    p.add_argument("--scenario", required=True, choices=list(SCENARIOS),
+                   help="a registered scenario; the flags below set its parameters")
+    _add_params(p)
     _add_search(p, oracle=False, optimize=False)
-    _add_common(p)
-    p.set_defaults(handler=cmd_optimize, optimize=True)
+    _add_common(p, cmd_scenario)
+    p.set_defaults(optimize=True)
 
     return parser
 
@@ -447,12 +427,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args, parser)
+        report = args.handler(args, args.parser)
     except NumericGuardError as exc:
         print(f"numeric guard failure: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(report, args, parser)
+        _emit(report, args, args.parser)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except BrokenPipeError:
         # stdout closed before the report was written (bellsim chsh | true): devnull

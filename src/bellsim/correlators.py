@@ -20,22 +20,17 @@ from .limits import CHSH_CLASSICAL_BOUND, TSIRELSON_BOUND, NumericGuardError, _c
 from .linalg import DenseOperator, StateVector, expectation
 from .observables import _M4_SIGNS
 
-MERMIN3_CLASSICAL_BOUND = 2.0
-MERMIN3_QUANTUM_BOUND = 4.0
-MERMIN4_CLASSICAL_BOUND = 2.0
-MERMIN4_QUANTUM_BOUND = 4.0 * math.sqrt(2.0)
-
 # Standard maximizing phases (alpha, alpha', beta, beta') for the cos(a+b)
 # family; they yield 2 sqrt(2) on the first Bell state.
 STANDARD_CHSH_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
 # Same combination for the cos(a-b) family (spin singlets).
 STANDARD_CHSH_ANGLES_DIFF = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
-# Maximizing phases (a, a', b, b', c, c') for the order-3 Mermin form.
-STANDARD_MERMIN3_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4, -np.pi / 4, np.pi / 4)
-# Each party at (d, d + pi/2) with 4d = pi/4 maximizes the order-4 form.
-STANDARD_MERMIN4_ANGLES = tuple(
-    v for _ in range(4) for v in (np.pi / 16, np.pi / 16 + np.pi / 2)
-)
+# Maximizing phases of the Mermin form by party count: (a, a', b, b', c, c')
+# for order 3; for order 4 each party at (d, d + pi/2) with 4d = pi/4.
+STANDARD_MERMIN_ANGLES = {
+    3: (0.0, np.pi / 2, -np.pi / 4, np.pi / 4, -np.pi / 4, np.pi / 4),
+    4: tuple(v for _ in range(4) for v in (np.pi / 16, np.pi / 16 + np.pi / 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -164,13 +159,6 @@ def chsh_product_plusminus(theta, theta_p, omega, omega_p, *_ignored_phases):
 # ---------------------------------------------------------------------------
 # Spin singlets
 # ---------------------------------------------------------------------------
-
-def chsh_spin1(alpha, alpha_p, beta, beta_p):
-    """CHSH on the spin-1 singlet with the |m> <-> |-m> phase observables:
-    (2/3) (1 + cos(a-b) + cos(a'-b) + cos(a-b') - cos(a'-b'))."""
-    return (2.0 / 3.0) * (1.0 + np.cos(alpha - beta) + np.cos(alpha_p - beta)
-                          + np.cos(alpha - beta_p) - np.cos(alpha_p - beta_p))
-
 
 def chsh_spin_j(j, alphas, alphas_p, betas, betas_p):
     """CHSH on the spin-j singlet with per-pair phases (last axis indexes the

@@ -1,4 +1,4 @@
-"""Bounds, defaults and input checks that need no numpy.
+"""Bounds, defaults, input checks and the scenario table that need no numpy.
 
 The command line reads these while it parses its arguments, before it loads
 any numeric module; the numeric modules import them from here and re-export
@@ -8,6 +8,8 @@ them under the same names, so each rule is written once.
 from __future__ import annotations
 
 import math
+import sys
+from typing import NamedTuple
 
 DEFAULT_CUTOFF = 40
 # A two-mode state holds cutoff^2 amplitudes: 16 MiB at the largest cutoff.
@@ -53,6 +55,28 @@ def _check_spin(j) -> int:
     return twoj
 
 
+def _check_family_n(n) -> int:
+    """Validate the N-family parameter, an integer N >= 3 within float range
+    (the amplitudes take sqrt(N - 3)); return it as int."""
+    if not abs(n) <= sys.float_info.max:  # NaN fails here too
+        raise ValueError(f"family parameter N must be finite and at most "
+                         f"{sys.float_info.max:g}")
+    if n != int(n):
+        raise ValueError(f"family parameter N must be an integer, got {n!r}")
+    n = int(n)
+    if n < 3:
+        raise ValueError(f"family parameter N must be >= 3, got {n}")
+    return n
+
+
+def _check_finite(x) -> float:
+    """Validate a finite real number; return it as float."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
 def _check_squeezing(lam) -> float:
     """Validate the squeezing parameter 0 < lam < 1; return it as float."""
     lam = float(lam)
@@ -73,3 +97,67 @@ def _check_unit(vec, label: str) -> list:
     if not ok:
         raise ValueError(f"setting {label} must be a unit 3-vector, got {vec}")
     return v
+
+
+class Param(NamedTuple):
+    """A scenario parameter: factory keyword, flag, flag parse, value check, help."""
+
+    keyword: str
+    flag: str
+    parse: type
+    check: object
+    help: str
+
+
+class ScenarioSpec(NamedTuple):
+    """A scenario's required parameters, party count and bounds; the factory of
+    a ``truncated`` one also takes the Fock ``cutoff`` of its oracle."""
+
+    params: tuple = ()
+    parties: int = 2
+    classical_bound: float = CHSH_CLASSICAL_BOUND
+    quantum_bound: float = TSIRELSON_BOUND
+    truncated: bool = False
+
+
+# every registered scenario; ``optimize.scenario_<name>`` (- read as _) builds it
+SCENARIOS = {
+    "chsh-phase": ScenarioSpec(),
+    "chsh-polar": ScenarioSpec(),
+    "product-state": ScenarioSpec(),
+    "gisin": ScenarioSpec((Param("n", "--n", int, _check_family_n,
+                                 "N-family parameter, an integer >= 3"),)),
+    "r-state": ScenarioSpec((Param("r", "--r", float, _check_finite,
+                                   "weight r of |-+> against |+->"),)),
+    "spin": ScenarioSpec((Param("j", "--j", float, _check_spin,
+                                "spin (integer or half-integer)"),)),
+    "squeezed": ScenarioSpec((Param("lam", "--lambda", float, _check_squeezing,
+                                    "squeezing parameter in (0, 1)"),), truncated=True),
+    "coherent": ScenarioSpec((Param("eta", "--eta", float, _check_finite,
+                                    "coherent amplitude of mode A"),
+                              Param("sigma", "--sigma", float, _check_finite,
+                                    "coherent amplitude of mode B"),
+                              Param("phi", "--phi", float, _check_finite,
+                                    "phase between the two branches")),
+                             truncated=True),
+    "mermin3": ScenarioSpec(parties=3, classical_bound=2.0, quantum_bound=4.0),
+    "mermin4": ScenarioSpec(parties=4, classical_bound=2.0, quantum_bound=4.0 * math.sqrt(2.0)),
+}
+
+
+def _check_scenario(name: str, params: dict) -> dict:
+    """The entries of ``params`` that scenario ``name`` takes, None counting as
+    absent; raises KeyError for an unknown name, and ValueError when a required
+    parameter is missing or one the scenario does not take is given."""
+    if name not in SCENARIOS:
+        raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
+    spec = SCENARIOS[name]
+    given = {k: v for k, v in params.items() if v is not None}
+    required = [p.keyword for p in spec.params]
+    missing = [k for k in required if k not in given]
+    if missing:
+        raise ValueError(f"scenario {name!r} requires parameters {missing}")
+    unused = sorted(given.keys() - {*required, *(["cutoff"] if spec.truncated else [])})
+    if unused:
+        raise ValueError(f"scenario {name!r} does not take parameters {unused}")
+    return given

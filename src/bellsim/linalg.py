@@ -98,10 +98,6 @@ class DenseOperator:
         return f"DenseOperator(dim={self.dim}, hermitian={self.hermitian})"
 
 
-def identity_operator(dim: int) -> DenseOperator:
-    return DenseOperator(np.eye(dim, dtype=np.complex128))
-
-
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product of two states; A's index is the most significant one."""
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.shape + b.shape)

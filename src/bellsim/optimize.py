@@ -25,7 +25,8 @@ import numpy as np
 
 from . import correlators as co
 from . import linalg, observables, states
-from .limits import MAX_RESTARTS, TSIRELSON_BOUND, _check_squeezing
+from .limits import (MAX_RESTARTS, SCENARIOS, TSIRELSON_BOUND, _check_family_n,
+                     _check_scenario, _check_squeezing)
 from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
@@ -232,10 +233,10 @@ def table_gisin(n_values, restarts: int = 8, seed: int = 0):
 # Scenario factories
 # ---------------------------------------------------------------------------
 
-def _polar8_scenario(name, evaluator, params=None):
+def _polar8_scenario(name, correlator, *args, params=None):
     # parameter order: theta, theta', omega, omega', alpha, alpha', beta, beta'
-    return Scenario(name, evaluator, 8, polar_mate={0: 4, 1: 5, 2: 6, 3: 7},
-                    params=params or {})
+    return Scenario(name, lambda p: correlator(*args, *(p[..., i] for i in range(8))), 8,
+                    polar_mate={0: 4, 1: 5, 2: 6, 3: 7}, params=params or {})
 
 
 def _matrix_route(psi, scheme, build_operator, settings):
@@ -260,34 +261,21 @@ def scenario_chsh_phase(bell_index=0) -> Scenario:
 
 
 def scenario_chsh_polar() -> Scenario:
-    return _polar8_scenario(
-        "chsh-polar", lambda p: co.chsh_phi0_polar(*(p[..., i] for i in range(8)))
-    )
+    return _polar8_scenario("chsh-polar", co.chsh_phi0_polar)
 
 
 def scenario_product_state() -> Scenario:
-    return _polar8_scenario(
-        "product-state",
-        lambda p: co.chsh_product_plusminus(*(p[..., i] for i in range(8))),
-    )
+    return _polar8_scenario("product-state", co.chsh_product_plusminus)
 
 
 def scenario_gisin(n) -> Scenario:
-    n = states._check_family_n(n)
-    return _polar8_scenario(
-        "gisin",
-        lambda p: co.chsh_gisin(n, *(p[..., i] for i in range(8))),
-        params={"n": n},
-    )
+    n = _check_family_n(n)
+    return _polar8_scenario("gisin", co.chsh_gisin, n, params={"n": n})
 
 
 def scenario_r_state(r) -> Scenario:
     r = float(r)
-    return _polar8_scenario(
-        "r-state",
-        lambda p: co.chsh_rstate(r, *(p[..., i] for i in range(8))),
-        params={"r": r},
-    )
+    return _polar8_scenario("r-state", co.chsh_rstate, r, params={"r": r})
 
 
 def scenario_spin(j) -> Scenario:
@@ -335,57 +323,32 @@ def scenario_coherent(eta, sigma, phi, cutoff=states.DEFAULT_CUTOFF) -> Scenario
     )
 
 
+def _mermin_scenario(parties, evaluator, build_operator) -> Scenario:
+    """Mermin's form on the GHZ state of ``parties`` qubits, two phases each."""
+    name = f"mermin{parties}"
+    return Scenario(
+        name, lambda p: evaluator(*(p[..., i] for i in range(2 * parties))), 2 * parties,
+        classical_bound=SCENARIOS[name].classical_bound,
+        quantum_bound=SCENARIOS[name].quantum_bound,
+        oracle=lambda s: _matrix_route(states.ghz_state(parties), PairingScheme.qubit(),
+                                       build_operator, s),
+        defaults=co.STANDARD_MERMIN_ANGLES[parties],
+    )
+
+
 def scenario_mermin3() -> Scenario:
     # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
-    return Scenario(
-        "mermin3", lambda p: co.mermin3_ghz(*(p[..., i] for i in range(6))), 6,
-        classical_bound=co.MERMIN3_CLASSICAL_BOUND,
-        quantum_bound=co.MERMIN3_QUANTUM_BOUND,
-        oracle=lambda s: _matrix_route(states.ghz_state(3), PairingScheme.qubit(),
-                                       observables.mermin3_operator, s),
-        defaults=co.STANDARD_MERMIN3_ANGLES,
-    )
+    return _mermin_scenario(3, co.mermin3_ghz, observables.mermin3_operator)
 
 
 def scenario_mermin4() -> Scenario:
-    return Scenario(
-        "mermin4", lambda p: co.mermin4_ghz(*(p[..., i] for i in range(8))), 8,
-        classical_bound=co.MERMIN4_CLASSICAL_BOUND,
-        quantum_bound=co.MERMIN4_QUANTUM_BOUND,
-        oracle=lambda s: _matrix_route(states.ghz_state(4), PairingScheme.qubit(),
-                                       observables.mermin4_operator, s),
-        defaults=co.STANDARD_MERMIN4_ANGLES,
-    )
-
-
-SCENARIO_FACTORIES = {
-    "chsh-phase": (scenario_chsh_phase, ()),
-    "chsh-polar": (scenario_chsh_polar, ()),
-    "product-state": (scenario_product_state, ()),
-    "gisin": (scenario_gisin, ("n",)),
-    "r-state": (scenario_r_state, ("r",)),
-    "spin": (scenario_spin, ("j",)),
-    "squeezed": (scenario_squeezed, ("lam",)),
-    "coherent": (scenario_coherent, ("eta", "sigma", "phi")),
-    "mermin3": (scenario_mermin3, ()),
-    "mermin4": (scenario_mermin4, ()),
-}
+    return _mermin_scenario(4, co.mermin4_ghz, observables.mermin4_operator)
 
 
 def make_scenario(name: str, **params) -> Scenario:
-    """Build a registered scenario; raises KeyError for unknown names and
-    ValueError when a required parameter is missing or one it does not take
-    is given.  A parameter set to None counts as absent."""
-    try:
-        factory, required = SCENARIO_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; known: {sorted(SCENARIO_FACTORIES)}"
-        ) from None
-    missing = [k for k in required if params.get(k) is None]
-    if missing:
-        raise ValueError(f"scenario {name!r} requires parameters {missing}")
-    unused = sorted(k for k, v in params.items() if v is not None and k not in required)
-    if unused:
-        raise ValueError(f"scenario {name!r} does not take parameters {unused}")
-    return factory(**{k: params[k] for k in required})
+    """Build a scenario of ``limits.SCENARIOS`` through its factory
+    ``scenario_<name>``, with - read as _.  Raises KeyError for an unknown
+    name and ValueError when a required parameter is missing or one it does
+    not take is given; a parameter set to None counts as absent."""
+    params = _check_scenario(name, params)
+    return globals()[f"scenario_{name.replace('-', '_')}"](**params)

@@ -9,8 +9,6 @@ space so every invariant is exact there.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 # the bounds and checks live in limits; states keeps their names
@@ -20,6 +18,7 @@ from .limits import (
     MAX_TWOJ,
     NumericGuardError,
     _check_cutoff,
+    _check_family_n,
     _check_spin,
     _check_squeezing,
 )
@@ -42,20 +41,6 @@ def bell_state(alpha: int) -> StateVector:
     if alpha not in table:
         raise ValueError(f"Bell index must be in 0..3, got {alpha}")
     return StateVector(np.array(table[alpha], dtype=np.complex128) * _INV_SQRT2, (2, 2))
-
-
-def _check_family_n(n) -> int:
-    """Validate the N-family parameter, an integer N >= 3 within float range
-    (the amplitudes take sqrt(N - 3)); return it as int."""
-    if not abs(n) <= sys.float_info.max:  # NaN fails here too
-        raise ValueError(f"family parameter N must be finite and at most "
-                         f"{sys.float_info.max:g}")
-    if n != int(n):
-        raise ValueError(f"family parameter N must be an integer, got {n!r}")
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"family parameter N must be >= 3, got {n}")
-    return n
 
 
 def gisin_family_state(n: int) -> StateVector:

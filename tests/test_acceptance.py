@@ -42,7 +42,7 @@ from bellsim import (
 from bellsim.correlators import (
     STANDARD_CHSH_ANGLES,
     STANDARD_CHSH_ANGLES_DIFF,
-    STANDARD_MERMIN3_ANGLES,
+    STANDARD_MERMIN_ANGLES,
 )
 from bellsim.lhv import SIGN_MODEL
 from bellsim.linalg import StateVector
@@ -206,7 +206,7 @@ def test_squeezed_scenario():
 
 def test_mermin_scenarios():
     t0 = time.perf_counter()
-    m3_value = mermin3_ghz(*STANDARD_MERMIN3_ANGLES)
+    m3_value = mermin3_ghz(*STANDARD_MERMIN_ANGLES[3])
     m4 = maximize_violation(make_scenario("mermin4"), restarts=8, seed=0)
     rng = np.random.default_rng(2024)
     norms_ok = True

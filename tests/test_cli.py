@@ -258,6 +258,11 @@ def _python(*args, **kwargs):
     ["lhv", "--samples", "0"],
     ["chsh", "--precision", "-2"],
     ["lhv", "--vectors", "2,0,0;0,1,0;1,0,0;0,0,1"],
+    # names and parameters checked against the scenario table
+    ["optimize", "--scenario", "warp-drive"],
+    ["optimize", "--scenario", "gisin"],
+    ["optimize", "--scenario", "gisin", "--n", "2"],
+    ["optimize", "--scenario", "mermin3", "--lambda", "0.5"],
 ])
 def test_usage_error_never_imports_numpy(argv):
     # a None entry in sys.modules makes every numpy import raise
@@ -435,6 +440,15 @@ class TestMermin:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(4 * np.sqrt(2), abs=1e-5)
         assert payload["quantum_bound"] == pytest.approx(4 * np.sqrt(2), abs=1e-5)
+
+    def test_handler_usage_error_names_the_subcommand(self, capsys):
+        # an error the handler raises after parsing, as argparse's own do
+        with pytest.raises(SystemExit) as exc:
+            main(["mermin", "--parties", "3", "--angles", "1,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bellsim mermin ")
+        assert "bellsim mermin: error: --angles expects 6" in err
 
     def test_invalid_parties(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,6 @@ from bellsim import (
     chsh_phi0_polar,
     chsh_product_plusminus,
     chsh_rstate,
-    chsh_spin1,
     chsh_spin_j,
     chsh_squeezed,
     entangled_coherent,
@@ -32,17 +31,15 @@ from bellsim import (
 )
 from bellsim.correlators import (
     CorrelatorReport,
-    MERMIN3_QUANTUM_BOUND,
-    MERMIN4_QUANTUM_BOUND,
     STANDARD_CHSH_ANGLES,
     STANDARD_CHSH_ANGLES_DIFF,
-    STANDARD_MERMIN3_ANGLES,
-    STANDARD_MERMIN4_ANGLES,
+    STANDARD_MERMIN_ANGLES,
     coherent_omega,
     coherent_pair_series,
     gisin_ab,
     spin_j_max,
 )
+from bellsim.limits import SCENARIOS
 from bellsim.linalg import NumericGuardError
 from bellsim.observables import _M4_SIGNS, TSIRELSON_BOUND
 from bellsim.states import DEFAULT_CUTOFF
@@ -157,16 +154,8 @@ class TestChshProduct:
 
 
 class TestChshSpin:
-    def test_spin1_form_matches_general(self):
-        rng = np.random.default_rng(139)
-        for _ in range(50):
-            a = rng.uniform(0, 2 * np.pi, 4)
-            lhs = chsh_spin1(*a)
-            rhs = chsh_spin_j(1, *(np.array([v]) for v in a))
-            assert lhs == pytest.approx(float(rhs), abs=1e-12)
-
     def test_spin1_maximum_value(self):
-        value = chsh_spin1(*STANDARD_CHSH_ANGLES_DIFF)
+        value = float(chsh_spin_j(1, *(np.array([v]) for v in STANDARD_CHSH_ANGLES_DIFF)))
         assert value == pytest.approx((2.0 / 3.0) * (1 + 2 * SQRT2), abs=1e-12)
         assert value == pytest.approx(2.55228, abs=1e-5)
 
@@ -309,7 +298,7 @@ class TestChshSqueezed:
 
 class TestMerminClosedForms:
     def test_maximizing_angles_give_four(self):
-        assert mermin3_ghz(*STANDARD_MERMIN3_ANGLES) == pytest.approx(4.0, abs=1e-12)
+        assert mermin3_ghz(*STANDARD_MERMIN_ANGLES[3]) == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_angles(self):
         assert mermin3_ghz(0, 0, 0, 0, 0, 0) == pytest.approx(2.0)
@@ -350,16 +339,16 @@ class TestMerminClosedForms:
             assert mermin4_ghz(*angles) == pytest.approx(oracle, abs=1e-10)
 
     def test_m4_maximizing_angles(self):
-        assert mermin4_ghz(*STANDARD_MERMIN4_ANGLES) == pytest.approx(4 * SQRT2, abs=1e-12)
+        assert mermin4_ghz(*STANDARD_MERMIN_ANGLES[4]) == pytest.approx(4 * SQRT2, abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(191)
         a6 = rng.uniform(0, 2 * np.pi, (N_DRAWS, 6))
         v3 = mermin3_ghz(*(a6[:, i] for i in range(6)))
-        assert np.all(np.abs(v3) <= MERMIN3_QUANTUM_BOUND + 1e-9)
+        assert np.all(np.abs(v3) <= SCENARIOS["mermin3"].quantum_bound + 1e-9)
         a8 = rng.uniform(0, 2 * np.pi, (N_DRAWS, 8))
         v4 = mermin4_ghz(*(a8[:, i] for i in range(8)))
-        assert np.all(np.abs(v4) <= MERMIN4_QUANTUM_BOUND + 1e-9)
+        assert np.all(np.abs(v4) <= SCENARIOS["mermin4"].quantum_bound + 1e-9)
 
 
 class TestGenericCorrelator:
@@ -381,10 +370,10 @@ class TestGenericCorrelator:
 
     def test_ghz4_optimal(self):
         scheme = PairingScheme.qubit()
-        obs = [phase_flip_observable(a, scheme) for a in STANDARD_MERMIN4_ANGLES]
+        obs = [phase_flip_observable(a, scheme) for a in STANDARD_MERMIN_ANGLES[4]]
         report = generic_correlator(ghz_state(4), mermin4_operator(*obs),
                                     classical_bound=2.0,
-                                    quantum_bound=MERMIN4_QUANTUM_BOUND)
+                                    quantum_bound=SCENARIOS["mermin4"].quantum_bound)
         assert report.value == pytest.approx(4 * SQRT2, abs=1e-10)
         assert report.violated
 

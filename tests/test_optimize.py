@@ -7,6 +7,7 @@ import pytest
 from bellsim import make_scenario, maximize_violation, optimize, table_gisin
 from bellsim.correlators import coherent_omega, coherent_pair_series, spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
+from bellsim.limits import SCENARIOS
 from bellsim.linalg import ATOL_OPT, ATOL_ORACLE
 from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin, scenario_squeezed
 
@@ -26,6 +27,11 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match="lam"):
             make_scenario("mermin3", lam=0.5)
         assert make_scenario("chsh-phase", n=None).name == "chsh-phase"
+
+    def test_only_truncated_scenarios_take_a_cutoff(self):
+        assert make_scenario("squeezed", lam=0.5, cutoff=20).params == {"lam": 0.5}
+        with pytest.raises(ValueError, match="cutoff"):
+            make_scenario("spin", j=1, cutoff=20)
 
     def test_gisin_factory_validates(self):
         for n in (2, 10 ** 400):  # a float cannot hold 10**400
@@ -273,7 +279,19 @@ BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
 def test_batch_cases_cover_every_scenario():
     # so every evaluator is checked on the search's (rows, 3, d) and
     # (rows, 4, d) probes too
-    assert {name for name, _ in BATCH_CASES} == set(optimize.SCENARIO_FACTORIES)
+    assert {name for name, _ in BATCH_CASES} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_carries_the_table_entry(name):
+    spec = SCENARIOS[name]
+    params = {case_name: kw for case_name, kw in BATCH_CASES}[name]
+    assert set(params) == {p.keyword for p in spec.params}
+    scenario = make_scenario(name, **params)
+    assert (scenario.classical_bound, scenario.quantum_bound) == \
+        (spec.classical_bound, spec.quantum_bound)
+    if name.startswith("mermin"):
+        assert scenario.ndim == 2 * spec.parties
 
 
 @pytest.mark.parametrize("name, params", BATCH_CASES,
