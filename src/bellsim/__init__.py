@@ -30,9 +30,8 @@ _EXPORTS = {
     ), "observables"),
     **dict.fromkeys((
         "CorrelatorReport", "chsh_coherent", "chsh_gisin", "chsh_phi0_phase",
-        "chsh_phi0_polar", "chsh_product_plusminus", "chsh_rstate", "chsh_spin_j",
-        "chsh_squeezed", "generic_correlator", "mermin3_ghz", "mermin4_ghz",
-        "spin_j_max",
+        "chsh_phi0_polar", "chsh_rstate", "chsh_spin_j", "chsh_squeezed",
+        "generic_correlator", "mermin3_ghz", "mermin4_ghz", "spin_j_max",
     ), "correlators"),
     **dict.fromkeys((
         "OptimizationResult", "Scenario", "make_scenario", "maximize_violation",

@@ -22,8 +22,8 @@ import os
 import re
 import sys
 
-from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, MAX_RESTARTS,
-                     MAX_SAMPLES, SCENARIOS, TSIRELSON_BOUND, NumericGuardError,
+from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, LHV_MODELS,
+                     MAX_RESTARTS, MAX_SAMPLES, SCENARIOS, TSIRELSON_BOUND, NumericGuardError,
                      _check_cutoff, _check_family_n, _check_finite, _check_scenario,
                      _check_unit)
 
@@ -271,7 +271,7 @@ def _build(parser, factory, *args, **kwargs):
 
 
 def cmd_chsh(args, parser):
-    _expect_len(parser, args.angles, 4, "--angles")
+    _expect_len(parser, args.angles, 2 * SCENARIOS["chsh-phase"].parties, "--angles")
     if args.optimize and args.bell_index != 0:
         parser.error("--optimize searches Bell index 0 only")
     if args.polar is not None:
@@ -294,8 +294,9 @@ def cmd_chsh(args, parser):
 
 def cmd_gisin(args, parser):
     from .optimize import table_gisin
+    classical = SCENARIOS["gisin"].classical_bound
     rows = [
-        {"n": n, "value": float(v), "violated": bool(v > 2.0 + _OPT_BOUND_GUARD)}
+        {"n": n, "value": float(v), "violated": bool(v > classical + _OPT_BOUND_GUARD)}
         for n, v in table_gisin(args.n_list, restarts=args.restarts, seed=args.seed)
     ]
     return {"scenario": "gisin", "params": {"restarts": args.restarts, "seed": args.seed},
@@ -305,9 +306,9 @@ def cmd_gisin(args, parser):
 def cmd_scenario(args, parser):
     """spin, coherent, squeezed and optimize: the scenario --scenario or else
     the subcommand names, from its flags; a flag the subcommand lacks is absent."""
-    _expect_len(parser, args.angles, 4, "--angles")
-    _check_search(args, parser)
     name = getattr(args, "scenario", args.command)
+    _expect_len(parser, args.angles, 2 * SCENARIOS[name].parties, "--angles")
+    _check_search(args, parser)
     params = _build(parser, _check_scenario, name,
                     {k: getattr(args, k, None) for k in (*_PARAMS, "cutoff")})
     from .optimize import make_scenario
@@ -318,18 +319,18 @@ def cmd_scenario(args, parser):
 
 
 def cmd_mermin(args, parser):
-    _expect_len(parser, args.angles, 2 * args.parties, "--angles")  # two per party
+    name = f"mermin{args.parties}"
+    _expect_len(parser, args.angles, 2 * SCENARIOS[name].parties, "--angles")
     _check_search(args, parser)
     from .optimize import make_scenario
-    scenario = make_scenario(f"mermin{args.parties}")
+    scenario = make_scenario(name)
     return _scenario_report(args, parser, scenario, {"parties": args.parties})
 
 
 def cmd_lhv(args, parser):
     from . import lhv
-    model = _build(parser, lhv.get_model, args.model)
-    est = _build(parser, lhv.chsh_lhv, model, *args.vectors, n=args.samples,
-                 seed=args.seed)
+    est = _build(parser, lhv.chsh_lhv, lhv.get_model(args.model), *args.vectors,
+                 n=args.samples, seed=args.seed)
     report = _single_report("lhv", {"model": args.model, "samples": args.samples,
                                     "seed": args.seed},
                             [x for v in args.vectors for x in v], est.mean)
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cmd_mermin)
 
     p = subs.add_parser("lhv", help="local-hidden-variable Monte Carlo CHSH")
-    p.add_argument("--model", default="sign")
+    p.add_argument("--model", choices=LHV_MODELS, default="sign")
     p.add_argument("--samples", type=_int_between(1, MAX_SAMPLES), default=DEFAULT_SAMPLES,
                    help=f"Monte Carlo samples, 1 to {MAX_SAMPLES} "
                         f"(default {DEFAULT_SAMPLES})")

@@ -149,13 +149,6 @@ def chsh_rstate(r, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p)
                  (*_cos_sin(omega), beta), (*_cos_sin(omega_p), beta_p))
 
 
-def chsh_product_plusminus(theta, theta_p, omega, omega_p, *_ignored_phases):
-    """CHSH on the product state |+-> with polar observables.  The phases drop
-    out; the value is bounded by 2 for every setting."""
-    ct, ct_p, co, co_p = np.cos(theta), np.cos(theta_p), np.cos(omega), np.cos(omega_p)
-    return -ct * co - ct_p * co - ct * co_p + ct_p * co_p
-
-
 # ---------------------------------------------------------------------------
 # Spin singlets
 # ---------------------------------------------------------------------------
@@ -248,12 +241,10 @@ def chsh_coherent(eta, sigma, phi, alpha, alpha_p, beta, beta_p,
 
 
 def chsh_squeezed(lam, alpha, alpha_p, beta, beta_p):
-    """CHSH on the two-mode squeezed state:
-    2 lam/(1+lam^2) (cos(a+b) + cos(a'+b) + cos(a+b') - cos(a'+b'))."""
+    """CHSH on the two-mode squeezed state: 2 lam/(1+lam^2) times the
+    first Bell state's ``chsh_phi0_phase``."""
     lam = _check_squeezing(lam)
-    pref = 2.0 * lam / (1.0 + lam * lam)
-    return pref * (np.cos(alpha + beta) + np.cos(alpha_p + beta)
-                   + np.cos(alpha + beta_p) - np.cos(alpha_p + beta_p))
+    return 2.0 * lam / (1.0 + lam * lam) * chsh_phi0_phase(alpha, alpha_p, beta, beta_p)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ MODELS = {SIGN_MODEL.name: SIGN_MODEL}
 
 
 def register_model(model: LhvModel) -> None:
-    """Make a custom model available to lookup (and the command line)."""
+    """Make a custom model available to lookup."""
     MODELS[model.name] = model
 
 

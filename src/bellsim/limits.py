@@ -1,8 +1,9 @@
-"""Bounds, defaults, input checks and the scenario table that need no numpy.
+"""Bounds, defaults, input checks, the scenario table and the built-in LHV
+model names, none of which need numpy.
 
 The command line reads these while it parses its arguments, before it loads
-any numeric module; the numeric modules import them from here and re-export
-them under the same names, so each rule is written once.
+any numeric module; the numeric modules import what they use from here, so
+each rule is written once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ MAX_CUTOFF = 1024
 MAX_TWOJ = 1024
 # about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
 MAX_RESTARTS = 10 ** 5
+# the models ``lhv.MODELS`` holds before any ``register_model`` call
+LHV_MODELS = ("sign",)
 DEFAULT_SAMPLES = 1_000_000
 # largest sample count one estimate takes: about 70 s of the sign model's CHSH
 # at 10^6 samples per 0.07 s (2-core x86_64); every larger count is rejected,

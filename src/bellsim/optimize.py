@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import correlators as co
 from . import linalg, observables, states
-from .limits import (MAX_RESTARTS, SCENARIOS, TSIRELSON_BOUND, _check_family_n,
-                     _check_scenario, _check_squeezing)
+from .limits import (DEFAULT_CUTOFF, MAX_RESTARTS, SCENARIOS, TSIRELSON_BOUND,
+                     _check_cutoff, _check_family_n, _check_scenario, _check_spin,
+                     _check_squeezing)
 from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
@@ -239,25 +241,32 @@ def _polar8_scenario(name, correlator, *args, params=None):
                     polar_mate={0: 4, 1: 5, 2: 6, 3: 7}, params=params or {})
 
 
-def _matrix_route(psi, scheme, build_operator, settings):
-    """<psi| O |psi>, O built from one phase-flip observable per setting.
+def _phase_scenario(name, closed_form, state, scheme, build_operator, defaults,
+                    params=None) -> Scenario:
+    """``SCENARIOS[name]`` on two phases per party: ``closed_form`` of them,
+    and an oracle that applies ``build_operator`` to one phase-flip
+    observable per setting on ``state()``.  The oracle builds the state per
+    call, so a truncation guard fails the oracle route only and the closed
+    form never pays for it."""
+    spec = SCENARIOS[name]
+    ndim = 2 * spec.parties
 
-    Oracles call this with a freshly built state, so a truncation guard
-    fails the oracle route only and the closed form never pays for it.
-    """
-    obs = [observables.phase_flip_observable(s, scheme) for s in settings]
-    return linalg.expectation(build_operator(*obs), psi).real
+    def oracle(settings):
+        psi = state()
+        obs = [observables.phase_flip_observable(s, scheme) for s in settings]
+        return linalg.expectation(build_operator(*obs), psi).real
+
+    return Scenario(name, lambda p: closed_form(*(p[..., i] for i in range(ndim))), ndim,
+                    classical_bound=spec.classical_bound, quantum_bound=spec.quantum_bound,
+                    params=params or {}, oracle=oracle, defaults=defaults)
 
 
 def scenario_chsh_phase(bell_index=0) -> Scenario:
     """Phase-flip CHSH on a Bell state.  The closed form is the one of Bell
     index 0; the oracle evaluates the indexed state."""
-    return Scenario(
-        "chsh-phase", lambda p: co.chsh_phi0_phase(*(p[..., i] for i in range(4))), 4,
-        oracle=lambda s: _matrix_route(states.bell_state(bell_index), PairingScheme.qubit(),
-                                       observables.chsh_operator, s),
-        defaults=co.STANDARD_CHSH_ANGLES,
-    )
+    return _phase_scenario("chsh-phase", co.chsh_phi0_phase,
+                           partial(states.bell_state, bell_index), PairingScheme.qubit(),
+                           observables.chsh_operator, co.STANDARD_CHSH_ANGLES)
 
 
 def scenario_chsh_polar() -> Scenario:
@@ -265,7 +274,8 @@ def scenario_chsh_polar() -> Scenario:
 
 
 def scenario_product_state() -> Scenario:
-    return _polar8_scenario("product-state", co.chsh_product_plusminus)
+    # |+-> is the r-state at r = 0
+    return _polar8_scenario("product-state", co.chsh_rstate, 0.0)
 
 
 def scenario_gisin(n) -> Scenario:
@@ -279,7 +289,7 @@ def scenario_r_state(r) -> Scenario:
 
 
 def scenario_spin(j) -> Scenario:
-    twoj = states._check_spin(j)
+    twoj = _check_spin(j)
     npairs = (twoj + 1) // 2
 
     def evaluator(p):
@@ -295,54 +305,36 @@ def scenario_spin(j) -> Scenario:
                     defaults=tuple(np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs)))
 
 
-def scenario_squeezed(lam, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
-    lam = _check_squeezing(lam)
-    cutoff = states._check_cutoff(cutoff)
-    return Scenario(
-        "squeezed", lambda p: co.chsh_squeezed(lam, *(p[..., i] for i in range(4))), 4,
-        params={"lam": lam},
-        oracle=lambda s: _matrix_route(
-            states.squeezed_state(lam, cutoff=cutoff), PairingScheme.even_odd(cutoff),
-            observables.chsh_operator, s),
-        defaults=co.STANDARD_CHSH_ANGLES,
-    )
+def scenario_squeezed(lam, cutoff=DEFAULT_CUTOFF) -> Scenario:
+    lam, cutoff = _check_squeezing(lam), _check_cutoff(cutoff)
+    return _phase_scenario("squeezed", partial(co.chsh_squeezed, lam),
+                           partial(states.squeezed_state, lam, cutoff=cutoff),
+                           PairingScheme.even_odd(cutoff), observables.chsh_operator,
+                           co.STANDARD_CHSH_ANGLES, params={"lam": lam})
 
 
-def scenario_coherent(eta, sigma, phi, cutoff=states.DEFAULT_CUTOFF) -> Scenario:
+def scenario_coherent(eta, sigma, phi, cutoff=DEFAULT_CUTOFF) -> Scenario:
     eta, sigma, phi = float(eta), float(sigma), float(phi)
-    cutoff = states._check_cutoff(cutoff)
-    return Scenario(
-        "coherent", lambda p: co.chsh_coherent(eta, sigma, phi, *(p[..., i] for i in range(4))),
-        4,
-        params={"eta": eta, "sigma": sigma, "phi": phi},
-        oracle=lambda s: _matrix_route(
-            states.entangled_coherent(eta, sigma, phi, cutoff=cutoff),
-            PairingScheme.even_odd(cutoff), observables.chsh_operator, s),
-        defaults=(co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0
-                  else co.STANDARD_CHSH_ANGLES),
-    )
-
-
-def _mermin_scenario(parties, evaluator, build_operator) -> Scenario:
-    """Mermin's form on the GHZ state of ``parties`` qubits, two phases each."""
-    name = f"mermin{parties}"
-    return Scenario(
-        name, lambda p: evaluator(*(p[..., i] for i in range(2 * parties))), 2 * parties,
-        classical_bound=SCENARIOS[name].classical_bound,
-        quantum_bound=SCENARIOS[name].quantum_bound,
-        oracle=lambda s: _matrix_route(states.ghz_state(parties), PairingScheme.qubit(),
-                                       build_operator, s),
-        defaults=co.STANDARD_MERMIN_ANGLES[parties],
-    )
+    cutoff = _check_cutoff(cutoff)
+    return _phase_scenario(
+        "coherent", partial(co.chsh_coherent, eta, sigma, phi),
+        partial(states.entangled_coherent, eta, sigma, phi, cutoff=cutoff),
+        PairingScheme.even_odd(cutoff), observables.chsh_operator,
+        co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0 else co.STANDARD_CHSH_ANGLES,
+        params={"eta": eta, "sigma": sigma, "phi": phi})
 
 
 def scenario_mermin3() -> Scenario:
     # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
-    return _mermin_scenario(3, co.mermin3_ghz, observables.mermin3_operator)
+    return _phase_scenario("mermin3", co.mermin3_ghz, partial(states.ghz_state, 3),
+                           PairingScheme.qubit(), observables.mermin3_operator,
+                           co.STANDARD_MERMIN_ANGLES[3])
 
 
 def scenario_mermin4() -> Scenario:
-    return _mermin_scenario(4, co.mermin4_ghz, observables.mermin4_operator)
+    return _phase_scenario("mermin4", co.mermin4_ghz, partial(states.ghz_state, 4),
+                           PairingScheme.qubit(), observables.mermin4_operator,
+                           co.STANDARD_MERMIN_ANGLES[4])
 
 
 def make_scenario(name: str, **params) -> Scenario:

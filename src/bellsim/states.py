@@ -11,17 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# the bounds and checks live in limits; states keeps their names
-from .limits import (
-    DEFAULT_CUTOFF,
-    MAX_CUTOFF,
-    MAX_TWOJ,
-    NumericGuardError,
-    _check_cutoff,
-    _check_family_n,
-    _check_spin,
-    _check_squeezing,
-)
+from .limits import (DEFAULT_CUTOFF, NumericGuardError, _check_cutoff, _check_family_n,
+                     _check_spin, _check_squeezing)
 from .linalg import StateVector
 
 TAIL_TOL = 1e-10

@@ -263,6 +263,8 @@ def _python(*args, **kwargs):
     ["optimize", "--scenario", "gisin"],
     ["optimize", "--scenario", "gisin", "--n", "2"],
     ["optimize", "--scenario", "mermin3", "--lambda", "0.5"],
+    # a model name checked against the built-in names
+    ["lhv", "--model", "nope"],
 ])
 def test_usage_error_never_imports_numpy(argv):
     # a None entry in sys.modules makes every numpy import raise

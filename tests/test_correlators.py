@@ -9,7 +9,6 @@ from bellsim import (
     chsh_operator,
     chsh_phi0_phase,
     chsh_phi0_polar,
-    chsh_product_plusminus,
     chsh_rstate,
     chsh_spin_j,
     chsh_squeezed,
@@ -142,14 +141,13 @@ class TestChshProduct:
         psi = r_state(0.0)  # |+->
         for _ in range(N_DRAWS):
             p = np.concatenate([rng.uniform(0, np.pi, 4), rng.uniform(0, 2 * np.pi, 4)])
-            assert chsh_product_plusminus(*p) == pytest.approx(
-                polar_chsh_oracle(psi, p), abs=1e-10)
+            assert chsh_rstate(0.0, *p) == pytest.approx(polar_chsh_oracle(psi, p), abs=1e-10)
 
     def test_never_violates(self):
         rng = np.random.default_rng(137)
         p = np.concatenate([rng.uniform(0, np.pi, (N_DRAWS, 4)),
                             rng.uniform(0, 2 * np.pi, (N_DRAWS, 4))], axis=1)
-        values = chsh_product_plusminus(*(p[:, i] for i in range(8)))
+        values = chsh_rstate(0.0, *(p[:, i] for i in range(8)))
         assert np.all(np.abs(values) <= 2.0 + 1e-12)
 
 
@@ -483,14 +481,22 @@ class TestSharedTrigKeepsEveryBit:
         p = self.columns()
         assert _same_bits(chsh_phi0_polar(*p), _term_by_term_phi0_polar(*p))
 
-    @pytest.mark.parametrize("r", [0.5, -1.7])
+    @pytest.mark.parametrize("r", [0.0, 0.5, -1.7])
     def test_rstate(self, r):
         p = self.columns()
         assert _same_bits(chsh_rstate(r, *p), _term_by_term_rstate(r, *p))
 
     def test_product_plusminus(self):
         p = self.columns()
-        assert _same_bits(chsh_product_plusminus(*p), _term_by_term_product(*p))
+        # |+-> is the r-state at r = 0, term by term the product form
+        assert _same_bits(chsh_rstate(0.0, *p), _term_by_term_product(*p))
+
+    @pytest.mark.parametrize("lam", [0.35, 0.9])
+    def test_squeezed(self, lam):
+        a, ap, b, bp = self.columns()[:4]
+        written = (2.0 * lam / (1.0 + lam * lam)
+                   * (np.cos(a + b) + np.cos(ap + b) + np.cos(a + bp) - np.cos(ap + bp)))
+        assert _same_bits(chsh_squeezed(lam, a, ap, b, bp), written)
 
     @pytest.mark.parametrize("eta, sigma, phi", [(0.4, 0.7, 2.0), (0.1, 0.1, np.pi)])
     def test_coherent(self, eta, sigma, phi):

@@ -15,6 +15,7 @@ from bellsim.lhv import (
     singlet_quantum_chsh,
     uniform_sphere,
 )
+from bellsim.limits import LHV_MODELS
 
 from helpers import random_unit
 
@@ -46,7 +47,12 @@ class TestModelContract:
         with pytest.raises(KeyError):
             get_model("nope")
 
-    def test_custom_model_roundtrip(self):
+    def test_builtin_names_are_the_cli_choices(self):
+        # the command line offers these names before it loads numpy
+        assert LHV_MODELS == tuple(lhv.MODELS)
+
+    def test_custom_model_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(lhv, "MODELS", dict(lhv.MODELS))  # registers for this test only
         # hidden variable limited to the z axis sign; still a valid local model
         def response(setting, lam):
             return np.where(lam @ np.asarray(setting) * np.sign(lam[:, 2:3]).ravel() >= 0, 1, -1)

@@ -9,7 +9,7 @@ from bellsim.correlators import coherent_omega, coherent_pair_series, spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
 from bellsim.limits import SCENARIOS
 from bellsim.linalg import ATOL_OPT, ATOL_ORACLE
-from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin, scenario_squeezed
+from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin
 
 SQRT2 = np.sqrt(2.0)
 
@@ -54,15 +54,36 @@ class TestScenarioRegistry:
             Scenario(name="x", evaluator=lambda p: 0.0, ndim=0)
 
 
-# every scenario with an oracle, with the oracle's sign relative to the closed form
-ORACLE_SCENARIOS = [
-    (make_scenario("chsh-phase"), 1.0),
-    (scenario_coherent(0.4, 0.7, 2.0), 1.0),
-    (scenario_squeezed(0.35), 1.0),
-    # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
-    (make_scenario("mermin3"), -1.0),
-    (make_scenario("mermin4"), 1.0),
-]
+# one configuration of every registered scenario; spin 10 sums 10 pairs per row
+BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
+               ("gisin", {"n": 3}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
+               ("spin", {"j": 1.5}), ("spin", {"j": 2}), ("spin", {"j": 10}),
+               ("squeezed", {"lam": 0.4}),
+               ("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
+               ("mermin3", {}), ("mermin4", {})]
+# one configuration per table name, the last one BATCH_CASES lists for it
+TABLE_CASE = dict(BATCH_CASES)
+# the scenarios built on two phase-flip settings per party
+PHASE_FLIP = ("chsh-phase", "squeezed", "coherent", "mermin3", "mermin4")
+# the oracle's sign relative to the closed form where it is not +1: the
+# matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
+ORACLE_SIGN = {"mermin3": -1.0}
+# every scenario of the table with an oracle, with the oracle's sign
+_BUILT = {name: make_scenario(name, **TABLE_CASE[name]) for name in SCENARIOS}
+ORACLE_SCENARIOS = [(s, ORACLE_SIGN.get(name, 1.0)) for name, s in _BUILT.items()
+                    if s.oracle is not None]
+
+
+def test_every_pinned_oracle_sign_is_used():
+    assert set(ORACLE_SIGN) <= {s.name for s, _ in ORACLE_SCENARIOS}
+
+
+def test_factories_and_table_name_the_same_scenarios():
+    # make_scenario finds scenario_<name> by name: drift between the two
+    # would otherwise show only when the missing one is called
+    factories = {name.removeprefix("scenario_") for name in vars(optimize)
+                 if name.startswith("scenario_")}
+    assert factories == {name.replace("-", "_") for name in SCENARIOS}
 
 
 @pytest.mark.parametrize("scenario, sign", ORACLE_SCENARIOS,
@@ -267,15 +288,6 @@ def test_lockstep_search_matches_one_start_at_a_time(case, restarts, seed):
     assert (result.evaluations, result.converged) == (evaluations, converged)
 
 
-# one configuration of every registered scenario; spin 10 sums 10 pairs per row
-BATCH_CASES = [("chsh-phase", {}), ("chsh-polar", {}), ("product-state", {}),
-               ("gisin", {"n": 3}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
-               ("spin", {"j": 1.5}), ("spin", {"j": 2}), ("spin", {"j": 10}),
-               ("squeezed", {"lam": 0.4}),
-               ("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
-               ("mermin3", {}), ("mermin4", {})]
-
-
 def test_batch_cases_cover_every_scenario():
     # so every evaluator is checked on the search's (rows, 3, d) and
     # (rows, 4, d) probes too
@@ -285,12 +297,12 @@ def test_batch_cases_cover_every_scenario():
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_carries_the_table_entry(name):
     spec = SCENARIOS[name]
-    params = {case_name: kw for case_name, kw in BATCH_CASES}[name]
+    params = TABLE_CASE[name]
     assert set(params) == {p.keyword for p in spec.params}
     scenario = make_scenario(name, **params)
     assert (scenario.classical_bound, scenario.quantum_bound) == \
         (spec.classical_bound, spec.quantum_bound)
-    if name.startswith("mermin"):
+    if name in PHASE_FLIP:
         assert scenario.ndim == 2 * spec.parties
 
 

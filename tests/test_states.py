@@ -21,7 +21,8 @@ from bellsim import (
     tensor_op,
 )
 from bellsim.linalg import DenseOperator
-from bellsim.states import MAX_CUTOFF, MAX_TWOJ, _check_cutoff, _check_spin, coherent_amplitudes
+from bellsim.limits import MAX_CUTOFF, MAX_TWOJ, _check_cutoff, _check_spin
+from bellsim.states import coherent_amplitudes
 
 from helpers import schmidt_rank_bruteforce
 
