@@ -5,11 +5,13 @@ functions, one per side; by interface shape the A response never sees the B
 setting and vice versa, and a response to sample i sees only lam[i].
 Estimates are computed in fixed blocks of BLOCK_SIZE samples, each block
 drawing from its own child seed, so sharding blocks across workers cannot
-change the merged result.  One call per block draws its lam and consumes it in
-row chunks of 8192: the int64 responses of a chunk and their per-sample
-combination stay near 64 KiB, inside the cache, and the block's arrays are
-freed before the next block draws.  All per-sample combinations are summed as
-exact integers, so neither the chunks nor the blocks can change a result.
+change the merged result.  A block is drawn and answered in row chunks of
+8192: each chunk draws its lam from the block's generator just before its
+responses are asked for, so an estimate holds one chunk (192 KiB of lam, and
+int64 responses near 64 KiB each) rather than a whole block.  Samplers draw
+their rows in sequence, so the chunked draws give the rows of one draw of the
+block, and all per-sample combinations are summed as exact integers: neither
+the chunks nor the blocks can change a result.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ class LhvModel:
     """Hidden-variable sampler plus deterministic +-1 response functions.
 
     ``sample(rng, n)`` returns an (n, 3) array of hidden-variable vectors
-    drawn from ``rng`` alone; ``response_a(setting, lam)`` /
-    ``response_b(setting, lam)`` return +-1 integer arrays over the batch.
-    Models must be local: the response to sample i depends on lam[i] alone,
-    never on other rows, so a batch may be answered in any row chunks.  They
-    must also satisfy the anti-correlation constraint
-    response_b(v, lam) = -response_a(v, lam).  Construction probes all three
-    rules on random draws.
+    drawn from ``rng`` alone, in sequence: consecutive draws of k and m rows
+    give the rows of one draw of k + m, so a block may be drawn in any row
+    chunks.  ``response_a(setting, lam)`` / ``response_b(setting, lam)``
+    return +-1 integer arrays over the batch.  Models must be local: the
+    response to sample i depends on lam[i] alone, never on other rows, so a
+    batch may be answered in any row chunks.  They must also satisfy the
+    anti-correlation constraint response_b(v, lam) = -response_a(v, lam).
+    Construction probes all four rules on random draws.
     """
 
     name: str
@@ -60,6 +63,11 @@ class LhvModel:
         lam = self.sample(probe, 64)
         if lam.shape != (64, 3):
             raise ValueError("sampler must return an (n, 3) array")
+        halves = np.random.default_rng(0xBE11)
+        if not np.array_equal(np.concatenate([self.sample(halves, 32),
+                                              self.sample(halves, 32)]), lam):
+            raise ValueError("sampler must draw its rows in sequence: two draws of 32 "
+                             "rows must equal one draw of 64 from the same seed")
         for _ in range(4):
             v = _random_unit(probe)
             ra = np.asarray(self.response_a(v, lam))
@@ -136,42 +144,47 @@ def _unit(vec, label: str) -> np.ndarray:
 
 
 def _block(model: LhvModel, side_a, side_b, combine, square: int, seed: int,
-           block: int, size: int) -> tuple[int, int]:
-    """Exact sum of ``combine`` over one block of ``size`` samples, and the
-    count of samples that do not square to ``square``."""
+           block: int, size: int) -> tuple[int, int, int]:
+    """Exact sums of ``combine`` and of its square over one block of ``size``
+    samples, and the count of samples that do not square to ``square``."""
     # one child stream per fixed-size block; the merge over blocks is then
     # independent of how blocks are distributed across workers
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    lam = model.sample(rng, size)
-    total = bad = 0
+    total = total_sq = bad = 0
     for start in range(0, size, _CHUNK):
-        rows = lam[start:start + _CHUNK]
+        # the sampler draws in sequence, so chunked draws are the block's rows
+        rows = model.sample(rng, min(_CHUNK, size - start))
         c = combine([np.asarray(model.response_a(v, rows), dtype=np.int64) for v in side_a],
                     [np.asarray(model.response_b(v, rows), dtype=np.int64) for v in side_b])
+        sq = c * c
         total += int(c.sum())
-        bad += int(np.count_nonzero(c * c != square))
-    return total, bad
+        total_sq += int(sq.sum())
+        bad += int(np.count_nonzero(sq != square))
+    return total, total_sq, bad
 
 
 def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
               seed: int) -> LhvEstimate:
     """Monte-Carlo mean of ``combine(ra, rb)``, the per-sample combination of
     the +-1 responses to the settings of each side.  Every valid sample of it
-    squares to ``square``, which the variance relies on; ``dichotomy_failures``
-    counts the samples that did not.
+    squares to ``square``; ``dichotomy_failures`` counts the samples that did
+    not.  The variance uses the exact sum of squares, so it stays the sample
+    variance when some do not.
     """
     side_a = [_unit(v, "a" + "'" * k) for k, v in enumerate(side_a)]
     side_b = [_unit(v, "b" + "'" * k) for k, v in enumerate(side_b)]
     if not 1 <= n <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n}")
-    total = bad = 0
+    total = total_sq = bad = 0
     for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        block_total, block_bad = _block(model, side_a, side_b, combine, square, seed,
-                                        block, min(BLOCK_SIZE, n - start))
+        block_total, block_sq, block_bad = _block(model, side_a, side_b, combine, square,
+                                                  seed, block, min(BLOCK_SIZE, n - start))
         total += block_total
+        total_sq += block_sq
         bad += block_bad
     mean = total / n
-    var = (square * n - n * mean * mean) / (n - 1) if n > 1 else 0.0
+    # total_sq is square * n for a valid model, an exact integer either way
+    var = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
     return LhvEstimate(mean=mean, std_error=math.sqrt(max(var, 0.0) / n),
                        samples=n, dichotomy_failures=bad)
 

@@ -22,8 +22,8 @@ MAX_RESTARTS = 10 ** 5
 # the models ``lhv.MODELS`` holds before any ``register_model`` call
 LHV_MODELS = ("sign",)
 DEFAULT_SAMPLES = 1_000_000
-# largest sample count one estimate takes: about 70 s of the sign model's CHSH
-# at 10^6 samples per 0.07 s (2-core x86_64); every larger count is rejected,
+# largest sample count one estimate takes: about 60 s of the sign model's CHSH
+# at 10^6 samples per 0.057 s (2-core x86_64); every larger count is rejected,
 # not run
 MAX_SAMPLES = 10**9
 

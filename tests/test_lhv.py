@@ -88,6 +88,24 @@ class TestModelContract:
                 response_b=lambda s, lam: -np.ones(len(lam)),
             )
 
+    @pytest.mark.parametrize("sample", [SIGN_MODEL.sample, uniform_sphere],
+                             ids=["sign", "sphere"])
+    def test_chunked_draws_give_the_block_bits(self, sample):
+        seed = np.random.SeedSequence(entropy=5, spawn_key=(3,))
+        whole = sample(np.random.default_rng(seed), lhv.BLOCK_SIZE)
+        rng = np.random.default_rng(seed)
+        chunks = np.concatenate([sample(rng, lhv.BLOCK_SIZE // 8) for _ in range(8)])
+        assert chunks.tobytes() == whole.tobytes()
+
+    def test_column_wise_sampler_rejected(self):
+        # each column drawn whole: two halves of n rows are not one draw of 2n
+        def columns(rng, n):
+            return np.column_stack([rng.standard_normal(n) for _ in range(3)])
+
+        with pytest.raises(ValueError, match="sampler must draw its rows in sequence"):
+            LhvModel(name="columns", sample=columns, response_a=_shifted_sign,
+                     response_b=lambda s, lam: -_shifted_sign(s, lam))
+
     @pytest.mark.parametrize("mix", [
         lambda lam: lam - lam.mean(0),  # centred on the batch mean
         lambda lam: lam[::-1],  # answers row i from another row
@@ -207,44 +225,64 @@ SILENT = LhvModel(name="silent", sample=_gaussian, response_a=_silent_sign,
                   response_b=lambda s, lam: -_silent_sign(s, lam))
 
 
+def _std_error(values):
+    return values.std(ddof=1) / np.sqrt(values.size)
+
+
 class TestDichotomyFailures:
     N = 3 * (1 << 16) + 8195  # crosses block and chunk boundaries
 
     def test_chsh_counts_every_silent_sample(self):
         seed = 21
-        expected = sum(int(np.count_nonzero(lam[:, 0] > 2.5))
-                       for lam in _block_draws(self.N, seed))
-        est = chsh_lhv(SILENT, X, Y, vec_at(0.5), vec_at(2.5), n=self.N, seed=seed)
+        a, a_p, b, b_p = X, Y, vec_at(0.5), vec_at(2.5)
+        expected, values = 0, []
+        for lam in _block_draws(self.N, seed):
+            A = lambda v: np.where(lam @ v >= 0, 1, -1)  # B(v) = -A(v)
+            value = -A(a) * A(b) - A(a_p) * A(b) - A(a) * A(b_p) + A(a_p) * A(b_p)
+            silent = lam[:, 0] > 2.5  # every response is 0, so the sample is 0
+            value[silent] = 0
+            expected += int(np.count_nonzero(silent))
+            values.append(value)
+        est = chsh_lhv(SILENT, a, a_p, b, b_p, n=self.N, seed=seed)
         assert 0 < expected < self.N // 100
         assert est.dichotomy_failures == expected
+        # the silent samples square to 0, not 4: the variance must see them
+        assert est.std_error == pytest.approx(_std_error(np.concatenate(values)), rel=1e-12)
 
     def test_e_counts_and_sums_independently(self):
         seed = 22
         b = vec_at(1.0)
         failures = total = 0
+        values = []
         for lam in _block_draws(self.N, seed):
             silent = lam[:, 0] > 2.5
             failures += int(np.count_nonzero(silent))
             agree = (lam @ X >= 0) == (lam @ b >= 0)  # A(a) B(b) = -1
             total += int(np.count_nonzero(~agree & ~silent))
             total -= int(np.count_nonzero(agree & ~silent))
+            values.append(np.where(silent, 0, np.where(agree, -1, 1)))
         est = estimate_E(SILENT, X, b, n=self.N, seed=seed)
         assert est.dichotomy_failures == failures > 0
         assert est.mean == total / self.N
+        assert est.std_error == pytest.approx(_std_error(np.concatenate(values)), rel=1e-12)
 
 
 class TestWorkingSet:
-    # one block of lam is BLOCK_SIZE * 3 float64 = 1.5 MiB; the estimate may
-    # hold at most two such blocks at once, whatever n is
-    LIMIT = 2 * lhv.BLOCK_SIZE * 3 * 8
+    # one block of lam is BLOCK_SIZE * 3 float64 = 1.5 MiB; the estimate draws
+    # and answers one chunk at a time, so it never holds a whole block of lam,
+    # whatever n is
+    LIMIT = lhv.BLOCK_SIZE * 3 * 8
 
     @pytest.mark.parametrize("model", [SIGN_MODEL, SHIFTED_SPHERE], ids=["sign", "sphere"])
-    def test_traced_peak_stays_within_two_blocks(self, model):
-        vecs = (X, Y, vec_at(0.5), vec_at(2.5))
-        chsh_lhv(model, *vecs, n=lhv.BLOCK_SIZE, seed=1)  # warm any lazy caches
+    @pytest.mark.parametrize("estimate", [
+        lambda model, n: chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=1),
+        lambda model, n: estimate_E(model, X, vec_at(0.5), n=n, seed=1),
+    ], ids=["chsh", "E"])
+    def test_traced_peak_stays_within_one_block(self, estimate, model):
+        estimate(model, lhv.BLOCK_SIZE)  # warm any lazy caches
         tracemalloc.start()
         try:
-            chsh_lhv(model, *vecs, n=4 * lhv.BLOCK_SIZE, seed=1)
+            estimate(model, 4 * lhv.BLOCK_SIZE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
