@@ -1,9 +1,12 @@
 """Replay a recorded corpus of CLI runs: every report and exit code must stay
 byte-identical.  A usage error pins only its exit code 2 and an empty
-stdout, not its wording.
+stdout, not its wording.  Each run that is not a usage error is also pinned
+at ``--precision 17`` in JSON, which prints every float's shortest exact
+repr, so a change in a value's last bit fails here too.
 
-``python tests/test_golden.py`` re-records ``golden_cli.json`` from the
-current code, for a change that means to alter a report.
+``PYTHONPATH=src python tests/test_golden.py`` (run from the repository
+root) re-records ``golden_cli.json`` from the current code, for a change
+that means to alter a report.
 """
 
 import contextlib
@@ -21,7 +24,7 @@ ANGLES = "0.3,1.2,-0.5,2.5"
 POLAR = "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2"
 
 # each run in every format; {tmp} is a fresh directory
-COMMANDS = [
+REPORTS = [
     "chsh",
     "chsh --oracle",
     f"chsh --angles {ANGLES}",
@@ -60,7 +63,8 @@ COMMANDS = [
     "optimize --scenario coherent --eta 0.2 --sigma 0.3 --phi 2 --restarts 1",
     "optimize --scenario mermin3 --restarts 1",
     "optimize --scenario mermin4 --restarts 1",
-    # usage errors
+]
+USAGE_ERRORS = [
     "optimize --scenario warp-drive",
     "optimize --scenario gisin",
     "optimize --scenario gisin --n 2",
@@ -71,8 +75,10 @@ COMMANDS = [
     "spin --j 1.3",
     "chsh --out {tmp}/missing/report.json",
 ]
-RUNS = [f"{command} --format {fmt}" for command in COMMANDS
-        for fmt in ("text", "json", "csv")]
+COMMANDS = REPORTS + USAGE_ERRORS
+RUNS = ([f"{command} --format {fmt}" for command in COMMANDS
+         for fmt in ("text", "json", "csv")]
+        + [f"{command} --precision 17 --format json" for command in REPORTS])
 
 
 def run(command: str, tmp: pathlib.Path) -> dict:
