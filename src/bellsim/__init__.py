@@ -17,7 +17,8 @@ _EXPORTS = {
         "commutator", "expectation", "is_dichotomic",
         "operator_norm", "tensor_op", "tensor_state",
     ), "linalg"),
-    **dict.fromkeys(("DEFAULT_CUTOFF", "NumericGuardError", "TSIRELSON_BOUND"), "limits"),
+    **dict.fromkeys(("DEFAULT_CUTOFF", "NumericGuardError", "TSIRELSON_BOUND", "classify"),
+                    "limits"),
     **dict.fromkeys((
         "bell_state", "cat_state_pair", "cat_state_single", "coherent_state",
         "entangled_coherent", "ghz_state", "gisin_family_state", "is_product", "r_state",
@@ -29,9 +30,9 @@ _EXPORTS = {
         "pseudospin_operators", "spin_matrices",
     ), "observables"),
     **dict.fromkeys((
-        "CorrelatorReport", "chsh_coherent", "chsh_gisin", "chsh_phi0_phase",
-        "chsh_phi0_polar", "chsh_rstate", "chsh_spin_j", "chsh_squeezed",
-        "generic_correlator", "mermin3_ghz", "mermin4_ghz", "spin_j_max",
+        "chsh_coherent", "chsh_gisin", "chsh_phi0_phase", "chsh_phi0_polar",
+        "chsh_rstate", "chsh_spin_j", "chsh_squeezed", "mermin3_ghz", "mermin4_ghz",
+        "spin_j_max",
     ), "correlators"),
     **dict.fromkeys((
         "OptimizationResult", "Scenario", "make_scenario", "maximize_violation",

@@ -3,8 +3,10 @@
 Each subcommand evaluates one named scenario with the closed-form route by
 default (matrix route behind --oracle, parameter search behind --optimize)
 and renders a uniform report: scenario, params, settings, value, bounds and
-the violation verdict.  Exit codes: 0 success, 2 usage error, 1 numeric
-guard failure or a stdout closed before the report was written.
+the violation verdict of ``limits.classify``, which makes a value past its
+quantum bound a numeric guard failure.  Exit codes: 0 success, 2 usage
+error, 1 numeric guard failure or a stdout closed before the report was
+written.
 
 The parser checks every argument against the numpy-free rules of
 ``bellsim.limits``, and each handler checks the rest of its argv before it
@@ -25,7 +27,7 @@ import sys
 from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, LHV_MODELS,
                      MAX_RESTARTS, MAX_SAMPLES, SCENARIOS, TSIRELSON_BOUND, NumericGuardError,
                      _check_cutoff, _check_family_n, _check_finite, _check_scenario,
-                     _check_unit)
+                     _check_unit, classify)
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -96,9 +98,7 @@ def _emit(report: dict, args, parser) -> None:
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
 
 
-def _single_report(scenario, params, settings, value,
-                   classical=CHSH_CLASSICAL_BOUND, quantum=TSIRELSON_BOUND,
-                   bound_guard=0.0):
+def _single_report(scenario, params, settings, value, classical, quantum, bound_guard=0.0):
     # closed-form paths classify strictly; optimizer paths pass a small guard
     # so the refinement's float noise cannot promote a threshold case
     return {
@@ -108,7 +108,7 @@ def _single_report(scenario, params, settings, value,
         "value": float(value),
         "classical_bound": float(classical),
         "quantum_bound": float(quantum),
-        "violated": bool(abs(value) > classical + bound_guard),
+        "violated": classify(value, classical, quantum, bound_guard),
     }
 
 
@@ -294,9 +294,10 @@ def cmd_chsh(args, parser):
 
 def cmd_gisin(args, parser):
     from .optimize import table_gisin
-    classical = SCENARIOS["gisin"].classical_bound
+    spec = SCENARIOS["gisin"]
     rows = [
-        {"n": n, "value": float(v), "violated": bool(v > classical + _OPT_BOUND_GUARD)}
+        {"n": n, "value": float(v),
+         "violated": classify(v, spec.classical_bound, spec.quantum_bound, _OPT_BOUND_GUARD)}
         for n, v in table_gisin(args.n_list, restarts=args.restarts, seed=args.seed)
     ]
     return {"scenario": "gisin", "params": {"restarts": args.restarts, "seed": args.seed},
@@ -333,7 +334,8 @@ def cmd_lhv(args, parser):
                  n=args.samples, seed=args.seed)
     report = _single_report("lhv", {"model": args.model, "samples": args.samples,
                                     "seed": args.seed},
-                            [x for v in args.vectors for x in v], est.mean)
+                            [x for v in args.vectors for x in v], est.mean,
+                            CHSH_CLASSICAL_BOUND, TSIRELSON_BOUND)
     report["std_error"] = est.std_error
     report["quantum_value"] = lhv.singlet_quantum_chsh(*args.vectors)
     return report

@@ -1,8 +1,10 @@
 """Closed-form correlators for each state family.
 
 Every function here is the algebraic expectation of the CHSH (or Mermin)
-combination on its state family; each one is cross-checked against the
-generic matrix route in the test suite.  All formulas broadcast over numpy
+combination on its state family; the test suite cross-checks each one
+against the matrix route, which applies each party's observables to the
+state (``linalg.expectation``, and a phase-flip scenario's ``oracle``).
+All formulas broadcast over numpy
 arrays, so a batch of parameter points evaluates in one call.  Each distinct
 cosine and sine of a call is computed once, and every sum and product keeps
 the order of the written formula, so a value does not depend on how its
@@ -12,12 +14,10 @@ terms were shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import CHSH_CLASSICAL_BOUND, TSIRELSON_BOUND, NumericGuardError, _check_squeezing
-from .linalg import DenseOperator, StateVector, expectation
+from .limits import TSIRELSON_BOUND, NumericGuardError, _check_squeezing
 from .observables import _M4_SIGNS
 
 # Standard maximizing phases (alpha, alpha', beta, beta') for the cos(a+b)
@@ -31,47 +31,6 @@ STANDARD_MERMIN_ANGLES = {
     3: (0.0, np.pi / 2, -np.pi / 4, np.pi / 4, -np.pi / 4, np.pi / 4),
     4: tuple(v for _ in range(4) for v in (np.pi / 16, np.pi / 16 + np.pi / 2)),
 }
-
-
-@dataclass(frozen=True)
-class CorrelatorReport:
-    """A correlator value classified against its classical/quantum bounds."""
-
-    value: float
-    classical_bound: float
-    quantum_bound: float
-    violated: bool
-    settings: tuple = ()
-
-    def __post_init__(self):
-        if abs(self.value) > self.quantum_bound + 1e-9:
-            raise ValueError(
-                f"|value| = {abs(self.value)} exceeds the quantum bound "
-                f"{self.quantum_bound}"
-            )
-
-
-def generic_correlator(state: StateVector, operator: DenseOperator,
-                       classical_bound: float = CHSH_CLASSICAL_BOUND,
-                       quantum_bound: float = TSIRELSON_BOUND,
-                       settings: tuple = ()) -> CorrelatorReport:
-    """Matrix-route correlator <psi|O|psi> classified against its bounds.
-
-    Violation is strict: |value| must exceed the classical bound, threshold
-    cases count as non-violations.
-    """
-    val = expectation(operator, state)
-    if operator.hermitian and abs(val.imag) > 1e-10:
-        raise ValueError(f"Hermitian expectation came out complex: {val}")
-    value = float(val.real)
-    settings_t = tuple(np.atleast_1d(settings).tolist()) if np.size(settings) else ()
-    return CorrelatorReport(
-        value=value,
-        classical_bound=float(classical_bound),
-        quantum_bound=float(quantum_bound),
-        violated=bool(abs(value) > classical_bound),
-        settings=settings_t,
-    )
 
 
 # ---------------------------------------------------------------------------

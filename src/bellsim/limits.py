@@ -1,5 +1,5 @@
-"""Bounds, defaults, input checks, the scenario table and the built-in LHV
-model names, none of which need numpy.
+"""Bounds, the violation verdict, defaults, input checks, the scenario table
+and the built-in LHV model names, none of which need numpy.
 
 The command line reads these while it parses its arguments, before it loads
 any numeric module; the numeric modules import what they use from here, so
@@ -33,6 +33,17 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 class NumericGuardError(ValueError):
     """A numeric precondition failed (normalization, truncation tail, ...)."""
+
+
+def classify(value, classical_bound, quantum_bound, guard=0.0) -> bool:
+    """Whether a CHSH or Mermin ``value`` violates local realism: |value|
+    above ``classical_bound + guard``, so a threshold value does not.
+    Raises NumericGuardError when |value| exceeds ``quantum_bound``, which
+    no quantum state does, by more than 1e-9, and for NaN."""
+    if not abs(value) <= quantum_bound + 1e-9:
+        raise NumericGuardError(f"|value| = {abs(value)} exceeds the quantum bound "
+                                f"{quantum_bound}")
+    return bool(abs(value) > classical_bound + guard)
 
 
 def _check_cutoff(cutoff: int) -> int:

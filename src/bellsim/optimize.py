@@ -26,9 +26,9 @@ import numpy as np
 
 from . import correlators as co
 from . import linalg, observables, states
-from .limits import (DEFAULT_CUTOFF, MAX_RESTARTS, SCENARIOS, TSIRELSON_BOUND,
-                     _check_cutoff, _check_family_n, _check_scenario, _check_spin,
-                     _check_squeezing)
+from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, MAX_RESTARTS, SCENARIOS,
+                     TSIRELSON_BOUND, NumericGuardError, _check_cutoff, _check_family_n,
+                     _check_scenario, _check_spin, _check_squeezing)
 from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
@@ -65,7 +65,7 @@ class Scenario:
     evaluator: object
     ndim: int
     polar_mate: dict = field(default_factory=dict)
-    classical_bound: float = co.CHSH_CLASSICAL_BOUND
+    classical_bound: float = CHSH_CLASSICAL_BOUND
     quantum_bound: float = TSIRELSON_BOUND
     params: dict = field(default_factory=dict)
     oracle: object = None
@@ -247,14 +247,19 @@ def _phase_scenario(name, closed_form, state, scheme, build_operator, defaults,
     and an oracle that applies ``build_operator`` to one phase-flip
     observable per setting on ``state()``.  The oracle builds the state per
     call, so a truncation guard fails the oracle route only and the closed
-    form never pays for it."""
+    form never pays for it; it raises NumericGuardError when the expectation
+    of a Hermitian operator comes out with an imaginary part above 1e-10."""
     spec = SCENARIOS[name]
     ndim = 2 * spec.parties
 
     def oracle(settings):
         psi = state()
         obs = [observables.phase_flip_observable(s, scheme) for s in settings]
-        return linalg.expectation(build_operator(*obs), psi).real
+        operator = build_operator(*obs)
+        value = linalg.expectation(operator, psi)
+        if operator.hermitian and abs(value.imag) > 1e-10:
+            raise NumericGuardError(f"Hermitian expectation came out complex: {value}")
+        return value.real
 
     return Scenario(name, lambda p: closed_form(*(p[..., i] for i in range(ndim))), ndim,
                     classical_bound=spec.classical_bound, quantum_bound=spec.quantum_bound,

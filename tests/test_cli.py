@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bellsim
+from bellsim import correlators, lhv, linalg, optimize
 from bellsim.cli import main, render_report
 
 
@@ -284,6 +285,27 @@ def test_scenario_command_loads_neither_lhv_nor_numpy_random():
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert out.splitlines()[-1] == "False False"
+
+
+_expectation = linalg.expectation
+
+
+@pytest.mark.parametrize("module, name, fake, argv", [
+    (correlators, "chsh_phi0_phase", lambda *angles: 3.0, ["chsh"]),
+    (linalg, "expectation", lambda op, psi: _expectation(op, psi) + 1e-9j, ["chsh", "--oracle"]),
+    (optimize, "maximize_violation",
+     lambda *args, **kwargs: optimize.OptimizationResult(3.0, (0.0,) * 8, 1, True),
+     ["chsh", "--optimize"]),
+    (optimize, "table_gisin", lambda *args, **kwargs: [(3, 3.0)], ["gisin", "--n-list", "3"]),
+    (lhv, "chsh_lhv", lambda *args, **kwargs: lhv.LhvEstimate(-3.0, 0.0, 1), ["lhv"]),
+], ids=["closed-form", "complex-oracle", "optimize", "gisin", "lhv"])
+def test_value_no_quantum_state_reaches_is_a_guard_failure(capsys, monkeypatch,
+                                                            module, name, fake, argv):
+    monkeypatch.setattr(module, name, fake)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "numeric guard failure" in err
+    assert "Traceback" not in err
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -12,11 +12,12 @@ from bellsim import (
     chsh_rstate,
     chsh_spin_j,
     chsh_squeezed,
+    classify,
     entangled_coherent,
     expectation,
-    generic_correlator,
     ghz_state,
     gisin_family_state,
+    make_scenario,
     mermin3_ghz,
     mermin3_operator,
     mermin4_ghz,
@@ -29,7 +30,6 @@ from bellsim import (
     tensor_state,
 )
 from bellsim.correlators import (
-    CorrelatorReport,
     STANDARD_CHSH_ANGLES,
     STANDARD_CHSH_ANGLES_DIFF,
     STANDARD_MERMIN_ANGLES,
@@ -349,41 +349,43 @@ class TestMerminClosedForms:
         assert np.all(np.abs(v4) <= SCENARIOS["mermin4"].quantum_bound + 1e-9)
 
 
-class TestGenericCorrelator:
+class TestClassify:
+    """The verdict on matrix-route values: ``linalg.expectation`` of a CHSH
+    operator, and the scenario oracles."""
+
     def test_product_state_never_violates(self):
         rng = np.random.default_rng(193)
         psi = r_state(0.0)
         for _ in range(50):
             p = np.concatenate([rng.uniform(0, np.pi, 4), rng.uniform(0, 2 * np.pi, 4)])
             obs = [polar_observable(p[i], p[4 + i]) for i in range(4)]
-            report = generic_correlator(psi, chsh_operator(*obs), settings=p)
-            assert abs(report.value) <= 2.0 + 1e-12
-            assert not report.violated
+            value = expectation(chsh_operator(*obs), psi)
+            assert abs(value.imag) <= 1e-10
+            assert abs(value.real) <= 2.0 + 1e-12
+            assert not classify(value.real, 2.0, TSIRELSON_BOUND)
 
     def test_bell_state_at_maximizing_angles(self):
-        obs = [phase_flip_observable(a, PairingScheme.qubit()) for a in STANDARD_CHSH_ANGLES]
-        report = generic_correlator(bell_state(0), chsh_operator(*obs))
-        assert report.value == pytest.approx(TSIRELSON_BOUND, abs=1e-10)
-        assert report.violated
+        scenario = make_scenario("chsh-phase")
+        value = scenario.oracle(STANDARD_CHSH_ANGLES)
+        assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-10)
+        assert classify(value, scenario.classical_bound, scenario.quantum_bound)
 
     def test_ghz4_optimal(self):
-        scheme = PairingScheme.qubit()
-        obs = [phase_flip_observable(a, scheme) for a in STANDARD_MERMIN_ANGLES[4]]
-        report = generic_correlator(ghz_state(4), mermin4_operator(*obs),
-                                    classical_bound=2.0,
-                                    quantum_bound=SCENARIOS["mermin4"].quantum_bound)
-        assert report.value == pytest.approx(4 * SQRT2, abs=1e-10)
-        assert report.violated
+        scenario = make_scenario("mermin4")
+        value = scenario.oracle(STANDARD_MERMIN_ANGLES[4])
+        assert value == pytest.approx(4 * SQRT2, abs=1e-10)
+        assert classify(value, scenario.classical_bound, scenario.quantum_bound)
 
     def test_threshold_is_not_a_violation(self):
-        report = CorrelatorReport(value=2.0, classical_bound=2.0,
-                                  quantum_bound=TSIRELSON_BOUND, violated=False)
-        assert not report.violated
+        assert not classify(2.0, 2.0, TSIRELSON_BOUND)
 
-    def test_quantum_bound_enforced(self):
-        with pytest.raises(ValueError):
-            CorrelatorReport(value=3.0, classical_bound=2.0,
-                             quantum_bound=TSIRELSON_BOUND, violated=True)
+    @pytest.mark.parametrize("value", [3.0, -TSIRELSON_BOUND - 2e-9, float("nan")])
+    def test_quantum_bound_enforced(self, value):
+        with pytest.raises(NumericGuardError):
+            classify(value, 2.0, TSIRELSON_BOUND)
+
+    def test_quantum_bound_holds_within_its_tolerance(self):
+        assert classify(-TSIRELSON_BOUND - 1e-9, 2.0, TSIRELSON_BOUND)
 
 
 class TestTensorConsistency:
