@@ -25,8 +25,8 @@ _EXPORTS = {
         "spin_singlet", "squeezed_state", "symmetric_coherent",
     ), "states"),
     **dict.fromkeys((
-        "PairingScheme", "SignedKronSum", "chsh_operator", "mermin3_operator",
-        "mermin4_operator", "phase_flip_observable", "polar_observable",
+        "PairingScheme", "PhaseFlipObservable", "SignedKronSum", "chsh_operator",
+        "mermin3_operator", "mermin4_operator", "phase_flip_observable", "polar_observable",
         "pseudospin_operators", "spin_matrices",
     ), "observables"),
     **dict.fromkeys((

@@ -85,6 +85,11 @@ class DenseOperator:
         """O|vec> for a flat amplitude vector."""
         return self.matrix @ vec
 
+    def apply_along(self, vec: np.ndarray, left: int) -> np.ndarray:
+        """O applied to the tensor axis of the flat ``vec`` that has ``left``
+        entries of the earlier axes before it; the result is flat like ``vec``."""
+        return (self.matrix @ vec.reshape(left, self.dim, -1)).reshape(-1)
+
     def __add__(self, other):
         return DenseOperator(self.matrix + other.matrix)
 

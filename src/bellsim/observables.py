@@ -5,11 +5,17 @@ sign: a phase-flip observable maps the first index of each pair p -> e^(i a) q
 and q -> e^(-i a) p; basis index 0 of a qubit is spin-up; Fock pairs are
 (even, odd); spin pairs are (m, -m) with positive m first and, for integer
 spin, |0> left fixed with diagonal entry +1.
+
+A phase-flip observable is kept as its scheme's permutation times one phase
+per basis index (``PhaseFlipObservable``), so a Bell or Mermin operator built
+from them acts on a state in O(D) per term for joint dimension D and no d x d
+matrix is formed unless ``.matrix`` is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,23 +73,97 @@ class PairingScheme:
         fixed = (twoj // 2,) if twoj % 2 == 0 else ()
         return cls(pairs=pairs, fixed_points=fixed)
 
+    @cached_property
+    def pair_indices(self) -> tuple:
+        """(first, second): index arrays of each pair's p and of its q."""
+        first, second = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        return first, second
 
-def phase_flip_observable(phases, scheme: PairingScheme) -> DenseOperator:
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        """perm[p] = q and perm[q] = p for each pair, perm[f] = f for each
+        fixed point: row i of a phase-flip observable has its entry in column
+        perm[i].  Built once per scheme and shared read-only."""
+        first, second = self.pair_indices
+        perm = np.arange(self.dim)
+        perm[first], perm[second] = second, first
+        perm.setflags(write=False)
+        return perm
+
+
+class PhaseFlipObservable:
+    """Dichotomic observable held as a permutation times phases.
+
+    Row i of the matrix has one entry, ``coef[i]`` in column ``perm[i]``, so
+    the operator acts on one tensor axis as a gather by ``perm`` and a
+    multiply by ``coef``.  ``perm`` is an involution and ``coef`` holds
+    e^(i a) at q, e^(-i a) at p and 1 at each fixed point, which makes the
+    operator Hermitian and dichotomic by construction.  ``matrix`` is built
+    on first access, for operator identities on small spaces.  Built by
+    ``phase_flip_observable``, which shares ``perm`` across its scheme.
+    """
+
+    __slots__ = ("perm", "coef", "_matrix")
+    hermitian = True
+
+    def __init__(self, perm: np.ndarray, coef: np.ndarray):
+        coef.setflags(write=False)
+        self.perm = perm
+        self.coef = coef
+        self._matrix = None
+
+    @property
+    def dim(self) -> int:
+        return self.perm.size
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """O|vec> for a flat amplitude vector."""
+        return self.apply_along(vec, 1)
+
+    def apply_along(self, vec: np.ndarray, left: int) -> np.ndarray:
+        """O applied to the tensor axis of the flat ``vec`` that has ``left``
+        entries of the earlier axes before it; the result is flat like ``vec``.
+        One gather by ``perm`` and one in-place multiply by ``coef``."""
+        vec = np.asarray(vec, dtype=np.complex128)  # no copy when already complex
+        out = vec.reshape(left, self.dim, -1).take(self.perm, axis=1)
+        out *= self.coef[:, None]
+        return out.reshape(-1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            mat[np.arange(self.dim), self.perm] = self.coef
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
+
+    def __matmul__(self, other):
+        return DenseOperator(self.matrix @ other.matrix)
+
+    def __repr__(self):
+        return f"PhaseFlipObservable(dim={self.dim})"
+
+
+def phase_flip_observable(phases, scheme: PairingScheme) -> PhaseFlipObservable:
     """Dichotomic operator flipping each pair with its own phase.
 
     ``phases`` is one angle applied to every pair or a sequence with one angle
     per pair.  Entry (q, p) gets e^(i a), (p, q) gets e^(-i a); fixed points
     get +1 on the diagonal.  The result is Hermitian and squares to identity.
+    It is kept as ``scheme.permutation`` times one phase per row, in O(d)
+    memory; its d x d ``matrix`` is built only on first access.
     """
-    npairs = len(scheme.pairs)
-    al = np.broadcast_to(np.asarray(phases, dtype=float), (npairs,))
-    mat = np.zeros((scheme.dim, scheme.dim), dtype=np.complex128)
-    for (p, q), a in zip(scheme.pairs, al):
-        mat[q, p] = np.exp(1j * a)
-        mat[p, q] = np.exp(-1j * a)
-    for f in scheme.fixed_points:
-        mat[f, f] = 1.0
-    return DenseOperator(mat)
+    al = np.asarray(phases, dtype=float)
+    if al.ndim:  # one angle per pair; a single angle broadcasts in the assignments
+        al = np.broadcast_to(al, (len(scheme.pairs),))
+    if not np.isfinite(al).all():
+        raise NumericGuardError("phase-flip phases must be finite")
+    first, second = scheme.pair_indices
+    coef = np.ones(scheme.dim, dtype=np.complex128)
+    coef[second] = np.exp(1j * al)
+    coef[first] = np.exp(-1j * al)
+    return PhaseFlipObservable(scheme.permutation, coef)
 
 
 def polar_observable(theta: float, alpha: float) -> DenseOperator:
@@ -133,9 +213,10 @@ def spin_matrices(j):
     return DenseOperator(jx), DenseOperator(jy), DenseOperator(jz)
 
 
-def _require_dichotomic(*ops: DenseOperator) -> None:
+def _require_dichotomic(*ops) -> None:
     for k, op in enumerate(ops):
-        if not is_dichotomic(op):
+        # a phase-flip observable is dichotomic by construction
+        if not isinstance(op, PhaseFlipObservable) and not is_dichotomic(op):
             raise ValueError(f"operator #{k} is not dichotomic Hermitian")
 
 
@@ -144,10 +225,12 @@ def _require_dichotomic(*ops: DenseOperator) -> None:
 MAX_DENSE_DIM = 2048
 
 
-def _along(op: np.ndarray, vec: np.ndarray, left: int) -> np.ndarray:
-    """``op`` applied to the tensor axis of ``vec`` that has ``left`` entries
-    of the earlier axes before it; the result is flat like ``vec``."""
-    return (op @ vec.reshape(left, op.shape[0], -1)).reshape(-1)
+def _merge(x, lo: np.ndarray, x_p, hi: np.ndarray, left: int) -> np.ndarray:
+    """X on ``lo`` plus X' on ``hi``, both along the axis after ``left``
+    entries, summed in place so one temporary is alive at a time."""
+    out = x.apply_along(lo, left)
+    out += x_p.apply_along(hi, left)
+    return out
 
 
 class SignedKronSum:
@@ -156,19 +239,21 @@ class SignedKronSum:
     ``settings`` lists each party's unprimed and primed observable in turn;
     |x| counts the primed choices, so ``signs`` has one entry per count.
     The joint matrix is never needed to evaluate the sum on a state:
-    ``apply`` acts with each party's observables along its own tensor axis.
+    ``apply`` acts with each party's observables through their
+    ``apply_along``, each on its own tensor axis.
     ``matrix`` builds the joint matrix on first access, for operator
     identities on small spaces, and refuses above ``MAX_DENSE_DIM``.
 
-    ``hermitian`` follows from checked facts: every factor is Hermitian
-    (``_require_dichotomic``) and every sign is real and finite, so each term
-    is a real multiple of a Kronecker product of Hermitian matrices, and a
-    real combination of Hermitian matrices is Hermitian.
+    ``hermitian`` follows from checked facts: every factor is Hermitian (a
+    phase flip by construction, any other by ``_require_dichotomic``) and
+    every sign is real and finite, so each term is a real multiple of a
+    Kronecker product of Hermitian matrices, and a real combination of
+    Hermitian matrices is Hermitian.
     """
 
     __slots__ = ("signs", "parties", "hermitian", "_matrix")
 
-    def __init__(self, signs, *settings: DenseOperator):
+    def __init__(self, signs, *settings):
         parties = tuple(zip(settings[0::2], settings[1::2]))
         for x, x_p in parties:
             if x.dim != x_p.dim:
@@ -194,17 +279,29 @@ class SignedKronSum:
         return [signs[s] * x.matrix + signs[s + 1] * x_p.matrix
                 for s in range(len(self.parties))]
 
+    def _apply_first_party(self, vec: np.ndarray) -> list:
+        """Each of ``_first_party_shifts`` applied to ``vec``.  Two phase flips
+        on one permutation combine their coefficients, entry for entry as the
+        dense sum does, and share one gather."""
+        (x, x_p), signs = self.parties[0], self.signs
+        if (isinstance(x, PhaseFlipObservable) and isinstance(x_p, PhaseFlipObservable)
+                and np.array_equal(x.perm, x_p.perm)):
+            gathered = vec.reshape(x.dim, -1).take(x.perm, axis=0)
+            return [((signs[s] * x.coef + signs[s + 1] * x_p.coef)[:, None]
+                     * gathered).reshape(-1) for s in range(len(self.parties))]
+        return [(m @ vec.reshape(x.dim, -1)).reshape(-1) for m in self._first_party_shifts()]
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The sum applied to a flat amplitude vector, in O(n^2 D d) for n
-        parties of dimension d and joint dimension D."""
+        parties of dimension d and joint dimension D, and O(n^2 D) when
+        every party measures phase flips."""
         # partial[s] holds the parties so far against the sign table shifted
         # by s primed choices; each later party merges neighbouring shifts,
         # as kron(lo, x) + kron(hi, x_p) does in ``matrix``
-        partial = [_along(m, vec, 1) for m in self._first_party_shifts()]
+        partial = self._apply_first_party(vec)
         left = self.parties[0][0].dim
         for x, x_p in self.parties[1:]:
-            partial = [_along(x.matrix, lo, left) + _along(x_p.matrix, hi, left)
-                       for lo, hi in zip(partial, partial[1:])]
+            partial = [_merge(x, lo, x_p, hi, left) for lo, hi in zip(partial, partial[1:])]
             left *= x.dim
         return partial[0]
 

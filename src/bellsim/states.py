@@ -83,6 +83,16 @@ def coherent_amplitudes(z: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     return amps * np.exp(-abs(z) ** 2 / 2.0)
 
 
+def _reflected(amps: np.ndarray) -> np.ndarray:
+    """The coherent amplitudes at -z from those at z: negating z negates
+    every odd power exactly, so this is amps times (-1)^n.  Adding +0.0 turns
+    the -0.0 imaginary parts the sign flip leaves into +0.0, so for real z
+    the result is ``coherent_amplitudes(-z)`` byte for byte."""
+    parity = np.ones(amps.size)
+    parity[1::2] = -1.0
+    return amps * parity + 0.0
+
+
 def _guard_tail(amps: np.ndarray, what: str) -> None:
     leak = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if leak > TAIL_TOL:
@@ -114,7 +124,7 @@ def entangled_coherent(eta: float, sigma: float, phi: float,
     _guard_tail(ce, f"coherent state z={eta}")
     _guard_tail(cs, f"coherent state z={sigma}")
     plus = np.kron(ce, cs)
-    minus = np.kron(coherent_amplitudes(-eta, cutoff), coherent_amplitudes(-sigma, cutoff))
+    minus = np.kron(_reflected(ce), _reflected(cs))
     return StateVector(plus + np.exp(1j * phi) * minus, (cutoff, cutoff))
 
 
@@ -137,7 +147,7 @@ def cat_state_single(eta: float, sign: int, cutoff: int = DEFAULT_CUTOFF) -> Sta
         raise ValueError("sign must be +1 or -1")
     ce = coherent_amplitudes(eta, cutoff)
     _guard_tail(ce, f"coherent state z={eta}")
-    amps = ce + sign * coherent_amplitudes(-eta, cutoff)
+    amps = ce + sign * _reflected(ce)
     if np.linalg.norm(amps) ** 2 < 1e-12:
         raise NumericGuardError(
             f"cat state with sign {sign:+d} at eta={eta} is the zero vector"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from bellsim import (
     NumericGuardError,
     PairingScheme,
     StateVector,
+    PhaseFlipObservable,
     chsh_operator,
     commutator,
+    entangled_coherent,
     expectation,
     ghz_state,
     is_dichotomic,
@@ -29,6 +33,7 @@ from bellsim.observables import (
     TSIRELSON_BOUND,
     SignedKronSum,
 )
+from bellsim import observables
 
 from helpers import random_phase_observable, random_qubit_observable
 
@@ -85,6 +90,152 @@ class TestPhaseFlip:
     def test_per_pair_phase_count_enforced(self):
         with pytest.raises(ValueError):
             phase_flip_observable([0.1, 0.2, 0.3], PairingScheme.even_odd(4))
+
+    @pytest.mark.parametrize("phases", [np.inf, -np.inf, np.nan, [0.1, np.inf], [np.nan, 0.2]])
+    def test_non_finite_phase_is_guard_error_without_warning(self, phases):
+        # checked before np.exp, which would warn first; pytest turns any
+        # warning into an error, so a warning fails this test
+        with pytest.raises(NumericGuardError, match="finite"):
+            phase_flip_observable(phases, PairingScheme.even_odd(4))
+
+
+def _entrywise_matrix(phases, scheme):
+    """The phase-flip matrix written entry by entry, as the dense form did."""
+    al = np.broadcast_to(np.asarray(phases, dtype=float), (len(scheme.pairs),))
+    mat = np.zeros((scheme.dim, scheme.dim), dtype=np.complex128)
+    for (p, q), a in zip(scheme.pairs, al):
+        mat[q, p] = np.exp(1j * a)
+        mat[p, q] = np.exp(-1j * a)
+    for f in scheme.fixed_points:
+        mat[f, f] = 1.0
+    return mat
+
+
+# qubit, Fock pairs, spin with a fixed point (j = 3) and without (j = 5/2)
+STRUCTURED_SCHEMES = [PairingScheme.qubit(),
+                      *(PairingScheme.even_odd(c) for c in (4, 8, 16, 32, 64)),
+                      PairingScheme.spin_reflection(3), PairingScheme.spin_reflection(2.5)]
+SCHEME_IDS = ["qubit", *(f"fock-{c}" for c in (4, 8, 16, 32, 64)), "spin-3", "spin-2.5"]
+
+
+class TestStructuredPhaseFlip:
+    @pytest.mark.parametrize("scheme", STRUCTURED_SCHEMES, ids=SCHEME_IDS)
+    def test_matrix_equals_entrywise_construction_bytes(self, scheme):
+        rng = np.random.default_rng(61)
+        for phases in (0.0, -2.5, 1e3, *rng.uniform(-10.0, 10.0, (20, len(scheme.pairs)))):
+            op = phase_flip_observable(phases, scheme)
+            assert isinstance(op, PhaseFlipObservable) and op.dim == scheme.dim
+            assert op.matrix.tobytes() == _entrywise_matrix(phases, scheme).tobytes()
+            # Hermitian exactly: np.exp(-1j a) is conj(np.exp(1j a)) bit for bit
+            assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+    def test_negated_phase_is_conjugate_bitwise(self):
+        a = np.random.default_rng(67).uniform(-1e3, 1e3, 100_000)
+        assert np.exp(-1j * a).tobytes() == np.exp(1j * a).conj().tobytes()
+
+    @pytest.mark.parametrize("scheme", STRUCTURED_SCHEMES, ids=SCHEME_IDS)
+    def test_permutation_is_a_cached_involution(self, scheme):
+        perm = scheme.permutation
+        assert perm is scheme.permutation and not perm.flags.writeable
+        assert np.array_equal(perm[perm], np.arange(scheme.dim))
+        assert [f for f in range(scheme.dim) if perm[f] == f] == list(scheme.fixed_points)
+        assert phase_flip_observable(0.3, scheme).perm is perm
+
+    @pytest.mark.parametrize("scheme", STRUCTURED_SCHEMES, ids=SCHEME_IDS)
+    def test_apply_along_matches_the_matrix(self, scheme):
+        rng = np.random.default_rng(71)
+        op = random_phase_observable(rng, scheme)
+        for left, right in ((1, 1), (1, 3), (2, 1), (3, 2)):
+            vec = rng.standard_normal(left * op.dim * right)  # real input too
+            dense = DenseOperator(op.matrix).apply_along(vec, left)
+            assert np.max(np.abs(op.apply_along(vec, left) - dense)) < 1e-15
+        vec = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        assert np.max(np.abs(op.apply(vec) - op.matrix @ vec)) < 1e-15
+
+    def test_signed_sum_skips_the_square_for_phase_flips(self, monkeypatch):
+        # dichotomic by construction: no O @ O check; dense factors still get one
+        checked = []
+        monkeypatch.setattr(observables, "is_dichotomic",
+                            lambda op: checked.append(op) or True)
+        scheme = PairingScheme.even_odd(4)
+        chsh_operator(*(phase_flip_observable(a, scheme) for a in STANDARD_CHSH_ANGLES))
+        assert checked == []
+        polar = polar_observable(0.3, 0.2)
+        chsh_operator(phase_flip_observable(0.1, PairingScheme.qubit()), polar, polar, polar)
+        assert len(checked) == 3
+
+
+def _dense_copy(op):
+    """The same observable as a DenseOperator: the matrix route, applied by matmul."""
+    return DenseOperator(op.matrix)
+
+
+def _polar_draw(rng):
+    return polar_observable(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+
+
+@pytest.mark.parametrize("scheme, build, parties", [
+    *((s, chsh_operator, 2) for s in STRUCTURED_SCHEMES),
+    (PairingScheme.qubit(), mermin3_operator, 3),
+    (PairingScheme.even_odd(4), mermin3_operator, 3),
+    (PairingScheme.spin_reflection(1), mermin3_operator, 3),
+    (PairingScheme.qubit(), mermin4_operator, 4),
+    (PairingScheme.even_odd(4), mermin4_operator, 4),
+], ids=[*(f"chsh-{i}" for i in SCHEME_IDS), "mermin3-qubit", "mermin3-fock-4",
+        "mermin3-spin-1", "mermin4-qubit", "mermin4-fock-4"])
+def test_structured_route_matches_dense_route(scheme, build, parties):
+    rng = np.random.default_rng(73)
+    for _ in range(5):
+        obs = [random_phase_observable(rng, scheme) for _ in range(2 * parties)]
+        op = build(*obs)
+        psi = _random_state(rng, op.dim)
+        value = expectation(op, psi)
+        assert abs(value - expectation(build(*map(_dense_copy, obs)), psi)) < 1e-13
+        if op.dim <= MAX_DENSE_DIM:
+            assert abs(value - np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)) < 1e-13
+
+
+@pytest.mark.parametrize("order", ["phase-then-polar", "polar-then-phase", "mixed-first"])
+def test_chsh_with_polar_factors_matches_matrix(order):
+    # polar (dense) factors beside phase flips: each party applies its own way
+    rng = np.random.default_rng(79)
+    scheme = PairingScheme.qubit()
+    for _ in range(10):
+        phase = [random_phase_observable(rng, scheme) for _ in range(2)]
+        polar = [_polar_draw(rng) for _ in range(2)]
+        settings = {"phase-then-polar": phase + polar, "polar-then-phase": polar + phase,
+                    "mixed-first": [phase[0], polar[0], polar[1], phase[1]]}[order]
+        op = chsh_operator(*settings)
+        psi = _random_state(rng, 4)
+        direct = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)
+        assert abs(expectation(op, psi) - direct) < 1e-13
+
+
+class TestOracleMemory:
+    """No accepted input allocates d^2 per setting on the oracle route."""
+
+    def _peak_mib(self, build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_one_observable_at_cutoff_1024_under_one_mib(self):
+        scheme = PairingScheme.even_odd(1024)  # the dense form peaked at 64 MiB
+        assert self._peak_mib(lambda: phase_flip_observable(0.4, scheme)) < 1.0
+
+    def test_chsh_expectation_at_cutoff_1024_within_six_vectors(self):
+        # a joint amplitude vector at cutoff 1024 is 16 MiB; the dense route
+        # peaked at 160 MiB
+        scheme = PairingScheme.even_odd(1024)
+
+        def run():
+            obs = [phase_flip_observable(a, scheme) for a in STANDARD_CHSH_ANGLES]
+            return expectation(chsh_operator(*obs), entangled_coherent(1.0, 0.8, 0.3, 1024))
+
+        assert self._peak_mib(run) <= 96.0
 
 
 class TestPolar:

@@ -20,9 +20,9 @@ from bellsim import (
     symmetric_coherent,
     tensor_op,
 )
-from bellsim.linalg import DenseOperator
+from bellsim.linalg import DenseOperator, StateVector
 from bellsim.limits import MAX_CUTOFF, MAX_TWOJ, _check_cutoff, _check_spin
-from bellsim.states import coherent_amplitudes
+from bellsim.states import _reflected, coherent_amplitudes
 
 from helpers import schmidt_rank_bruteforce
 
@@ -180,6 +180,36 @@ class TestCoherent:
         floor = math.exp(-radius**2) * sum(radius ** (2 * k) / math.factorial(k)
                                            for k in range(20))
         assert abs(acc[19, 19] - 1.0) == pytest.approx(floor, abs=5e-5)
+
+
+class TestReflectedBranch:
+    """The -z branch as the +z amplitudes times (-1)^n, not a second recurrence."""
+
+    @pytest.mark.parametrize("cutoff", [2, 20, 64, 200])
+    def test_parity_form_is_the_minus_z_recurrence_bytes(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        for z in (0.0, 0.3, -0.3, *rng.uniform(-0.9, 0.9, 20) * math.sqrt(cutoff)):
+            expected = coherent_amplitudes(-z, cutoff)
+            assert _reflected(coherent_amplitudes(z, cutoff)).tobytes() == expected.tobytes()
+
+    def test_parity_form_equals_the_recurrence_for_complex_z(self):
+        # equal values; only the sign of a zero may differ off the real axis
+        for z in (0.5 + 0.5j, -1.2 + 0.3j, 2j):
+            assert np.array_equal(_reflected(coherent_amplitudes(z, 40)),
+                                  coherent_amplitudes(-z, 40))
+
+    @pytest.mark.parametrize("eta, sigma, phi", [
+        (0.4, 0.8, 0.9), (1.0, 0.2, np.pi), (0.7, 0.7, 0.0), (-0.6, 0.5, 0.0), (-1.1, -0.3, -6.5)])
+    def test_states_unchanged_bytes(self, eta, sigma, phi):
+        cutoff = 40
+        ce, cs = coherent_amplitudes(eta, cutoff), coherent_amplitudes(sigma, cutoff)
+        ce_m, cs_m = coherent_amplitudes(-eta, cutoff), coherent_amplitudes(-sigma, cutoff)
+        four_runs = np.kron(ce, cs) + np.exp(1j * phi) * np.kron(ce_m, cs_m)
+        expected = StateVector(four_runs, (cutoff, cutoff)).amplitudes
+        assert entangled_coherent(eta, sigma, phi, cutoff).amplitudes.tobytes() == expected.tobytes()
+        for sign in (1, -1):
+            expected = StateVector(ce + sign * ce_m).amplitudes
+            assert cat_state_single(eta, sign, cutoff).amplitudes.tobytes() == expected.tobytes()
 
 
 class TestEntangledCoherent:
