@@ -154,8 +154,15 @@ def _block(model: LhvModel, side_a, side_b, combine, square: int, seed: int,
     for start in range(0, size, _CHUNK):
         # the sampler draws in sequence, so chunked draws are the block's rows
         rows = model.sample(rng, min(_CHUNK, size - start))
-        c = combine([np.asarray(model.response_a(v, rows), dtype=np.int64) for v in side_a],
-                    [np.asarray(model.response_b(v, rows), dtype=np.int64) for v in side_b])
+        ra = [np.asarray(model.response_a(v, rows), dtype=np.int64) for v in side_a]
+        rb = [np.asarray(model.response_b(v, rows), dtype=np.int64) for v in side_b]
+        # release the rows and the responses once spent, so the next chunk
+        # never holds them beside its own; c and sq go when rebound, since
+        # freeing the whole chunk at once lets glibc trim the heap, and the
+        # next draw faults it back in
+        del rows
+        c = combine(ra, rb)
+        del ra, rb
         sq = c * c
         total += int(c.sum())
         total_sq += int(sq.sum())

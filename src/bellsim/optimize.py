@@ -235,15 +235,26 @@ def table_gisin(n_values, restarts: int = 8, seed: int = 0):
 # Scenario factories
 # ---------------------------------------------------------------------------
 
-def _polar8_scenario(name, correlator, *args, params=None):
+def _on_columns(form):
+    """The evaluator form(p[..., 0], p[..., 1], ...): one argument per parameter."""
+    return lambda p: form(*(p[..., i] for i in range(p.shape[-1])))
+
+
+def _on_pairs(form, *args):
+    """The evaluator form(*args, p[..., 0:2], p[..., 2:4], ...): each party's
+    two settings as one slice of p, not copied."""
+    return lambda p: form(*args, *(p[..., k:k + 2] for k in range(0, p.shape[-1], 2)))
+
+
+def _polar8_scenario(name, pair_form, *args, params=None):
     # parameter order: theta, theta', omega, omega', alpha, alpha', beta, beta'
-    return Scenario(name, lambda p: correlator(*args, *(p[..., i] for i in range(8))), 8,
+    return Scenario(name, _on_pairs(pair_form, *args), 8,
                     polar_mate={0: 4, 1: 5, 2: 6, 3: 7}, params=params or {})
 
 
-def _phase_scenario(name, closed_form, state, scheme, build_operator, defaults,
+def _phase_scenario(name, evaluator, state, scheme, build_operator, defaults,
                     params=None) -> Scenario:
-    """``SCENARIOS[name]`` on two phases per party: ``closed_form`` of them,
+    """``SCENARIOS[name]`` on two phases per party: ``evaluator`` of them,
     and an oracle that applies ``build_operator`` to one phase-flip
     observable per setting on ``state()``.  The oracle builds the state per
     call, so a truncation guard fails the oracle route only and the closed
@@ -261,7 +272,7 @@ def _phase_scenario(name, closed_form, state, scheme, build_operator, defaults,
             raise NumericGuardError(f"Hermitian expectation came out complex: {value}")
         return value.real
 
-    return Scenario(name, lambda p: closed_form(*(p[..., i] for i in range(ndim))), ndim,
+    return Scenario(name, evaluator, ndim,
                     classical_bound=spec.classical_bound, quantum_bound=spec.quantum_bound,
                     params=params or {}, oracle=oracle, defaults=defaults)
 
@@ -269,28 +280,28 @@ def _phase_scenario(name, closed_form, state, scheme, build_operator, defaults,
 def scenario_chsh_phase(bell_index=0) -> Scenario:
     """Phase-flip CHSH on a Bell state.  The closed form is the one of Bell
     index 0; the oracle evaluates the indexed state."""
-    return _phase_scenario("chsh-phase", co.chsh_phi0_phase,
+    return _phase_scenario("chsh-phase", _on_columns(co.chsh_phi0_phase),
                            partial(states.bell_state, bell_index), PairingScheme.qubit(),
                            observables.chsh_operator, co.STANDARD_CHSH_ANGLES)
 
 
 def scenario_chsh_polar() -> Scenario:
-    return _polar8_scenario("chsh-polar", co.chsh_phi0_polar)
+    return _polar8_scenario("chsh-polar", co._chsh_phi0_polar_pairs)
 
 
 def scenario_product_state() -> Scenario:
     # |+-> is the r-state at r = 0
-    return _polar8_scenario("product-state", co.chsh_rstate, 0.0)
+    return _polar8_scenario("product-state", co._chsh_rstate_pairs, 0.0)
 
 
 def scenario_gisin(n) -> Scenario:
     n = _check_family_n(n)
-    return _polar8_scenario("gisin", co.chsh_gisin, n, params={"n": n})
+    return _polar8_scenario("gisin", co._chsh_gisin_pairs, n, params={"n": n})
 
 
 def scenario_r_state(r) -> Scenario:
     r = float(r)
-    return _polar8_scenario("r-state", co.chsh_rstate, r, params={"r": r})
+    return _polar8_scenario("r-state", co._chsh_rstate_pairs, r, params={"r": r})
 
 
 def scenario_spin(j) -> Scenario:
@@ -312,7 +323,7 @@ def scenario_spin(j) -> Scenario:
 
 def scenario_squeezed(lam, cutoff=DEFAULT_CUTOFF) -> Scenario:
     lam, cutoff = _check_squeezing(lam), _check_cutoff(cutoff)
-    return _phase_scenario("squeezed", partial(co.chsh_squeezed, lam),
+    return _phase_scenario("squeezed", _on_columns(partial(co.chsh_squeezed, lam)),
                            partial(states.squeezed_state, lam, cutoff=cutoff),
                            PairingScheme.even_odd(cutoff), observables.chsh_operator,
                            co.STANDARD_CHSH_ANGLES, params={"lam": lam})
@@ -322,7 +333,7 @@ def scenario_coherent(eta, sigma, phi, cutoff=DEFAULT_CUTOFF) -> Scenario:
     eta, sigma, phi = float(eta), float(sigma), float(phi)
     cutoff = _check_cutoff(cutoff)
     return _phase_scenario(
-        "coherent", partial(co.chsh_coherent, eta, sigma, phi),
+        "coherent", _on_pairs(co._chsh_coherent_pairs, eta, sigma, phi),
         partial(states.entangled_coherent, eta, sigma, phi, cutoff=cutoff),
         PairingScheme.even_odd(cutoff), observables.chsh_operator,
         co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0 else co.STANDARD_CHSH_ANGLES,
@@ -331,15 +342,15 @@ def scenario_coherent(eta, sigma, phi, cutoff=DEFAULT_CUTOFF) -> Scenario:
 
 def scenario_mermin3() -> Scenario:
     # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
-    return _phase_scenario("mermin3", co.mermin3_ghz, partial(states.ghz_state, 3),
+    return _phase_scenario("mermin3", _on_columns(co.mermin3_ghz), partial(states.ghz_state, 3),
                            PairingScheme.qubit(), observables.mermin3_operator,
                            co.STANDARD_MERMIN_ANGLES[3])
 
 
 def scenario_mermin4() -> Scenario:
-    return _phase_scenario("mermin4", co.mermin4_ghz, partial(states.ghz_state, 4),
-                           PairingScheme.qubit(), observables.mermin4_operator,
-                           co.STANDARD_MERMIN_ANGLES[4])
+    return _phase_scenario("mermin4", _on_pairs(co._mermin4_ghz_pairs),
+                           partial(states.ghz_state, 4), PairingScheme.qubit(),
+                           observables.mermin4_operator, co.STANDARD_MERMIN_ANGLES[4])
 
 
 def make_scenario(name: str, **params) -> Scenario:

@@ -123,9 +123,12 @@ def entangled_coherent(eta: float, sigma: float, phi: float,
     ce, cs = coherent_amplitudes(eta, cutoff), coherent_amplitudes(sigma, cutoff)
     _guard_tail(ce, f"coherent state z={eta}")
     _guard_tail(cs, f"coherent state z={sigma}")
-    plus = np.kron(ce, cs)
-    minus = np.kron(_reflected(ce), _reflected(cs))
-    return StateVector(plus + np.exp(1j * phi) * minus, (cutoff, cutoff))
+    # e^(i phi) |-eta,-sigma> + |eta,sigma>, built in place: addition
+    # commutes, so these are the bits of |eta,sigma> + e^(i phi) |-eta,-sigma>
+    amps = np.kron(_reflected(ce), _reflected(cs))
+    amps *= np.exp(1j * phi)
+    amps += np.kron(ce, cs)
+    return StateVector(amps, (cutoff, cutoff))
 
 
 def symmetric_coherent(eta: float, sigma: float, phi: float,

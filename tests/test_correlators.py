@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from bellsim import (
     squeezed_state,
     tensor_state,
 )
+from bellsim import optimize
 from bellsim.correlators import (
     STANDARD_CHSH_ANGLES,
     STANDARD_CHSH_ANGLES_DIFF,
@@ -180,6 +183,18 @@ class TestChshSpin:
     def test_wrong_phase_count(self):
         with pytest.raises(ValueError):
             chsh_spin_j(1.5, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("j", [1.3, 0, -0.5, float("nan"), 513])
+    def test_invalid_spin_is_refused(self, j):
+        # the error the CLI and scenario_spin give: 1.3 no longer reads as
+        # 3/2, nor 0 and -0.5 as spins
+        match = "positive integer or half-integer"
+        with pytest.raises(ValueError, match=match):
+            spin_j_max(j)
+        with pytest.raises(ValueError, match=match):
+            chsh_spin_j(j, *np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=match):
+            make_scenario("spin", j=j)
 
 
 class TestChshCoherent:
@@ -512,3 +527,132 @@ class TestSharedTrigKeepsEveryBit:
         # a zero angle sum, where dropping sum()'s leading 0 flips a sign
         zeros = [-0.0] * 8
         assert _same_bits(mermin4_ghz(*zeros), _term_by_term_mermin4(*zeros))
+
+
+# ---------------------------------------------------------------------------
+# Each CHSH form evaluates its correlator once, on the 2x2 grid of the two
+# parties' setting pairs, and Mermin-4 its 16 cosines in one call.  The
+# references below are the forms they replaced: four correlator calls, and
+# sixteen cosine calls; the values must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def _four_calls(e, x, x_p, y, y_p):
+    return e(x, y) + e(x_p, y) + e(x, y_p) - e(x_p, y_p)
+
+
+def _four_call_polar(e):
+    # e on (cos theta, sin theta, phase) settings, parameter order
+    # (theta, theta', omega, omega', alpha, alpha', beta, beta')
+    def chsh(t, tp, o, op, a, ap, b, bp):
+        def s(theta, phase):
+            return np.cos(theta), np.sin(theta), phase
+
+        return _four_calls(e, s(t, a), s(tp, ap), s(o, b), s(op, bp))
+
+    return chsh
+
+
+_four_call_phi0_polar = _four_call_polar(
+    lambda x, y: x[0] * y[0] + x[1] * y[1] * np.cos(x[2] + y[2]))
+
+
+def _four_call_gisin(n, *p):
+    return _four_calls(lambda x, y: gisin_ab(n, x[0], y[0], x[1], y[1]),
+                       (p[0], p[4]), (p[1], p[5]), (p[2], p[6]), (p[3], p[7]))
+
+
+def _four_call_rstate(r, *p):
+    k = r / (0.5 + 0.5 * r * r)
+    return _four_call_polar(
+        lambda x, y: k * x[1] * y[1] * np.cos(x[2] - y[2]) - x[0] * y[0])(*p)
+
+
+def _four_call_coherent(eta, sigma, phi, a, ap, b, bp):
+    delta = coherent_pair_series(eta) * coherent_pair_series(sigma)
+    cp = np.cos(phi)
+
+    def term(x, y):
+        return x[0] * y[0] - cp * x[1] * y[1]
+
+    return 4.0 * coherent_omega(eta, sigma, phi) * delta * _four_calls(
+        term, (np.cos(a), np.sin(a)), (np.cos(ap), np.sin(ap)),
+        (np.cos(b), np.sin(b)), (np.cos(bp), np.sin(bp)))
+
+
+def _sixteen_call_mermin4(a, a_p, b, b_p, c, c_p, d, d_p):
+    sums = [a, a_p]
+    for pair in ((b, b_p), (c, c_p), (d, d_p)):
+        sums = [s + x for s in sums for x in pair]
+    total = 0.0
+    for bits, s in zip(np.ndindex(2, 2, 2, 2), sums):
+        total = total + _M4_SIGNS[sum(bits)] * np.cos(s)
+    return -total / 2.0
+
+
+# every scenario whose evaluator hands its closed form the setting pairs:
+# (name, params) -> the replaced form on the scenario's parameter order
+PAIR_GRID_CASES = [
+    (("gisin", {"n": 3}), partial(_four_call_gisin, 3)),
+    (("gisin", {"n": 1000}), partial(_four_call_gisin, 1000)),
+    (("chsh-polar", {}), _four_call_phi0_polar),
+    (("r-state", {"r": 0.999}), partial(_four_call_rstate, 0.999)),
+    (("r-state", {"r": -1.7}), partial(_four_call_rstate, -1.7)),
+    (("product-state", {}), partial(_four_call_rstate, 0.0)),
+    (("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
+     partial(_four_call_coherent, 0.4, 0.7, 2.0)),
+    (("mermin4", {}), _sixteen_call_mermin4),
+]
+
+
+class TestPairGridKeepsEveryBit:
+    # angles whose sums and products hit exact zeros of both signs
+    EDGES = np.array([0.0, -0.0, np.pi, -np.pi, 0.5 * np.pi, 1.0, -1.0])
+
+    @staticmethod
+    def probes(ndim, rows=64):
+        """The search's evaluator inputs: (rows, 4, d) and (rows, 3, d) step
+        probes, an (rows, d) batch and one (d,) point, random and on edges."""
+        rng = np.random.default_rng(ndim)
+        x = rng.uniform(-2 * np.pi, 2 * np.pi, (rows, ndim))
+        edges = rng.choice(TestPairGridKeepsEveryBit.EDGES, (rows, ndim))
+        out = [x, edges, x[0], -0.0 * x[0], 0.0 * x[0]]
+        for base in (x, edges):
+            for probe_at, cols in ((optimize.PROBE[2], [0, ndim // 2]), (optimize.PROBE[1], [1])):
+                probe = np.repeat(base[:, None, :], len(probe_at), axis=1)
+                probe[:, :, cols] = probe_at
+                out.append(probe)
+        return out
+
+    @pytest.mark.parametrize("case, reference", PAIR_GRID_CASES,
+                             ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                                  for (n, kw), _ in PAIR_GRID_CASES])
+    def test_scenario_evaluator_is_the_replaced_form(self, case, reference):
+        name, params = case
+        scenario = make_scenario(name, **params)
+        for p in self.probes(scenario.ndim):
+            expected = reference(*(p[..., i] for i in range(scenario.ndim)))
+            assert _same_bits(scenario.evaluator(p), expected)
+
+    @pytest.mark.parametrize("form, reference", [
+        (partial(chsh_gisin, 5), partial(_four_call_gisin, 5)),
+        (chsh_phi0_polar, _four_call_phi0_polar),
+        (partial(chsh_rstate, 0.5), partial(_four_call_rstate, 0.5)),
+        (mermin4_ghz, _sixteen_call_mermin4),
+    ], ids=["gisin", "phi0-polar", "rstate", "mermin4"])
+    def test_public_form_keeps_scalars_and_broadcasting(self, form, reference):
+        scalar = form(*np.linspace(0.1, 0.8, 8))
+        assert type(scalar) is np.float64
+        assert _same_bits(scalar, reference(*np.linspace(0.1, 0.8, 8)))
+        rng = np.random.default_rng(31)
+        # scalars, rows and columns mixed: the result takes their broadcast shape
+        args = [0.3, rng.uniform(-4, 4, 5), -0.0, rng.uniform(-4, 4, (3, 1)),
+                rng.uniform(-4, 4, (3, 5)), 1.0, rng.uniform(-4, 4, 5), np.float64(2.5)]
+        value = form(*args)
+        assert value.shape == (3, 5)
+        assert _same_bits(value, reference(*args))
+
+    def test_coherent_public_form(self):
+        args = (0.3, np.linspace(-3, 3, 7), -0.0, np.linspace(0, 1, 7)[:, None])
+        assert _same_bits(chsh_coherent(0.4, 0.7, 2.0, *args),
+                          _four_call_coherent(0.4, 0.7, 2.0, *args))
+        assert type(chsh_coherent(0.4, 0.7, 2.0, 0.1, 0.2, 0.3, 0.4)) is np.float64

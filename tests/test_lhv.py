@@ -269,16 +269,16 @@ class TestDichotomyFailures:
 
 class TestWorkingSet:
     # one block of lam is BLOCK_SIZE * 3 float64 = 1.5 MiB; the estimate draws
-    # and answers one chunk at a time, so it never holds a whole block of lam,
-    # whatever n is
-    LIMIT = lhv.BLOCK_SIZE * 3 * 8
-
+    # and answers one chunk at a time and releases its rows and responses
+    # once spent, so it never holds a whole block of lam, whatever n is.
+    # While they were kept through the next chunk, CHSH peaked at 771 KiB and
+    # E at 514 KiB (sign) and 643 KiB (sphere), against 587-643 and 458-514.
     @pytest.mark.parametrize("model", [SIGN_MODEL, SHIFTED_SPHERE], ids=["sign", "sphere"])
-    @pytest.mark.parametrize("estimate", [
-        lambda model, n: chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=1),
-        lambda model, n: estimate_E(model, X, vec_at(0.5), n=n, seed=1),
+    @pytest.mark.parametrize("estimate, limit_kib", [
+        (lambda model, n: chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=1), 700),
+        (lambda model, n: estimate_E(model, X, vec_at(0.5), n=n, seed=1), 560),
     ], ids=["chsh", "E"])
-    def test_traced_peak_stays_within_one_block(self, estimate, model):
+    def test_traced_peak_stays_within_one_block(self, estimate, limit_kib, model):
         estimate(model, lhv.BLOCK_SIZE)  # warm any lazy caches
         tracemalloc.start()
         try:
@@ -286,7 +286,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.LIMIT
+        assert peak <= limit_kib * 1024
 
 
 class TestQuantumReference:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +200,11 @@ class TestReflectedBranch:
                                   coherent_amplitudes(-z, 40))
 
     @pytest.mark.parametrize("eta, sigma, phi", [
-        (0.4, 0.8, 0.9), (1.0, 0.2, np.pi), (0.7, 0.7, 0.0), (-0.6, 0.5, 0.0), (-1.1, -0.3, -6.5)])
+        (0.4, 0.8, 0.9), (1.0, 0.2, np.pi), (0.7, 0.7, 0.0), (-0.6, 0.5, 0.0), (-1.1, -0.3, -6.5),
+        *np.random.default_rng(113).uniform((-2.5, -2.5, -7.0), (2.5, 2.5, 7.0), (40, 3)).tolist()])
     def test_states_unchanged_bytes(self, eta, sigma, phi):
+        # entangled_coherent sums e^(i phi) minus + plus in place; addition
+        # commutes, so it holds the bits of the written plus + e^(i phi) minus
         cutoff = 40
         ce, cs = coherent_amplitudes(eta, cutoff), coherent_amplitudes(sigma, cutoff)
         ce_m, cs_m = coherent_amplitudes(-eta, cutoff), coherent_amplitudes(-sigma, cutoff)
@@ -230,6 +234,18 @@ class TestEntangledCoherent:
             raw = plus + np.exp(1j * phi) * minus
             factor = 1.0 / np.sqrt(2.0 * (1.0 + np.cos(phi) * np.exp(-2 * (eta**2 + sigma**2))))
             assert abs(np.linalg.norm(factor * raw) - 1.0) < 1e-9
+
+    def test_traced_peak_at_cutoff_1024(self):
+        # one joint vector at cutoff 1024 is 16 MiB; the build held four of
+        # them (65 MiB) before it summed the branches in place (33 MiB)
+        entangled_coherent(1.0, 0.8, 0.3, 16)
+        tracemalloc.start()
+        try:
+            entangled_coherent(1.0, 0.8, 0.3, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2 ** 20
 
     def test_tail_guard(self):
         with pytest.raises(NumericGuardError):
