@@ -254,9 +254,8 @@ def _scenario_report(args, parser, scenario, params, settings=None):
         name = scenario.name.removesuffix("-phase") + "-oracle"
         value = scenario.oracle(settings)
     else:
-        import numpy as np
         name = scenario.name
-        value = scenario.evaluator(np.array(settings))
+        value = scenario.value(settings)
     return _single_report(name, params, settings, float(value),
                           scenario.classical_bound, scenario.quantum_bound)
 

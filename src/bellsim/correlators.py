@@ -1,20 +1,18 @@
 """Closed-form correlators for each state family.
 
-Every function here is the algebraic expectation of the CHSH (or Mermin)
-combination on its state family; the test suite cross-checks each one
-against the matrix route, which applies each party's observables to the
-state (``linalg.expectation``, and a phase-flip scenario's ``oracle``).
-All formulas broadcast over numpy
-arrays, so a batch of parameter points evaluates in one call.  The CHSH
-forms of the polar families and of the coherent state, and the order-4
-Mermin form, work on setting pairs: each party's two settings on a last axis
-of length 2 (``_pair`` stacks them for the public one-argument-per-angle
-functions; the search's evaluators pass slices of their parameter array).  A
-CHSH form takes each party's cosines and sines once on its pair and
-evaluates its correlator once, on the 2x2 grid of the two parties' settings;
-the Mermin form takes its 16 cosines in one call.  Every sum and product
-keeps the order of the written formula, so a value does not depend on how
-its terms were shared.
+Every observable is a unit vector: a polar qubit observable is its Bloch
+vector in the axis order (z, x, y), (cos theta, sin theta cos alpha,
+sin theta sin alpha), and a phase flip of phase t is (cos t, sin t).  Every
+closed form is multilinear in these vectors.  On two parties E(a, b) = a.T b,
+T the state's correlation matrix in the same coordinates (Horodecki^3, PLA
+200, 340 (1995)); each family is its T literal, derived in its docstring,
+and ``chsh`` contracts any T.  The Mermin forms on GHZ states are one O(n)
+product of complex numbers, in real arithmetic (``mabk``).  The public forms
+keep one argument per angle and convert them with ``settings_of``; the
+search's evaluators pass the vectors directly.  Every form broadcasts, the
+vector components on the last axis.  The tests check each form against the
+matrix route, which applies each party's observables to the state, and
+against 50-digit references.
 """
 
 from __future__ import annotations
@@ -24,7 +22,11 @@ import math
 import numpy as np
 
 from .limits import TSIRELSON_BOUND, NumericGuardError, _check_spin, _check_squeezing
-from .observables import _M4_SIGNS
+
+# unused here: importing it keeps the order in which a process that loads
+# this module first loads bellsim, and that order sets where the heap ends;
+# without it lhv-montecarlo wall_s read about 6 % higher (18 benchmark pairs)
+from . import observables  # noqa: F401
 
 # Standard maximizing phases (alpha, alpha', beta, beta') for the cos(a+b)
 # family; they yield 2 sqrt(2) on the first Bell state.
@@ -37,130 +39,134 @@ STANDARD_MERMIN_ANGLES = {
     3: (0.0, np.pi / 2, -np.pi / 4, np.pi / 4, -np.pi / 4, np.pi / 4),
     4: tuple(v for _ in range(4) for v in (np.pi / 16, np.pi / 16 + np.pi / 2)),
 }
-# the sign of each order-4 Mermin term, in np.ndindex(2, 2, 2, 2) order
-_M4_SIGN_ROW = np.array([_M4_SIGNS[sum(bits)] for bits in np.ndindex(2, 2, 2, 2)])
+
+
+def settings_of(angles, width):
+    """The settings (..., S, width) of an angle vector on a last axis: one
+    phase t per setting, (cos t, sin t), or the S polar angles theta then the
+    S azimuths alpha, (cos theta, sin theta cos alpha, sin theta sin alpha)."""
+    a = np.asarray(angles, dtype=float)
+    if width == 2:
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+    theta, alpha = np.split(a, 2, axis=-1)
+    st = np.sin(theta)
+    return np.stack([np.cos(theta), st * np.cos(alpha), st * np.sin(alpha)], axis=-1)
+
+
+def angles_of(x):
+    """The angle vector of settings ``x`` (..., S, w): theta in [0, pi],
+    phases and azimuths in [0, 2 pi)."""
+    phase = np.arctan2(x[..., -1], x[..., -2]) % (2.0 * np.pi)
+    # a tiny negative angle wraps to 2 pi itself
+    phase = np.where(phase < 2.0 * np.pi, phase, 0.0)
+    if x.shape[-1] == 2:
+        return phase
+    theta = np.arctan2(np.hypot(x[..., 1], x[..., 2]), x[..., 0])
+    return np.concatenate([theta, phase], axis=-1)
+
+
+def _stacked(width, *angles):
+    """The settings of angles given one argument each, broadcast together."""
+    return settings_of(np.stack(np.broadcast_arrays(*angles), axis=-1), width)
+
+
+_SUM_DIFF = np.array([[1.0], [-1.0]])
+
+
+def chsh(t, x):
+    """E(a, b) + E(a', b) + E(a, b') - E(a', b') = a.t(b + b') + a'.t(b - b')
+    for E(a, b) = a.t b, on the settings x[..., k, :] = a, a', b, b': every
+    two-party CHSH form.  A number t is the matrix t I."""
+    y = x[..., 2:3, :] + _SUM_DIFF * x[..., 3:4, :]  # b + b', b - b'
+    ty = t * y if np.ndim(t) == 0 else np.einsum("ij,...kj->...ki", t, y)
+    return np.einsum("...ki,...ki->...", x[..., 0:2, :], ty)
 
 
 # ---------------------------------------------------------------------------
 # Two-qubit closed forms
 # ---------------------------------------------------------------------------
 
+# (|00> + |11>)/sqrt(2): <s_z s_z> = <s_x s_x> = 1 and <s_y s_y> = -1, so
+# E = cos t cos o + sin t sin o cos(a + b); its (x, y) block on phases,
+# E = cos(a + b)
+T_PHI0_POLAR = np.diag([1.0, 1.0, -1.0])
+T_PHI0_PHASE = np.diag([1.0, -1.0])
+
+
 def chsh_phi0_phase(alpha, alpha_p, beta, beta_p):
     """CHSH on the first Bell state with phase-flip observables:
     cos(a+b) + cos(a'+b) + cos(a+b') - cos(a'+b')."""
-    return (np.cos(alpha + beta) + np.cos(alpha_p + beta)
-            + np.cos(alpha + beta_p) - np.cos(alpha_p + beta_p))
-
-
-def _pair(u, u_p):
-    """A party's two settings u, u' on a last axis of length 2."""
-    return np.stack(np.broadcast_arrays(u, u_p), axis=-1)
-
-
-def _chsh_grid(e, x, y):
-    """e(x, y) + e(x', y) + e(x, y') - e(x', y'): the CHSH combination of the
-    correlator ``e``, evaluated once on the 2x2 grid of settings.  Every entry
-    of Alice's setting tuple ``x`` and Bob's ``y`` holds the party's two
-    settings on its last axis; v[..., i, j] is e at Alice's i and Bob's j."""
-    v = e(tuple(u[..., :, None] for u in x), tuple(u[..., None, :] for u in y))
-    return v[..., 0, 0] + v[..., 1, 0] + v[..., 0, 1] - v[..., 1, 1]
-
-
-def _cos_sin(angle):
-    return np.cos(angle), np.sin(angle)
-
-
-def _chsh_phi0_polar_pairs(thetas, omegas, alphas, betas):
-    def e(x, y):
-        (ct, st, a), (co, so, b) = x, y
-        return ct * co + st * so * np.cos(a + b)
-
-    return _chsh_grid(e, (*_cos_sin(thetas), alphas), (*_cos_sin(omegas), betas))
+    return chsh(T_PHI0_PHASE, _stacked(2, alpha, alpha_p, beta, beta_p))
 
 
 def chsh_phi0_polar(theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on the first Bell state with full polar observables; reduces to
     chsh_phi0_phase at theta = theta' = omega = omega' = pi/2."""
-    return _chsh_phi0_polar_pairs(_pair(theta, theta_p), _pair(omega, omega_p),
-                                  _pair(alpha, alpha_p), _pair(beta, beta_p))
+    return chsh(T_PHI0_POLAR, _stacked(3, theta, theta_p, omega, omega_p,
+                                       alpha, alpha_p, beta, beta_p))
 
 
-def _gisin_setting(theta, phase):
-    """What the N-family correlator reads of one polar setting:
-    (cos theta, sin theta, cos phase, phase)."""
-    return (*_cos_sin(theta), np.cos(phase), phase)
-
-
-def _gisin_e(n, x, y):
-    """<A (x) B> on the N-family state from two ``_gisin_setting`` tuples."""
-    (ct, st, ca, a), (co, so, cb, b) = x, y
-    s3 = math.sqrt(n - 3.0)
-    return (ct * co * (n - 4.0)
-            + 2.0 * ct * so * (1.0 - s3) * cb
-            + 2.0 * st * co * (1.0 - s3) * ca
-            + 2.0 * st * so * (s3 * np.cos(a + b) + np.cos(a - b))) / float(n)
+def gisin_correlation(n):
+    """T of the N-family state (1, 1, 1, s)/sqrt(N), s = sqrt(N - 3), in
+    (z, x, y) order: <s_z s_z> = (1 - 1 - 1 + s^2)/N = (N - 4)/N,
+    <s_z s_x> = <s_x s_z> = 2(1 - s)/N, <s_x s_x> = 2(1 + s)/N and
+    <s_y s_y> = 2(1 - s)/N; the real amplitudes make every y-mixed entry 0."""
+    if n < 3:
+        raise ValueError(f"family parameter N must be >= 3, got {n}")
+    s, n = math.sqrt(n - 3.0), float(n)
+    off = 2.0 * (1.0 - s) / n
+    return np.array([[(n - 4.0) / n, off, 0.0], [off, 2.0 * (1.0 + s) / n, 0.0],
+                     [0.0, 0.0, off]])
 
 
 def gisin_ab(n, theta, omega, alpha, beta):
-    """Single-setting correlator <A (x) B> on the N-family state."""
-    return _gisin_e(n, _gisin_setting(theta, alpha), _gisin_setting(omega, beta))
-
-
-def _chsh_gisin_pairs(n, thetas, omegas, alphas, betas):
-    if n < 3:
-        raise ValueError(f"family parameter N must be >= 3, got {n}")
-    return _chsh_grid(lambda x, y: _gisin_e(n, x, y), _gisin_setting(thetas, alphas),
-                      _gisin_setting(omegas, betas))
+    """Single-setting correlator <A (x) B> = a.T b on the N-family state."""
+    x = _stacked(3, theta, omega, alpha, beta)
+    return np.einsum("...i,ij,...j->...", x[..., 0, :], gisin_correlation(n), x[..., 1, :])
 
 
 def chsh_gisin(n, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on the N-family state with polar observables."""
-    return _chsh_gisin_pairs(n, _pair(theta, theta_p), _pair(omega, omega_p),
-                             _pair(alpha, alpha_p), _pair(beta, beta_p))
+    return chsh(gisin_correlation(n), _stacked(3, theta, theta_p, omega, omega_p,
+                                               alpha, alpha_p, beta, beta_p))
 
 
-def _chsh_rstate_pairs(r, thetas, omegas, alphas, betas):
+def rstate_correlation(r):
+    """T of (|+-> + r|-+>)/sqrt(1+r^2) in (z, x, y) order: diag(-1, k, k),
+    k = 2r/(1+r^2), since s_x s_x and s_y s_y both swap |+-> and |-+>."""
     # 2r/(1 + r^2) without the inf/inf of 2r and r^2 past 1.3e154
     k = r / (0.5 + 0.5 * r * r)
-
-    def e(x, y):
-        (ct, st, a), (co, so, b) = x, y
-        return k * st * so * np.cos(a - b) - ct * co
-
-    return _chsh_grid(e, (*_cos_sin(thetas), alphas), (*_cos_sin(omegas), betas))
+    return np.diag([-1.0, k, k])
 
 
 def chsh_rstate(r, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on (|+-> + r|-+>)/sqrt(1+r^2) with polar observables."""
-    return _chsh_rstate_pairs(r, _pair(theta, theta_p), _pair(omega, omega_p),
-                              _pair(alpha, alpha_p), _pair(beta, beta_p))
+    return chsh(rstate_correlation(float(r)), _stacked(3, theta, theta_p, omega, omega_p,
+                                                       alpha, alpha_p, beta, beta_p))
 
 
 # ---------------------------------------------------------------------------
 # Spin singlets
 # ---------------------------------------------------------------------------
 
-def chsh_spin_j(j, alphas, alphas_p, betas, betas_p):
-    """CHSH on the spin-j singlet with per-pair phases (last axis indexes the
-    (m, -m) pairs).
+def spin_chsh(twoj, x):
+    """CHSH on the spin-(twoj/2) singlet, on the settings x (..., 4, 2 pairs):
+    each setting's phase vectors of the (m, -m) pairs end to end.  A pair's
+    block is cos(a - b), so T is s I, s = 2/(2j+1), negated for half-integer
+    j; integer j adds s for the unpaired |0>."""
+    s = 2.0 / (twoj + 1.0)
+    return chsh(-s, x) if twoj % 2 else s + chsh(s, x)
 
-    Each pair contributes a cos(a-b) CHSH block scaled by 2/(2j+1); integer j
-    adds the unpaired-|0> constant 2/(2j+1), half-integer j flips the overall
-    sign.  Raises ValueError unless j is a positive integer or half-integer
-    up to ``limits.MAX_TWOJ / 2``.
-    """
+
+def chsh_spin_j(j, alphas, alphas_p, betas, betas_p):
+    """CHSH on the spin-j singlet with per-pair phases, the last axis
+    indexing the (m, -m) pairs (see ``spin_chsh``).  Raises ValueError unless
+    j is a positive integer or half-integer up to ``limits.MAX_TWOJ / 2``."""
     twoj = _check_spin(j)
-    a, ap = np.asarray(alphas, dtype=float), np.asarray(alphas_p, dtype=float)
-    b, bp = np.asarray(betas, dtype=float), np.asarray(betas_p, dtype=float)
-    npairs = (twoj + 1) // 2
-    if a.shape[-1] != npairs:
-        raise ValueError(f"spin j={j} needs {npairs} phases per observable")
-    combo = (np.cos(a - b) + np.cos(ap - b) + np.cos(a - bp)
-             - np.cos(ap - bp)).sum(axis=-1)
-    scale = 2.0 / (twoj + 1.0)
-    if twoj % 2 == 0:
-        return scale * (1.0 + combo)
-    return -scale * combo
+    if np.shape(alphas)[-1:] != ((twoj + 1) // 2,):
+        raise ValueError(f"spin j={j} needs {(twoj + 1) // 2} phases per observable")
+    x = settings_of(np.stack(np.broadcast_arrays(alphas, alphas_p, betas, betas_p), -2), 2)
+    return spin_chsh(twoj, x.reshape(x.shape[:-2] + (-1,)))
 
 
 def spin_j_max(j) -> float:
@@ -210,39 +216,77 @@ def coherent_omega(eta, sigma, phi):
     return np.exp(-s) / norm
 
 
-def _chsh_coherent_pairs(eta, sigma, phi, alphas, betas, max_terms=60):
-    delta = coherent_pair_series(eta, max_terms) * coherent_pair_series(sigma, max_terms)
-    om = coherent_omega(eta, sigma, phi)
-    cp = np.cos(phi)
-
-    def term(x, y):
-        (ca, sa), (cb, sb) = x, y
-        return ca * cb - cp * sa * sb
-
-    return 4.0 * om * delta * _chsh_grid(term, _cos_sin(alphas), _cos_sin(betas))
+def coherent_correlation(eta, sigma, phi, max_terms: int = 60):
+    """T of the entangled coherent state on even/odd phase flips:
+    4 Omega Delta diag(1, -cos phi), i.e. E = 4 Omega Delta (cos a cos b
+    - cos(phi) sin a sin b), with Delta the separable double series."""
+    w = 4.0 * coherent_omega(eta, sigma, phi) * (coherent_pair_series(eta, max_terms)
+                                                 * coherent_pair_series(sigma, max_terms))
+    return np.diag([w, -w * np.cos(phi)])
 
 
 def chsh_coherent(eta, sigma, phi, alpha, alpha_p, beta, beta_p,
                   max_terms: int = 60):
-    """CHSH on the entangled coherent state with even/odd phase observables.
+    """CHSH on the entangled coherent state with even/odd phase observables."""
+    return chsh(coherent_correlation(eta, sigma, phi, max_terms),
+                _stacked(2, alpha, alpha_p, beta, beta_p))
 
-    4 Omega Delta [ (cos a cos b - cos(phi) sin a sin b) + (a', b) + (a, b')
-    - (a', b') ] with Delta the separable double series.
-    """
-    return _chsh_coherent_pairs(eta, sigma, phi, _pair(alpha, alpha_p), _pair(beta, beta_p),
-                                max_terms)
+
+def squeezed_correlation(lam):
+    """T of the two-mode squeezed state on even/odd phase flips: the first
+    Bell state's diag(1, -1) times 2 lam/(1+lam^2)."""
+    f = 2.0 * lam / (1.0 + lam * lam)
+    return np.diag([f, -f])
 
 
 def chsh_squeezed(lam, alpha, alpha_p, beta, beta_p):
     """CHSH on the two-mode squeezed state: 2 lam/(1+lam^2) times the
     first Bell state's ``chsh_phi0_phase``."""
-    lam = _check_squeezing(lam)
-    return 2.0 * lam / (1.0 + lam * lam) * chsh_phi0_phase(alpha, alpha_p, beta, beta_p)
+    return chsh(squeezed_correlation(_check_squeezing(lam)),
+                _stacked(2, alpha, alpha_p, beta, beta_p))
 
 
 # ---------------------------------------------------------------------------
 # Mermin forms on GHZ states
 # ---------------------------------------------------------------------------
+
+_ROW_SIGN = np.array([1.0, -1.0])
+
+
+def mabk(x):
+    """The n-party Mermin value on GHZ of the phase settings x (..., 2n, 2),
+    party k at x[..., 2k, :] = z_k and x[..., 2k + 1, :] = z'_k, each
+    (cos, sin) read as the complex number e^(ia).
+
+    A product term with one setting per party is cos(sum of its phases) =
+    Re(prod z) on GHZ, and the Mermin polynomial weighs a term with m primed
+    settings by t_n(m) = 2^((3-n)/2) Re(w i^m), w = e^(-i pi (n-1)/4).  Since
+    Re(cZ) + Re(c conj(Z)) = 2 Re(c) Re(Z), the whole sum is
+    1/2 2^((3-n)/2) Re(w (P + Q)), P = prod(z_k + i z'_k) and
+    Q = prod(conj(z_k) + i conj(z'_k)), which is O(n).  At n = 3 this is
+    ``mermin3_ghz``, at n = 4 minus ``mermin4_ghz``.
+    """
+    n = x.shape[-2] // 2
+    angle, scale = np.pi * (n - 1) / 4, 0.5 * 2.0 ** ((3 - n) / 2)
+    # scale Re(w) and scale Im(w): 0 or a power of two, rounded to it exactly
+    cr, ci = (round(scale * f(angle) * 2 ** n) / 2 ** n for f in (math.cos, math.sin))
+    # row 0 holds the factors z + i z' of P, row 1 those z - i z' of conj(Q)
+    sign = _ROW_SIGN.reshape((2,) + (1,) * (x.ndim - 1))
+    re = x[..., 0::2, 0] - sign * x[..., 1::2, 1]
+    im = x[..., 0::2, 1] + sign * x[..., 1::2, 0]
+    pr, pi = re[..., 0], im[..., 0]
+    for k in range(1, n - 1):
+        pr, pi = pr * re[..., k] - pi * im[..., k], pr * im[..., k] + pi * re[..., k]
+    ar, ai = re[..., n - 1], im[..., n - 1]
+    value = 0.0  # cr Re(P + Q) + ci Im(P + Q), of the last product only the parts read
+    if cr:
+        real = pr * ar - pi * ai
+        value = cr * (real[0] + real[1])
+    if ci:
+        imag = pr * ai + pi * ar
+        value = value + ci * (imag[0] - imag[1])
+    return value
+
 
 def mermin3_ghz(alpha, alpha_p, beta, beta_p, gamma, gamma_p):
     """Order-3 Mermin combination on the 3-party GHZ state:
@@ -251,25 +295,10 @@ def mermin3_ghz(alpha, alpha_p, beta, beta_p, gamma, gamma_p):
     The matrix route on (|+++> - |--->)/sqrt(2) yields the negative of this
     expression; magnitudes agree, and the classification only uses |value|.
     """
-    return (np.cos(alpha_p + beta + gamma) + np.cos(alpha + beta_p + gamma)
-            + np.cos(alpha + beta + gamma_p) - np.cos(alpha_p + beta_p + gamma_p))
-
-
-def _mermin4_ghz_pairs(a, b, c, d):
-    # the 16 angle sums ((a + b) + c) + d in np.ndindex(2, 2, 2, 2) order.
-    # They start from a, not from sum()'s 0 + a: that changes only the sign
-    # of a zero sum, and cos(-0.0) == cos(0.0).
-    s = (a[..., :, None, None, None] + b[..., None, :, None, None]
-         + c[..., None, None, :, None] + d[..., None, None, None, :])
-    terms = _M4_SIGN_ROW * np.cos(s.reshape(s.shape[:-4] + (16,)))
-    # left to right from 0.0, the written order; np.sum would pair the terms
-    total = 0.0
-    for k in range(16):
-        total = total + terms[..., k]
-    return -total / 2.0
+    return mabk(_stacked(2, alpha, alpha_p, beta, beta_p, gamma, gamma_p))
 
 
 def mermin4_ghz(a, a_p, b, b_p, c, c_p, d, d_p):
     """Order-4 Mermin combination on the 4-party GHZ state, matching the
-    matrix route sign for sign."""
-    return _mermin4_ghz_pairs(_pair(a, a_p), _pair(b, b_p), _pair(c, c_p), _pair(d, d_p))
+    matrix route sign for sign: minus ``mabk`` at n = 4."""
+    return -mabk(_stacked(2, a, a_p, b, b_p, c, c_p, d, d_p))

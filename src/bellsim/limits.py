@@ -17,7 +17,7 @@ DEFAULT_CUTOFF = 40
 MAX_CUTOFF = 1024
 # Largest 2j: a spin party then has dimension 1025, close to MAX_CUTOFF.
 MAX_TWOJ = 1024
-# about 33 s of the 8-parameter N-family search at N = 3 (2-core x86_64)
+# about 12 s of the four-setting N-family search at N = 3 (2-core x86_64)
 MAX_RESTARTS = 10 ** 5
 # the models ``lhv.MODELS`` holds before any ``register_model`` call
 LHV_MODELS = ("sign",)

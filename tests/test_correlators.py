@@ -31,7 +31,7 @@ from bellsim import (
     squeezed_state,
     tensor_state,
 )
-from bellsim import optimize
+from bellsim import correlators, optimize
 from bellsim.correlators import (
     STANDARD_CHSH_ANGLES,
     STANDARD_CHSH_ANGLES_DIFF,
@@ -43,7 +43,7 @@ from bellsim.correlators import (
 )
 from bellsim.limits import SCENARIOS
 from bellsim.linalg import NumericGuardError
-from bellsim.observables import _M4_SIGNS, TSIRELSON_BOUND
+from bellsim.observables import PAULI_X, PAULI_Y, PAULI_Z, TSIRELSON_BOUND
 from bellsim.states import DEFAULT_CUTOFF
 
 SQRT2 = np.sqrt(2.0)
@@ -419,13 +419,12 @@ class TestTensorConsistency:
 
 
 # ---------------------------------------------------------------------------
-# Each closed form computes a distinct cosine or sine once.  The written-out
-# formulas below compute them term by term; the values must agree bit for bit.
+# The closed forms as they were written before they became correlation
+# tensor contractions, one formula in the angles each: a further reference.
 # ---------------------------------------------------------------------------
 
-def _same_bits(x, y):
-    return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
-                          np.asarray(y, dtype=float).view(np.int64))
+# sign of an order-4 Mermin product term by its number of primed settings
+M4_SIGNS = (-1.0, 1.0, 1.0, -1.0, -1.0)
 
 
 def _polar_terms(e):
@@ -434,7 +433,13 @@ def _polar_terms(e):
     return chsh
 
 
-def _term_by_term_gisin_ab(n, theta, omega, alpha, beta):
+def _phase_terms(e):
+    def chsh(a, ap, b, bp):
+        return e(a, b) + e(ap, b) + e(a, bp) - e(ap, bp)
+    return chsh
+
+
+def _angle_gisin_ab(n, theta, omega, alpha, beta):
     s3 = np.sqrt(n - 3.0)
     return (np.cos(theta) * np.cos(omega) * (n - 4.0)
             + 2.0 * np.cos(theta) * np.sin(omega) * (1.0 - s3) * np.cos(beta)
@@ -443,216 +448,206 @@ def _term_by_term_gisin_ab(n, theta, omega, alpha, beta):
             * (s3 * np.cos(alpha + beta) + np.cos(alpha - beta))) / float(n)
 
 
-_term_by_term_phi0_polar = _polar_terms(
+def _angle_gisin(n, *p):
+    return _polar_terms(partial(_angle_gisin_ab, n))(*p)
+
+
+_angle_phi0_polar = _polar_terms(
     lambda t, o, a, b: np.cos(t) * np.cos(o) + np.sin(t) * np.sin(o) * np.cos(a + b))
+_angle_phi0_phase = _phase_terms(lambda a, b: np.cos(a + b))
 
 
-def _term_by_term_rstate(r, *p):
+def _angle_rstate(r, *p):
     k = 2.0 * r / (1.0 + r * r)
     return _polar_terms(lambda t, o, a, b: k * np.sin(t) * np.sin(o) * np.cos(a - b)
                         - np.cos(t) * np.cos(o))(*p)
 
 
-def _term_by_term_product(t, tp, o, op, *_):
-    return (-np.cos(t) * np.cos(o) - np.cos(tp) * np.cos(o)
-            - np.cos(t) * np.cos(op) + np.cos(tp) * np.cos(op))
+def _angle_squeezed(lam, *p):
+    return 2.0 * lam / (1.0 + lam * lam) * _angle_phi0_phase(*p)
 
 
-def _term_by_term_coherent(eta, sigma, phi, a, ap, b, bp):
+def _angle_coherent(eta, sigma, phi, *p):
     delta = coherent_pair_series(eta) * coherent_pair_series(sigma)
     cp = np.cos(phi)
-
-    def term(x, y):
-        return np.cos(x) * np.cos(y) - cp * np.sin(x) * np.sin(y)
-
-    return 4.0 * coherent_omega(eta, sigma, phi) * delta * (
-        term(a, b) + term(ap, b) + term(a, bp) - term(ap, bp))
+    return 4.0 * coherent_omega(eta, sigma, phi) * delta * _phase_terms(
+        lambda x, y: np.cos(x) * np.cos(y) - cp * np.sin(x) * np.sin(y))(*p)
 
 
-def _term_by_term_mermin4(*angles):
+def _angle_spin(j, a, ap, b, bp):
+    combo = _phase_terms(lambda x, y: np.cos(x - y))(a, ap, b, bp).sum(axis=-1)
+    s = 2.0 / (2 * j + 1.0)
+    return s * (1.0 + combo) if j % 1 == 0 else -s * combo
+
+
+def _angle_mermin3(a, ap, b, bp, c, cp):
+    return (np.cos(ap + b + c) + np.cos(a + bp + c) + np.cos(a + b + cp)
+            - np.cos(ap + bp + cp))
+
+
+def _angle_mermin4(*angles):
     total = 0.0
     for bits in np.ndindex(2, 2, 2, 2):
         s = sum(angles[2 * party + bit] for party, bit in enumerate(bits))
-        total = total + _M4_SIGNS[sum(bits)] * np.cos(s)
+        total = total + M4_SIGNS[sum(bits)] * np.cos(s)
     return -total / 2.0
 
 
-class TestSharedTrigKeepsEveryBit:
+# name: (public form, its angle form, angle count)
+ANGLE_FORMS = {
+    "chsh-phase": (chsh_phi0_phase, _angle_phi0_phase, 4),
+    "chsh-polar": (chsh_phi0_polar, _angle_phi0_polar, 8),
+    "gisin-3": (partial(chsh_gisin, 3), partial(_angle_gisin, 3), 8),
+    "gisin-5": (partial(chsh_gisin, 5), partial(_angle_gisin, 5), 8),
+    "gisin-1000": (partial(chsh_gisin, 1000), partial(_angle_gisin, 1000), 8),
+    "r-state-0.5": (partial(chsh_rstate, 0.5), partial(_angle_rstate, 0.5), 8),
+    "r-state--1.7": (partial(chsh_rstate, -1.7), partial(_angle_rstate, -1.7), 8),
+    "product-state": (partial(chsh_rstate, 0.0), partial(_angle_rstate, 0.0), 8),
+    "squeezed-0.35": (partial(chsh_squeezed, 0.35), partial(_angle_squeezed, 0.35), 4),
+    "coherent": (partial(chsh_coherent, 0.4, 0.7, 2.0),
+                 partial(_angle_coherent, 0.4, 0.7, 2.0), 4),
+    "coherent-pi": (partial(chsh_coherent, 0.1, 0.1, np.pi),
+                    partial(_angle_coherent, 0.1, 0.1, np.pi), 4),
+    "mermin3": (mermin3_ghz, _angle_mermin3, 6),
+    "mermin4": (mermin4_ghz, _angle_mermin4, 8),
+}
+# every scenario, and its angle form on the scenario's angles
+SCENARIO_CASES = [
+    (("chsh-phase", {}), _angle_phi0_phase),
+    (("chsh-polar", {}), _angle_phi0_polar),
+    (("gisin", {"n": 3}), partial(_angle_gisin, 3)),
+    (("gisin", {"n": 1000}), partial(_angle_gisin, 1000)),
+    (("r-state", {"r": 0.999}), partial(_angle_rstate, 0.999)),
+    (("r-state", {"r": -1.7}), partial(_angle_rstate, -1.7)),
+    (("product-state", {}), partial(_angle_rstate, 0.0)),
+    (("spin", {"j": 1.5}), lambda *p: _angle_spin(1.5, *np.split(np.stack(p, -1), 4, -1))),
+    (("spin", {"j": 2}), lambda *p: _angle_spin(2, *np.split(np.stack(p, -1), 4, -1))),
+    (("squeezed", {"lam": 0.4}), partial(_angle_squeezed, 0.4)),
+    (("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
+     partial(_angle_coherent, 0.4, 0.7, 2.0)),
+    (("mermin3", {}), _angle_mermin3),
+    (("mermin4", {}), _angle_mermin4),
+]
+# the largest |tensor form - angle form| over every test below: a few ulps
+# of a value up to 4 sqrt(2)
+ATOL_FORMS = 1e-14
+
+
+class TestTensorFormsMatchAngleForms:
     # a column-major block of settings, each column one contiguous array,
     # with angles on both sides of zero
     BLOCK = np.asfortranarray(
         np.random.default_rng(4096).uniform(-2 * np.pi, 2 * np.pi, (4096, 8)))
 
-    def columns(self):
-        return [self.BLOCK[:, i] for i in range(8)]
+    @pytest.mark.parametrize("name", ANGLE_FORMS)
+    def test_public_form(self, name):
+        form, reference, count = ANGLE_FORMS[name]
+        p = [self.BLOCK[:, i] for i in range(count)]
+        np.testing.assert_allclose(form(*p), reference(*p), rtol=0, atol=ATOL_FORMS)
 
     @pytest.mark.parametrize("n", [3, 5, 1000])
     def test_gisin_is_the_signed_sum_of_its_correlators(self, n):
-        t, tp, o, op, a, ap, b, bp = self.columns()
+        t, tp, o, op, a, ap, b, bp = (self.BLOCK[:, i] for i in range(8))
         signed = (gisin_ab(n, t, o, a, b) + gisin_ab(n, tp, o, ap, b)
                   + gisin_ab(n, t, op, a, bp) - gisin_ab(n, tp, op, ap, bp))
-        assert _same_bits(chsh_gisin(n, t, tp, o, op, a, ap, b, bp), signed)
-        assert _same_bits(gisin_ab(n, t, o, a, b), _term_by_term_gisin_ab(n, t, o, a, b))
+        np.testing.assert_allclose(chsh_gisin(n, t, tp, o, op, a, ap, b, bp), signed,
+                                   rtol=0, atol=ATOL_FORMS)
+        np.testing.assert_allclose(gisin_ab(n, t, o, a, b), _angle_gisin_ab(n, t, o, a, b),
+                                   rtol=0, atol=ATOL_FORMS)
 
-    def test_phi0_polar(self):
-        p = self.columns()
-        assert _same_bits(chsh_phi0_polar(*p), _term_by_term_phi0_polar(*p))
+    def test_spin(self):
+        for j, pairs in ((0.5, 1), (1, 1), (1.5, 2), (2, 2)):
+            p = self.BLOCK[:1024].reshape(1024, 4, 2)[:, :, :pairs].transpose(1, 0, 2)
+            np.testing.assert_allclose(chsh_spin_j(j, *p), _angle_spin(j, *p),
+                                       rtol=0, atol=ATOL_FORMS)
 
-    @pytest.mark.parametrize("r", [0.0, 0.5, -1.7])
-    def test_rstate(self, r):
-        p = self.columns()
-        assert _same_bits(chsh_rstate(r, *p), _term_by_term_rstate(r, *p))
+    def test_mermin4_at_zero_angle_sums(self):
+        for zeros in ([-0.0] * 8, [0.0] * 8, [np.pi, -np.pi] * 4):
+            assert mermin4_ghz(*zeros) == pytest.approx(_angle_mermin4(*zeros), abs=ATOL_FORMS)
 
-    def test_product_plusminus(self):
-        p = self.columns()
-        # |+-> is the r-state at r = 0, term by term the product form
-        assert _same_bits(chsh_rstate(0.0, *p), _term_by_term_product(*p))
-
-    @pytest.mark.parametrize("lam", [0.35, 0.9])
-    def test_squeezed(self, lam):
-        a, ap, b, bp = self.columns()[:4]
-        written = (2.0 * lam / (1.0 + lam * lam)
-                   * (np.cos(a + b) + np.cos(ap + b) + np.cos(a + bp) - np.cos(ap + bp)))
-        assert _same_bits(chsh_squeezed(lam, a, ap, b, bp), written)
-
-    @pytest.mark.parametrize("eta, sigma, phi", [(0.4, 0.7, 2.0), (0.1, 0.1, np.pi)])
-    def test_coherent(self, eta, sigma, phi):
-        p = self.columns()[:4]
-        assert _same_bits(chsh_coherent(eta, sigma, phi, *p),
-                          _term_by_term_coherent(eta, sigma, phi, *p))
-
-    def test_mermin4(self):
-        p = self.columns()
-        assert _same_bits(mermin4_ghz(*p), _term_by_term_mermin4(*p))
-        # a zero angle sum, where dropping sum()'s leading 0 flips a sign
-        zeros = [-0.0] * 8
-        assert _same_bits(mermin4_ghz(*zeros), _term_by_term_mermin4(*zeros))
-
-
-# ---------------------------------------------------------------------------
-# Each CHSH form evaluates its correlator once, on the 2x2 grid of the two
-# parties' setting pairs, and Mermin-4 its 16 cosines in one call.  The
-# references below are the forms they replaced: four correlator calls, and
-# sixteen cosine calls; the values must agree bit for bit.
-# ---------------------------------------------------------------------------
-
-def _four_calls(e, x, x_p, y, y_p):
-    return e(x, y) + e(x_p, y) + e(x, y_p) - e(x_p, y_p)
-
-
-def _four_call_polar(e):
-    # e on (cos theta, sin theta, phase) settings, parameter order
-    # (theta, theta', omega, omega', alpha, alpha', beta, beta')
-    def chsh(t, tp, o, op, a, ap, b, bp):
-        def s(theta, phase):
-            return np.cos(theta), np.sin(theta), phase
-
-        return _four_calls(e, s(t, a), s(tp, ap), s(o, b), s(op, bp))
-
-    return chsh
-
-
-_four_call_phi0_polar = _four_call_polar(
-    lambda x, y: x[0] * y[0] + x[1] * y[1] * np.cos(x[2] + y[2]))
-
-
-def _four_call_gisin(n, *p):
-    return _four_calls(lambda x, y: gisin_ab(n, x[0], y[0], x[1], y[1]),
-                       (p[0], p[4]), (p[1], p[5]), (p[2], p[6]), (p[3], p[7]))
-
-
-def _four_call_rstate(r, *p):
-    k = r / (0.5 + 0.5 * r * r)
-    return _four_call_polar(
-        lambda x, y: k * x[1] * y[1] * np.cos(x[2] - y[2]) - x[0] * y[0])(*p)
-
-
-def _four_call_coherent(eta, sigma, phi, a, ap, b, bp):
-    delta = coherent_pair_series(eta) * coherent_pair_series(sigma)
-    cp = np.cos(phi)
-
-    def term(x, y):
-        return x[0] * y[0] - cp * x[1] * y[1]
-
-    return 4.0 * coherent_omega(eta, sigma, phi) * delta * _four_calls(
-        term, (np.cos(a), np.sin(a)), (np.cos(ap), np.sin(ap)),
-        (np.cos(b), np.sin(b)), (np.cos(bp), np.sin(bp)))
-
-
-def _sixteen_call_mermin4(a, a_p, b, b_p, c, c_p, d, d_p):
-    sums = [a, a_p]
-    for pair in ((b, b_p), (c, c_p), (d, d_p)):
-        sums = [s + x for s in sums for x in pair]
-    total = 0.0
-    for bits, s in zip(np.ndindex(2, 2, 2, 2), sums):
-        total = total + _M4_SIGNS[sum(bits)] * np.cos(s)
-    return -total / 2.0
-
-
-# every scenario whose evaluator hands its closed form the setting pairs:
-# (name, params) -> the replaced form on the scenario's parameter order
-PAIR_GRID_CASES = [
-    (("gisin", {"n": 3}), partial(_four_call_gisin, 3)),
-    (("gisin", {"n": 1000}), partial(_four_call_gisin, 1000)),
-    (("chsh-polar", {}), _four_call_phi0_polar),
-    (("r-state", {"r": 0.999}), partial(_four_call_rstate, 0.999)),
-    (("r-state", {"r": -1.7}), partial(_four_call_rstate, -1.7)),
-    (("product-state", {}), partial(_four_call_rstate, 0.0)),
-    (("coherent", {"eta": 0.4, "sigma": 0.7, "phi": 2.0}),
-     partial(_four_call_coherent, 0.4, 0.7, 2.0)),
-    (("mermin4", {}), _sixteen_call_mermin4),
-]
-
-
-class TestPairGridKeepsEveryBit:
-    # angles whose sums and products hit exact zeros of both signs
-    EDGES = np.array([0.0, -0.0, np.pi, -np.pi, 0.5 * np.pi, 1.0, -1.0])
-
-    @staticmethod
-    def probes(ndim, rows=64):
-        """The search's evaluator inputs: (rows, 4, d) and (rows, 3, d) step
-        probes, an (rows, d) batch and one (d,) point, random and on edges."""
-        rng = np.random.default_rng(ndim)
-        x = rng.uniform(-2 * np.pi, 2 * np.pi, (rows, ndim))
-        edges = rng.choice(TestPairGridKeepsEveryBit.EDGES, (rows, ndim))
-        out = [x, edges, x[0], -0.0 * x[0], 0.0 * x[0]]
-        for base in (x, edges):
-            for probe_at, cols in ((optimize.PROBE[2], [0, ndim // 2]), (optimize.PROBE[1], [1])):
-                probe = np.repeat(base[:, None, :], len(probe_at), axis=1)
-                probe[:, :, cols] = probe_at
-                out.append(probe)
-        return out
-
-    @pytest.mark.parametrize("case, reference", PAIR_GRID_CASES,
-                             ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
-                                  for (n, kw), _ in PAIR_GRID_CASES])
-    def test_scenario_evaluator_is_the_replaced_form(self, case, reference):
-        name, params = case
-        scenario = make_scenario(name, **params)
-        for p in self.probes(scenario.ndim):
-            expected = reference(*(p[..., i] for i in range(scenario.ndim)))
-            assert _same_bits(scenario.evaluator(p), expected)
-
-    @pytest.mark.parametrize("form, reference", [
-        (partial(chsh_gisin, 5), partial(_four_call_gisin, 5)),
-        (chsh_phi0_polar, _four_call_phi0_polar),
-        (partial(chsh_rstate, 0.5), partial(_four_call_rstate, 0.5)),
-        (mermin4_ghz, _sixteen_call_mermin4),
-    ], ids=["gisin", "phi0-polar", "rstate", "mermin4"])
-    def test_public_form_keeps_scalars_and_broadcasting(self, form, reference):
-        scalar = form(*np.linspace(0.1, 0.8, 8))
+    @pytest.mark.parametrize("name", ["gisin-5", "chsh-polar", "r-state-0.5", "mermin4",
+                                      "coherent"])
+    def test_public_form_keeps_scalars_and_broadcasting(self, name):
+        form, reference, count = ANGLE_FORMS[name]
+        scalar = form(*np.linspace(0.1, 0.8, count))
         assert type(scalar) is np.float64
-        assert _same_bits(scalar, reference(*np.linspace(0.1, 0.8, 8)))
+        assert scalar == pytest.approx(reference(*np.linspace(0.1, 0.8, count)),
+                                       abs=ATOL_FORMS)
         rng = np.random.default_rng(31)
         # scalars, rows and columns mixed: the result takes their broadcast shape
         args = [0.3, rng.uniform(-4, 4, 5), -0.0, rng.uniform(-4, 4, (3, 1)),
                 rng.uniform(-4, 4, (3, 5)), 1.0, rng.uniform(-4, 4, 5), np.float64(2.5)]
-        value = form(*args)
+        value = form(*args[:count])
         assert value.shape == (3, 5)
-        assert _same_bits(value, reference(*args))
+        np.testing.assert_allclose(value, reference(*args[:count]), rtol=0, atol=ATOL_FORMS)
 
-    def test_coherent_public_form(self):
-        args = (0.3, np.linspace(-3, 3, 7), -0.0, np.linspace(0, 1, 7)[:, None])
-        assert _same_bits(chsh_coherent(0.4, 0.7, 2.0, *args),
-                          _four_call_coherent(0.4, 0.7, 2.0, *args))
-        assert type(chsh_coherent(0.4, 0.7, 2.0, 0.1, 0.2, 0.3, 0.4)) is np.float64
+    @staticmethod
+    def probes(scenario, rows=64):
+        """The search's evaluator inputs: a (rows, S, w) batch of unit
+        vectors, one (S, w) point, and (rows, w + 1, S, w) step probes with
+        a first- and a second-party setting at +-e1, e2 (and e3)."""
+        rng = np.random.default_rng(scenario.settings)
+        x = rng.standard_normal((rows, scenario.settings, scenario.width))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        out = [x, x[0]]
+        for i in (0, scenario.settings // 2 + 1):
+            probe = np.repeat(x[:, None], scenario.width + 1, axis=1)
+            probe[:, :, i] = optimize.PROBE[scenario.width]
+            out.append(probe)
+        return out
+
+    @pytest.mark.parametrize("case, reference", SCENARIO_CASES,
+                             ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                                  for (n, kw), _ in SCENARIO_CASES])
+    def test_scenario_evaluator_on_the_search_probes(self, case, reference):
+        name, params = case
+        scenario = make_scenario(name, **params)
+        for x in self.probes(scenario):
+            angles = correlators.angles_of(x)
+            expected = reference(*(angles[..., i] for i in range(angles.shape[-1])))
+            np.testing.assert_allclose(scenario.evaluator(x), expected, rtol=0,
+                                       atol=ATOL_FORMS)
+
+
+# ---------------------------------------------------------------------------
+# Each polar scenario's correlation matrix, read off its evaluator, against
+# T_ij = <psi|s_i (x) s_j|psi> from the state's amplitudes: a third route
+# that shares no formula with the closed form or the polar-observable oracle.
+# ---------------------------------------------------------------------------
+
+PAULI_ZXY = (PAULI_Z, PAULI_X, PAULI_Y)
+
+
+def _amplitude_correlation(psi):
+    v = psi.amplitudes
+    return np.array([[np.vdot(v, np.kron(si, sj) @ v).real for sj in PAULI_ZXY]
+                     for si in PAULI_ZXY])
+
+
+def _evaluator_correlation(scenario):
+    # a = e_i and b = e_j with a' = b' = 0 leave a.T(b + b') = T_ij
+    t = np.zeros((3, 3))
+    for i, j in np.ndindex(3, 3):
+        x = np.zeros((4, 3))
+        x[0, i] = x[2, j] = 1.0
+        t[i, j] = scenario.evaluator(x)
+    return t
+
+
+CORRELATION_CASES = [
+    ("chsh-polar", {}, bell_state(0)),
+    ("product-state", {}, r_state(0.0)),
+    *(("gisin", {"n": n}, gisin_family_state(n)) for n in (3, 4, 5, 12, 1000)),
+    *(("r-state", {"r": r}, r_state(r)) for r in (0.0, 0.5, 0.999)),
+]
+
+
+@pytest.mark.parametrize("name, params, psi", CORRELATION_CASES,
+                         ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
+                              for n, kw, _ in CORRELATION_CASES])
+def test_polar_correlation_matrix_matches_the_amplitudes(name, params, psi):
+    # the amplitudes are rounded once more when the state is normalized: at
+    # r = 0.999 their T_xx sits 3 ulps below the literal, the rounded k
+    scenario = make_scenario(name, **params)
+    np.testing.assert_allclose(_evaluator_correlation(scenario), _amplitude_correlation(psi),
+                               rtol=0, atol=3.4e-16)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellsim import make_scenario, maximize_violation, optimize, table_gisin
+from bellsim import correlators, make_scenario, maximize_violation, optimize, table_gisin
 from bellsim.correlators import coherent_omega, coherent_pair_series, spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
 from bellsim.limits import SCENARIOS
@@ -45,13 +45,17 @@ class TestScenarioRegistry:
             make_scenario("gisin", n=n)
 
     def test_scenario_sanity(self):
-        s = make_scenario("chsh-polar")
-        assert s.ndim == 8
-        assert s.domain == ((0.0, np.pi),) * 4 + ((0.0, 2 * np.pi),) * 4
+        # (settings, width): four Bloch vectors, or two phases per party
+        layouts = {("chsh-polar", ()): (4, 3), ("chsh-phase", ()): (4, 2),
+                   ("spin", (("j", 1.5),)): (8, 2), ("mermin4", ()): (8, 2)}
+        for (name, params), layout in layouts.items():
+            s = make_scenario(name, **dict(params))
+            assert (s.settings, s.width) == layout
 
-    def test_empty_domain_rejected(self):
+    @pytest.mark.parametrize("settings, width", [(0, 2), (4, 1), (4, 4)])
+    def test_empty_or_unknown_layout_rejected(self, settings, width):
         with pytest.raises(ValueError):
-            Scenario(name="x", evaluator=lambda p: 0.0, ndim=0)
+            Scenario(name="x", evaluator=lambda p: 0.0, settings=settings, width=width)
 
 
 # one configuration of every registered scenario; spin 10 sums 10 pairs per row
@@ -90,8 +94,8 @@ def test_factories_and_table_name_the_same_scenarios():
                          ids=[s.name for s, _ in ORACLE_SCENARIOS])
 def test_oracle_matches_closed_form(scenario, sign):
     rng = np.random.default_rng(21)
-    for settings in rng.uniform(0.0, 2 * np.pi, (3, scenario.ndim)):
-        closed = float(scenario.evaluator(settings))
+    for settings in rng.uniform(0.0, 2 * np.pi, (3, scenario.settings)):
+        closed = float(scenario.value(settings))
         assert scenario.oracle(settings) == pytest.approx(sign * closed, abs=ATOL_ORACLE)
 
 
@@ -120,14 +124,16 @@ class TestMaximizeViolation:
                          ("gisin", {"n": 5}), ("mermin4", {})]:
             scenario = make_scenario(name, **kw)
             result = maximize_violation(scenario, restarts=2, seed=3)
-            again = abs(float(scenario.evaluator(np.array(result.best_settings))))
+            again = abs(float(scenario.value(result.best_settings)))
             assert again == pytest.approx(result.best_value, abs=1e-10)
 
-    def test_settings_inside_domain(self):
+    def test_settings_inside_their_ranges(self):
+        # theta in [0, pi], azimuths in [0, 2 pi)
         scenario = make_scenario("gisin", n=7)
         result = maximize_violation(scenario, restarts=2, seed=5)
-        for value, (lo, hi) in zip(result.best_settings, scenario.domain):
-            assert lo - 1e-12 <= value <= hi + 1e-12
+        thetas, alphas = np.split(np.array(result.best_settings), 2)
+        assert np.all((0.0 <= thetas) & (thetas <= np.pi))
+        assert np.all((0.0 <= alphas) & (alphas < 2 * np.pi))
 
     def test_never_exceeds_quantum_bound(self):
         for name, kw in [("chsh-phase", {}), ("chsh-polar", {}),
@@ -203,48 +209,48 @@ def test_ascent_on_f_reaches_the_integer_spin_maximum_from_every_start():
         assert result.best_value == pytest.approx(spin_j_max(2), abs=ATOL_OPT), seed
 
 
-# (theta, alpha) at n = +z, -z, +x and +y
-BLOCH_POINTS = ((0.0, 0.0), (np.pi, 0.0), (0.5 * np.pi, 0.0), (0.5 * np.pi, 0.5 * np.pi))
+# where a step probes a setting of width w: +e1, -e1, +e2 (and +e3)
+UNIT_POINTS = {2: ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)),
+               3: ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))}
 
 
-def _one_point_ascent(fun, x0, polar_mate):
-    # the search one start at a time, one 1-D point per call:
-    # the reference the lockstep search must match bit for bit
+def _unit(a):
+    """Each setting (last axis) of ``a`` over its length, one at a time."""
+    norms = [math.sqrt(sum(t * t for t in row)) for row in a.reshape(-1, a.shape[-1]).tolist()]
+    return a / np.array(norms).reshape(a.shape[:-1] + (1,))
+
+
+def _random_settings(scenario, rng, shape):
+    return _unit(rng.standard_normal((*shape, scenario.settings, scenario.width)))
+
+
+def _one_point_ascent(fun, x0):
+    # the search one start at a time, one (S, w) point per call: the
+    # reference the lockstep search must match bit for bit
     x = np.array(x0, dtype=float)
     best = float(fun(x))
     nfev = 1
-    settings = [(i, polar_mate[i]) if i in polar_mate else (i,)
-                for i in range(x.size) if i not in polar_mate.values()]
     for _ in range(optimize.MAX_SWEEPS):
         start = x.copy()
         moved = False
-        for cols in settings:
-            points = BLOCH_POINTS if len(cols) == 2 else ((0.0,), (0.5 * np.pi,), (np.pi,))
+        for i in range(x.shape[0]):
             f = []
-            for point in points:
+            for point in UNIT_POINTS[x.shape[1]]:
                 y = x.copy()
-                y[list(cols)] = point
+                y[i] = point
                 f.append(float(fun(y)))
-            nfev += len(points)
-            if len(cols) == 2:
-                c, vz = 0.5 * (f[0] + f[1]), 0.5 * (f[0] - f[1])
-                vx, vy = f[2] - c, f[3] - c
-                value = c + math.hypot(vx, vy, vz)
-                if value > best:
-                    x[cols[0]] = math.atan2(math.hypot(vx, vy), vz)
-                    x[cols[1]] = math.atan2(vy, vx)
-                    best, moved = value, True
-            else:
-                a, c = 0.5 * (f[0] - f[2]), 0.5 * (f[0] + f[2])
-                b = f[1] - c
-                value = c + math.hypot(a, b)
-                if value > best:
-                    x[cols[0]], best, moved = math.atan2(b, a), value, True
+            nfev += len(f)
+            c = 0.5 * (f[0] + f[1])
+            v = [0.5 * (f[0] - f[1])] + [fi - c for fi in f[2:]]
+            norm = math.hypot(*v)
+            if c + norm > best:
+                x[i] = [vi / norm for vi in v]
+                best, moved = c + norm, True
         if not moved:
             return x, nfev, True
         step = x - start
         while True:
-            trial = x + step
+            trial = _unit(x + step)
             value = float(fun(trial))
             nfev += 1
             if not value > best:
@@ -255,14 +261,13 @@ def _one_point_ascent(fun, x0, polar_mate):
 
 def _one_start_at_a_time(scenario, restarts, seed):
     evaluator = scenario.evaluator
-    lo, hi = np.array(scenario.domain).T
-    starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, scenario.ndim))
+    starts = _random_settings(scenario, np.random.default_rng(seed), (restarts,))
     evaluations, best = 0, None
     for x0 in starts:
-        x, nfev, success = _one_point_ascent(evaluator, x0, scenario.polar_mate)
+        x, nfev, success = _one_point_ascent(evaluator, x0)
         evaluations += nfev
-        settings = tuple(optimize._canonicalize(scenario, x).tolist())
-        value = abs(float(evaluator(np.array(settings))))
+        settings = tuple(correlators.angles_of(x).tolist())
+        value = abs(float(evaluator(x)))
         if best is None or value > best[0] or (value == best[0] and settings < best[1]):
             best = (value, settings, success)
     return best[0], best[1], evaluations, best[2]
@@ -289,8 +294,8 @@ def test_lockstep_search_matches_one_start_at_a_time(case, restarts, seed):
 
 
 def test_batch_cases_cover_every_scenario():
-    # so every evaluator is checked on the search's (rows, 3, d) and
-    # (rows, 4, d) probes too
+    # so every evaluator is checked on the search's (rows, 3, S, w) and
+    # (rows, 4, S, w) probes too
     assert {name for name, _ in BATCH_CASES} == set(SCENARIOS)
 
 
@@ -303,89 +308,84 @@ def test_scenario_carries_the_table_entry(name):
     assert (scenario.classical_bound, scenario.quantum_bound) == \
         (spec.classical_bound, spec.quantum_bound)
     if name in PHASE_FLIP:
-        assert scenario.ndim == 2 * spec.parties
+        assert (scenario.settings, scenario.width) == (2 * spec.parties, 2)
 
 
 @pytest.mark.parametrize("name, params", BATCH_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
                               for n, kw in BATCH_CASES])
 def test_batch_matches_one_point_calls_bit_for_bit(name, params):
-    # the evaluator contract: a (rows, d) batch, and the search's C-ordered
-    # (rows, 3, d) and (rows, 4, d) probes, give each point's 1-D value
+    # the evaluator contract: a (rows, S, w) batch, and the search's
+    # C-ordered (rows, 3, S, w) and (rows, 4, S, w) probes, give each
+    # point's (S, w) value
     scenario = make_scenario(name, **params)
-    lo, hi = np.array(scenario.domain).T
     rng = np.random.default_rng(5)
     for shape in ((64,), (16, 3), (16, 4)):
-        batch = rng.uniform(lo, hi, size=(*shape, scenario.ndim))
+        batch = _random_settings(scenario, rng, shape)
         values = scenario.evaluator(batch)
         assert values.shape == shape
         one_by_one = np.array([float(scenario.evaluator(point.copy()))
-                               for point in batch.reshape(-1, scenario.ndim)])
+                               for point in batch.reshape(-1, *batch.shape[-2:])])
         np.testing.assert_array_equal(values.reshape(-1).view(np.int64),
                                       one_by_one.view(np.int64))
 
 
-# every polar scenario: the N-family at three N, the r-state at two r
-POLAR_CASES = [("chsh-polar", {}), ("product-state", {}), ("gisin", {"n": 3}),
-               ("gisin", {"n": 12}), ("gisin", {"n": 1000}), ("r-state", {"r": 0.5}),
-               ("r-state", {"r": 0.99})]
-
-
-@pytest.mark.parametrize("name, params", POLAR_CASES,
+@pytest.mark.parametrize("name, params", BATCH_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
-                              for n, kw in POLAR_CASES])
-def test_polar_evaluator_is_affine_in_each_bloch_vector(name, params):
-    # the Bloch step's premise: with the other settings fixed, f = c + v.n
-    # in the Bloch vector n of each polar setting, so n = +z, -z, +x and +y
-    # give c and v
+                              for n, kw in BATCH_CASES])
+def test_evaluator_is_affine_in_each_setting(name, params):
+    # the see-saw step's premise: with the other settings fixed, f = c + v.u
+    # in each setting u, so u = +e1, -e1, +e2 (and +e3) give c and v
     scenario = make_scenario(name, **params)
-    lo, hi = np.array(scenario.domain).T
-    x = np.random.default_rng(8).uniform(lo, hi, size=(64, scenario.ndim))
-    assert len(scenario.polar_mate) == 4
-    for theta, alpha in scenario.polar_mate.items():
+    x = _random_settings(scenario, np.random.default_rng(8), (64,))
+    for i in range(scenario.settings):
         f = []
-        for point in BLOCH_POINTS:
+        for point in UNIT_POINTS[scenario.width]:
             y = x.copy()
-            y[:, [theta, alpha]] = point
+            y[:, i] = point
             f.append(scenario.evaluator(y))
-        c, vz = (f[0] + f[1]) / 2, (f[0] - f[1]) / 2
-        vx, vy = f[2] - c, f[3] - c
-        t, a = x[:, theta], x[:, alpha]
-        rebuilt = c + vx * np.sin(t) * np.cos(a) + vy * np.sin(t) * np.sin(a) + vz * np.cos(t)
+        c = (f[0] + f[1]) / 2
+        v = [(f[0] - f[1]) / 2] + [fi - c for fi in f[2:]]
+        rebuilt = c + sum(vk * x[:, i, k] for k, vk in enumerate(v))
         np.testing.assert_allclose(scenario.evaluator(x), rebuilt, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("name, params", POLAR_CASES,
+@pytest.mark.parametrize("name, params", BATCH_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
-                              for n, kw in POLAR_CASES])
-def test_canonicalize_folds_theta_into_zero_to_pi(name, params):
-    # theta -> 2 pi - theta with its mate shifted by pi names the same Bloch
-    # vector: theta = 4.0 and -0.5 fold, 7.0 only wraps
+                              for n, kw in BATCH_CASES])
+def test_reported_angles_name_the_same_settings(name, params):
+    # a report's theta lies in [0, pi] and its phases in [0, 2 pi), and the
+    # settings they rebuild take the value of the vectors they came from.
+    # The edges: the poles, a -0.0 component, and a phase just below 0,
+    # which wraps to 0 rather than to 2 pi itself
     scenario = make_scenario(name, **params)
-    thetas, mates = list(scenario.polar_mate), list(scenario.polar_mate.values())
-    x = np.random.default_rng(13).uniform(-2 * np.pi, 4 * np.pi, size=(3, scenario.ndim))
-    x[:, thetas] = [[4.0], [-0.5], [7.0]]
-    rows = np.array([optimize._canonicalize(scenario, row) for row in x])
-    assert np.all((0.0 <= rows[:, thetas]) & (rows[:, thetas] <= np.pi))
-    assert np.all((0.0 <= rows[:, mates]) & (rows[:, mates] < 2 * np.pi))
-    np.testing.assert_allclose(rows[:, thetas[0]], [2 * np.pi - 4.0, 0.5, 7.0 - 2 * np.pi],
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(scenario.evaluator(rows), scenario.evaluator(x),
+    x = _random_settings(scenario, np.random.default_rng(13), (16,))
+    edges = {3: [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, -0.0), (0.0, 1.0, -1e-300)],
+             2: [(1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (1.0, -1e-300)]}[scenario.width]
+    for row, edge in enumerate(edges):
+        x[row, :] = edge
+    angles = correlators.angles_of(x)
+    assert angles.shape == (16, scenario.settings * (scenario.width - 1))
+    thetas = angles[:, :scenario.settings] if scenario.width == 3 else angles[:, :0]
+    phases = angles[:, thetas.shape[1]:]
+    assert np.all((0.0 <= thetas) & (thetas <= np.pi))
+    assert np.all((0.0 <= phases) & (phases < 2 * np.pi))
+    np.testing.assert_allclose(scenario.value(angles), scenario.evaluator(x),
                                rtol=0, atol=1e-14)
-    # the search canonicalizes a whole (k, d) block of ascents at once
-    np.testing.assert_array_equal(optimize._canonicalize(scenario, x).view(np.int64),
-                                  rows.view(np.int64))
+    # the search converts a whole block of ascents at once
+    for a, row in zip(angles, x):
+        np.testing.assert_array_equal(correlators.angles_of(row), a)
 
 
 def _is_integer_spin(name, params):
     return name == "spin" and params["j"] % 1 == 0
 
 
-def _alice_shift(scenario):
-    # pi on party A's settings: theta and theta' of a polar scenario, alpha
-    # and alpha' of every spin pair, the first two phases of the others
-    shifted = scenario.ndim // 2 if scenario.name.startswith("spin") else 2
-    return np.pi * (np.arange(scenario.ndim) < shifted)
+def _alice_negated(scenario, x):
+    # minus party A's settings: a and a' of a CHSH scenario, of every spin
+    # pair, the first party's two phases of a Mermin one
+    alice = scenario.settings // 2 if scenario.name.startswith("spin") else 2
+    return np.concatenate([-x[..., :alice, :], x[..., alice:, :]], axis=-2)
 
 
 NEGATED_CASES = [case for case in BATCH_CASES if not _is_integer_spin(*case)]
@@ -394,24 +394,23 @@ NEGATED_CASES = [case for case in BATCH_CASES if not _is_integer_spin(*case)]
 @pytest.mark.parametrize("name, params", NEGATED_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
                               for n, kw in NEGATED_CASES])
-def test_declared_shift_negates_f(name, params):
+def test_negating_one_party_negates_f(name, params):
     # so f and -f share their peak, and ascending f alone loses nothing
     scenario = make_scenario(name, **params)
-    lo, hi = np.array(scenario.domain).T
-    x = np.random.default_rng(9).uniform(lo, hi, size=(64, scenario.ndim))
-    np.testing.assert_allclose(scenario.evaluator(x + _alice_shift(scenario)),
+    x = _random_settings(scenario, np.random.default_rng(9), (64,))
+    np.testing.assert_allclose(scenario.evaluator(_alice_negated(scenario, x)),
                                -scenario.evaluator(x), rtol=0, atol=1e-14)
 
 
-def test_only_integer_spin_lacks_a_negating_shift():
-    # integer j adds the constant s = 2/(2j+1) to f, so the shift that
+def test_only_integer_spin_lacks_a_negating_party():
+    # integer j adds the constant s = 2/(2j+1) to f, so the negation that
     # negates half-integer spin leaves 2s over: f peaks 2s above -f
     for name, params in BATCH_CASES:
         if _is_integer_spin(name, params):
             scenario = make_scenario(name, **params)
-            x = np.random.default_rng(10).uniform(0.0, 2 * np.pi, size=(64, scenario.ndim))
+            x = _random_settings(scenario, np.random.default_rng(10), (64,))
             np.testing.assert_allclose(
-                scenario.evaluator(x + _alice_shift(scenario)) + scenario.evaluator(x),
+                scenario.evaluator(_alice_negated(scenario, x)) + scenario.evaluator(x),
                 4 / (2 * params["j"] + 1), rtol=0, atol=1e-14)
 
 
@@ -419,15 +418,13 @@ def test_only_integer_spin_lacks_a_negating_shift():
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
                               for n, kw in BATCH_CASES])
 def test_peak_of_minus_f_is_not_above_the_peak_of_f(name, params):
-    # why the search ascends f alone: a shift of one party's settings
+    # why the search ascends f alone: negating one party's settings
     # negates f, so both peaks agree, except on integer spin j, where
     # f = s(1 + C), s = 2/(2j+1), and -f peaks 2s lower
     scenario = make_scenario(name, **params)
-    lo, hi = np.array(scenario.domain).T
-    x0 = np.random.default_rng(9).uniform(lo, hi, size=(8, scenario.ndim))
-    peak = -optimize.minimize(scenario.evaluator, x0, scenario.polar_mate).fun
-    peak_of_minus_f = -optimize.minimize(lambda p: -scenario.evaluator(p), x0,
-                                         scenario.polar_mate).fun
+    x0 = _random_settings(scenario, np.random.default_rng(9), (8,))
+    peak = -optimize.minimize(scenario.evaluator, x0).fun
+    peak_of_minus_f = -optimize.minimize(lambda p: -scenario.evaluator(p), x0).fun
     if _is_integer_spin(name, params):
         assert peak_of_minus_f < peak
     else:
@@ -463,11 +460,10 @@ def test_evaluations_count_every_point_evaluated(name, params, width):
         shapes.append(p.shape)
         return scenario.evaluator(p)
 
-    lo, hi = np.array(scenario.domain).T
-    x0 = np.random.default_rng(11).uniform(lo, hi, size=(5, scenario.ndim))
-    res = optimize.minimize(counted, x0, scenario.polar_mate)
-    assert {shape[1] for shape in shapes if len(shape) == 3} == {width}
-    assert sum(math.prod(shape[:-1]) for shape in shapes) == res.nfev
+    x0 = _random_settings(scenario, np.random.default_rng(11), (5,))
+    res = optimize.minimize(counted, x0)
+    assert {shape[1] for shape in shapes if len(shape) == 4} == {width}
+    assert sum(math.prod(shape[:-2]) for shape in shapes) == res.nfev
 
 
 def test_search_memory_does_not_grow_with_the_scan():
@@ -485,7 +481,7 @@ def test_search_memory_does_not_grow_with_the_scan():
                                                     ("spin", {"j": 20}, 1)],
                          ids=["gisin-3-restarts-8", "spin-20-restarts-1"])
 def test_search_memory_stays_under_one_mib(name, params, restarts):
-    # the search holds one block of starts and its (rows, 4, d) probe, so
+    # the search holds one block of starts and its (rows, 4, S, w) probe, so
     # no batch of points grows with the restarts
     scenario = make_scenario(name, **params)
     tracemalloc.start()
@@ -506,8 +502,7 @@ def test_oracle_memory_does_not_grow_with_the_joint_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == pytest.approx(float(scenario.evaluator(np.array(scenario.defaults))),
-                                  abs=ATOL_ORACLE)
+    assert value == pytest.approx(float(scenario.value(scenario.defaults)), abs=ATOL_ORACLE)
     assert peak < 64 * 2 ** 20
 
 
