@@ -14,20 +14,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "ATOL_CONSTRUCT", "ATOL_OPT", "ATOL_ORACLE", "DenseOperator", "StateVector",
-        "commutator", "expectation", "is_dichotomic",
-        "operator_norm", "tensor_op", "tensor_state",
+        "expectation", "is_dichotomic",
     ), "linalg"),
     **dict.fromkeys(("DEFAULT_CUTOFF", "NumericGuardError", "TSIRELSON_BOUND", "classify"),
                     "limits"),
     **dict.fromkeys((
-        "bell_state", "cat_state_pair", "cat_state_single", "coherent_state",
-        "entangled_coherent", "ghz_state", "gisin_family_state", "is_product", "r_state",
-        "spin_singlet", "squeezed_state", "symmetric_coherent",
+        "bell_state", "entangled_coherent", "ghz_state", "gisin_family_state", "is_product",
+        "r_state", "spin_singlet", "squeezed_state",
     ), "states"),
     **dict.fromkeys((
         "PairingScheme", "PhaseFlipObservable", "SignedKronSum", "chsh_operator",
         "mermin3_operator", "mermin4_operator", "phase_flip_observable", "polar_observable",
-        "pseudospin_operators", "spin_matrices",
+        "pseudospin_operators",
     ), "observables"),
     **dict.fromkeys((
         "chsh_coherent", "chsh_gisin", "chsh_phi0_phase", "chsh_phi0_polar",

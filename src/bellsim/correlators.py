@@ -119,12 +119,6 @@ def gisin_correlation(n):
                      [0.0, 0.0, off]])
 
 
-def gisin_ab(n, theta, omega, alpha, beta):
-    """Single-setting correlator <A (x) B> = a.T b on the N-family state."""
-    x = _stacked(3, theta, omega, alpha, beta)
-    return np.einsum("...i,ij,...j->...", x[..., 0, :], gisin_correlation(n), x[..., 1, :])
-
-
 def chsh_gisin(n, theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on the N-family state with polar observables."""
     return chsh(gisin_correlation(n), _stacked(3, theta, theta_p, omega, omega_p,

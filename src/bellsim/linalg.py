@@ -103,16 +103,6 @@ class DenseOperator:
         return f"DenseOperator(dim={self.dim}, hermitian={self.hermitian})"
 
 
-def tensor_state(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of two states; A's index is the most significant one."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.shape + b.shape)
-
-
-def tensor_op(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """Kronecker product, consistent with tensor_state: (A@B)(x@y)=(Ax)@(By)."""
-    return DenseOperator(np.kron(a.matrix, b.matrix))
-
-
 def expectation(op, psi: StateVector) -> complex:
     """<psi|O|psi> through ``op.apply``, so an operator kept factored (such as
     a CHSH or Mermin sum) is never formed as a matrix.  Real up to roundoff
@@ -120,21 +110,6 @@ def expectation(op, psi: StateVector) -> complex:
     if op.dim != psi.dim:
         raise ValueError(f"operator dim {op.dim} does not match state dim {psi.dim}")
     return complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)))
-
-
-def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """AB - BA."""
-    if a.dim != b.dim:
-        raise ValueError("commutator requires operators of equal dimension")
-    return DenseOperator(a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def operator_norm(op: DenseOperator) -> float:
-    """Spectral norm: max |eigenvalue| for Hermitian input, else the largest
-    singular value."""
-    if op.hermitian:
-        return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
-    return float(np.linalg.svd(op.matrix, compute_uv=False)[0])
 
 
 def is_dichotomic(op: DenseOperator, tol: float = ATOL_CONSTRUCT) -> bool:

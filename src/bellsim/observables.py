@@ -22,10 +22,6 @@ import numpy as np
 from .limits import TSIRELSON_BOUND, NumericGuardError, _check_cutoff, _check_spin
 from .linalg import DenseOperator, is_dichotomic
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 # Mermin order-4 sign by number of primed slots in the product term.
 _M4_SIGNS = (-1.0, 1.0, 1.0, -1.0, -1.0)
 
@@ -192,25 +188,6 @@ def pseudospin_operators(cutoff: int):
         sz[n + 1, n + 1] = 1.0
         sz[n, n] = -1.0
     return DenseOperator(sx), DenseOperator(sy), DenseOperator(sz)
-
-
-def spin_matrices(j):
-    """(Jx, Jy, Jz) for spin j from the ladder construction.
-
-    Jz is diagonal with eigenvalues j..-j and <m+-1|J+-|m> =
-    sqrt(j(j+1) - m(m+-1)), which guarantees [Ji, Jj] = i eps_ijk Jk.
-    """
-    twoj = _check_spin(j)
-    dim = twoj + 1
-    m = j - np.arange(dim)  # index k holds m = j - k
-    jz = np.diag(m).astype(np.complex128)
-    raised = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))  # <m+1|J+|m>, m = j-1..-j
-    jplus = np.zeros((dim, dim), dtype=np.complex128)
-    jplus[np.arange(dim - 1), np.arange(1, dim)] = raised
-    jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2.0
-    jy = (jplus - jminus) / 2j
-    return DenseOperator(jx), DenseOperator(jy), DenseOperator(jz)
 
 
 def _require_dichotomic(*ops) -> None:

@@ -102,14 +102,6 @@ def _guard_tail(amps: np.ndarray, what: str) -> None:
         )
 
 
-def coherent_state(z: complex, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
-    """Annihilation-operator eigenstate with eigenvalue z, renormalized after
-    truncation."""
-    amps = coherent_amplitudes(z, cutoff)
-    _guard_tail(amps, f"coherent state z={z}")
-    return StateVector(amps, (int(cutoff),))
-
-
 def entangled_coherent(eta: float, sigma: float, phi: float,
                        cutoff: int = DEFAULT_CUTOFF) -> StateVector:
     """Two-mode superposition of |eta,sigma> and e^(i phi)|-eta,-sigma>."""
@@ -129,45 +121,6 @@ def entangled_coherent(eta: float, sigma: float, phi: float,
     amps *= np.exp(1j * phi)
     amps += np.kron(ce, cs)
     return StateVector(amps, (cutoff, cutoff))
-
-
-def symmetric_coherent(eta: float, sigma: float, phi: float,
-                       cutoff: int = DEFAULT_CUTOFF) -> StateVector:
-    """Two-mode superposition of |eta,sigma> and e^(i phi)|sigma,eta>."""
-    cutoff = _check_cutoff(cutoff)
-    ce, cs = coherent_amplitudes(eta, cutoff), coherent_amplitudes(sigma, cutoff)
-    _guard_tail(ce, f"coherent state z={eta}")
-    _guard_tail(cs, f"coherent state z={sigma}")
-    amps = np.kron(ce, cs) + np.exp(1j * phi) * np.kron(cs, ce)
-    if np.linalg.norm(amps) ** 2 < 1e-12:
-        raise NumericGuardError("degenerate normalization: branches cancel")
-    return StateVector(amps, (cutoff, cutoff))
-
-
-def cat_state_single(eta: float, sign: int, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
-    """Single-mode even (+) or odd (-) superposition of |eta> and |-eta>."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    ce = coherent_amplitudes(eta, cutoff)
-    _guard_tail(ce, f"coherent state z={eta}")
-    amps = ce + sign * _reflected(ce)
-    if np.linalg.norm(amps) ** 2 < 1e-12:
-        raise NumericGuardError(
-            f"cat state with sign {sign:+d} at eta={eta} is the zero vector"
-        )
-    return StateVector(amps, (int(cutoff),))
-
-
-def cat_state_pair(eta: float, sigma: float, phi: float, sign: int,
-                   cutoff: int = DEFAULT_CUTOFF) -> StateVector:
-    """Two-mode state built from single-mode cat states of the given parity:
-    |eta>_s (x) |sigma>_s + e^(i phi) |sigma>_s (x) |eta>_s."""
-    a = cat_state_single(eta, sign, cutoff).amplitudes
-    b = cat_state_single(sigma, sign, cutoff).amplitudes
-    amps = np.kron(a, b) + np.exp(1j * phi) * np.kron(b, a)
-    if np.linalg.norm(amps) ** 2 < 1e-12:
-        raise NumericGuardError("degenerate normalization: branches cancel")
-    return StateVector(amps, (int(cutoff), int(cutoff)))
 
 
 def squeezed_state(lam: float, cutoff: int = DEFAULT_CUTOFF) -> StateVector:

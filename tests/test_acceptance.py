@@ -18,7 +18,6 @@ from bellsim import (
     chsh_operator,
     chsh_phi0_phase,
     chsh_squeezed,
-    commutator,
     entangled_coherent,
     estimate_E,
     expectation,
@@ -29,7 +28,6 @@ from bellsim import (
     mermin3_ghz,
     mermin3_operator,
     mermin4_operator,
-    operator_norm,
     phase_flip_observable,
     polar_observable,
     pseudospin_operators,
@@ -37,7 +35,6 @@ from bellsim import (
     spin_singlet,
     squeezed_state,
     table_gisin,
-    tensor_op,
 )
 from bellsim.correlators import (
     STANDARD_CHSH_ANGLES,
@@ -49,11 +46,14 @@ from bellsim.linalg import StateVector
 from bellsim.observables import TSIRELSON_BOUND
 
 from helpers import (
+    commutator,
+    operator_norm,
     random_hermitian,
     random_operator,
     random_qubit_observable,
     random_unit,
     schmidt_rank_bruteforce,
+    tensor_op,
 )
 
 SQRT2 = np.sqrt(2.0)

@@ -29,7 +29,6 @@ from bellsim import (
     r_state,
     spin_singlet,
     squeezed_state,
-    tensor_state,
 )
 from bellsim import correlators, optimize
 from bellsim.correlators import (
@@ -38,13 +37,14 @@ from bellsim.correlators import (
     STANDARD_MERMIN_ANGLES,
     coherent_omega,
     coherent_pair_series,
-    gisin_ab,
     spin_j_max,
 )
 from bellsim.limits import SCENARIOS
 from bellsim.linalg import NumericGuardError
-from bellsim.observables import PAULI_X, PAULI_Y, PAULI_Z, TSIRELSON_BOUND
+from bellsim.observables import TSIRELSON_BOUND
 from bellsim.states import DEFAULT_CUTOFF
+
+from helpers import PAULI_X, PAULI_Y, PAULI_Z, tensor_op, tensor_state
 
 SQRT2 = np.sqrt(2.0)
 N_DRAWS = 200
@@ -407,7 +407,7 @@ class TestTensorConsistency:
     def test_two_qubit_product_state_expectation(self):
         # <+ -| A (x) B |+ -> = <+|A|+><-|B|->
         rng = np.random.default_rng(197)
-        from bellsim import StateVector, tensor_op
+        from bellsim import StateVector
         plus, minus = StateVector([1, 0]), StateVector([0, 1])
         psi = tensor_state(plus, minus)
         for _ in range(20):
@@ -548,11 +548,9 @@ class TestTensorFormsMatchAngleForms:
     @pytest.mark.parametrize("n", [3, 5, 1000])
     def test_gisin_is_the_signed_sum_of_its_correlators(self, n):
         t, tp, o, op, a, ap, b, bp = (self.BLOCK[:, i] for i in range(8))
-        signed = (gisin_ab(n, t, o, a, b) + gisin_ab(n, tp, o, ap, b)
-                  + gisin_ab(n, t, op, a, bp) - gisin_ab(n, tp, op, ap, bp))
+        e = partial(_angle_gisin_ab, n)
+        signed = e(t, o, a, b) + e(tp, o, ap, b) + e(t, op, a, bp) - e(tp, op, ap, bp)
         np.testing.assert_allclose(chsh_gisin(n, t, tp, o, op, a, ap, b, bp), signed,
-                                   rtol=0, atol=ATOL_FORMS)
-        np.testing.assert_allclose(gisin_ab(n, t, o, a, b), _angle_gisin_ab(n, t, o, a, b),
                                    rtol=0, atol=ATOL_FORMS)
 
     def test_spin(self):

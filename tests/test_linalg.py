@@ -7,18 +7,25 @@ from bellsim import (
     StateVector,
     bell_state,
     chsh_operator,
-    commutator,
     expectation,
     is_dichotomic,
-    operator_norm,
     polar_observable,
+)
+from bellsim.correlators import STANDARD_CHSH_ANGLES
+from bellsim.observables import PairingScheme, phase_flip_observable
+
+from helpers import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    commutator,
+    operator_norm,
+    random_hermitian,
+    random_operator,
+    random_unit,
     tensor_op,
     tensor_state,
 )
-from bellsim.correlators import STANDARD_CHSH_ANGLES
-from bellsim.observables import PAULI_X, PAULI_Y, PAULI_Z, PairingScheme, phase_flip_observable
-
-from helpers import random_hermitian, random_operator, random_unit
 
 PLUS = StateVector([1, 0])
 MINUS = StateVector([0, 1])

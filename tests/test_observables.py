@@ -10,32 +10,35 @@ from bellsim import (
     StateVector,
     PhaseFlipObservable,
     chsh_operator,
-    commutator,
     entangled_coherent,
     expectation,
     ghz_state,
     is_dichotomic,
     mermin3_operator,
     mermin4_operator,
-    operator_norm,
     phase_flip_observable,
     polar_observable,
     pseudospin_operators,
-    spin_matrices,
-    tensor_op,
 )
 from bellsim.correlators import STANDARD_CHSH_ANGLES
 from bellsim.observables import (
     MAX_DENSE_DIM,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     TSIRELSON_BOUND,
     SignedKronSum,
 )
 from bellsim import observables
 
-from helpers import random_phase_observable, random_qubit_observable
+from helpers import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    commutator,
+    operator_norm,
+    random_phase_observable,
+    random_qubit_observable,
+    spin_matrices,
+    tensor_op,
+)
 
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 

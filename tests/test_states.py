@@ -7,25 +7,19 @@ import pytest
 from bellsim import (
     NumericGuardError,
     bell_state,
-    cat_state_pair,
-    cat_state_single,
-    coherent_state,
     entangled_coherent,
     ghz_state,
     gisin_family_state,
     is_product,
     r_state,
-    spin_matrices,
     spin_singlet,
     squeezed_state,
-    symmetric_coherent,
-    tensor_op,
 )
 from bellsim.linalg import DenseOperator, StateVector
 from bellsim.limits import MAX_CUTOFF, MAX_TWOJ, _check_cutoff, _check_spin
-from bellsim.states import _reflected, coherent_amplitudes
+from bellsim.states import _guard_tail, _reflected, coherent_amplitudes
 
-from helpers import schmidt_rank_bruteforce
+from helpers import schmidt_rank_bruteforce, spin_matrices, tensor_op
 
 SQRT2 = np.sqrt(2.0)
 
@@ -138,25 +132,32 @@ class TestSpinSinglet:
 
 
 class TestCoherent:
+    """The single-mode amplitudes and tail guard that ``entangled_coherent``
+    builds its two branches from."""
+
     def test_vacuum_at_zero(self):
-        psi = coherent_state(0.0)
-        assert psi.amplitudes[0] == pytest.approx(1.0)
-        assert np.max(np.abs(psi.amplitudes[1:])) == 0.0
+        amps = coherent_amplitudes(0.0)
+        assert amps[0] == 1.0
+        assert np.max(np.abs(amps[1:])) == 0.0
 
     @pytest.mark.parametrize("z", [0.3, 1.0, 2.0, 0.5 + 0.5j])
     def test_annihilation_eigenstate(self, z):
         cutoff = 40
-        psi = coherent_state(z, cutoff)
+        amps = coherent_amplitudes(z, cutoff)
         lower = np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
-        assert np.linalg.norm(lower @ psi.amplitudes - z * psi.amplitudes) < 1e-8
+        assert np.linalg.norm(lower @ amps - z * amps) < 1e-8
 
     def test_normalized(self):
+        # unnormalized by construction: the norm is the kept mass, which the
+        # tail guard accepts within 1e-10 of 1
         for z in (0.2, 1.5, 1.0 + 0.7j):
-            assert abs(np.linalg.norm(coherent_state(z).amplitudes) - 1.0) < 1e-12
+            amps = coherent_amplitudes(z)
+            _guard_tail(amps, "coherent state")
+            assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
     def test_tail_guard(self):
-        with pytest.raises(NumericGuardError):
-            coherent_state(6.0, 40)
+        with pytest.raises(NumericGuardError, match="tail mass"):
+            _guard_tail(coherent_amplitudes(6.0, 40), "coherent state")
 
     def test_resolution_of_unity_on_lower_levels(self):
         # polar-grid sum of (d^2 z / pi) |z><z|, radius 6 sampled on a
@@ -211,9 +212,6 @@ class TestReflectedBranch:
         four_runs = np.kron(ce, cs) + np.exp(1j * phi) * np.kron(ce_m, cs_m)
         expected = StateVector(four_runs, (cutoff, cutoff)).amplitudes
         assert entangled_coherent(eta, sigma, phi, cutoff).amplitudes.tobytes() == expected.tobytes()
-        for sign in (1, -1):
-            expected = StateVector(ce + sign * ce_m).amplitudes
-            assert cat_state_single(eta, sign, cutoff).amplitudes.tobytes() == expected.tobytes()
 
 
 class TestEntangledCoherent:
@@ -257,45 +255,6 @@ class TestEntangledCoherent:
         # amplitude cannot overflow into an OverflowError or NaN amplitudes
         with pytest.raises(NumericGuardError, match="mean photon number"):
             entangled_coherent(eta, 0.1, 0.0, cutoff=40)
-
-
-class TestSymmetricAndCats:
-    def test_cat_minus_at_zero_is_degenerate(self):
-        with pytest.raises(NumericGuardError):
-            cat_state_single(0.0, -1)
-
-    def test_cat_sign_must_be_plus_or_minus_one(self):
-        with pytest.raises(ValueError, match="sign"):
-            cat_state_single(0.5, 0)
-
-    def test_symmetric_equal_amplitudes_with_pi_phase_is_degenerate(self):
-        # |eta, eta> - |eta, eta> cancels exactly
-        with pytest.raises(NumericGuardError, match="degenerate"):
-            symmetric_coherent(0.5, 0.5, np.pi)
-
-    def test_symmetric_equal_amplitudes_is_product(self):
-        psi = symmetric_coherent(0.8, 0.8, 0.7)
-        assert is_product(psi)[0]
-
-    def test_symmetric_norm_against_overlap_formula(self):
-        eta, sigma, phi = 1.0, 0.5, np.pi / 3
-        cutoff = 40
-        ce, cs = coherent_amplitudes(eta, cutoff), coherent_amplitudes(sigma, cutoff)
-        raw = np.kron(ce, cs) + np.exp(1j * phi) * np.kron(cs, ce)
-        norm_sq = 2.0 * (1.0 + np.cos(phi) * np.exp(-((eta - sigma) ** 2)))
-        assert np.linalg.norm(raw) ** 2 == pytest.approx(norm_sq, abs=1e-9)
-        assert abs(np.linalg.norm(symmetric_coherent(eta, sigma, phi).amplitudes) - 1) < 1e-12
-
-    def test_cat_pair_constructs_normalized(self):
-        psi = cat_state_pair(1.0, 0.5, np.pi / 3, +1)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-        psi = cat_state_pair(1.0, 0.5, 0.0, -1)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-
-    def test_cat_pair_degenerate_branch_cancellation(self):
-        # equal cats with a pi phase cancel exactly
-        with pytest.raises(NumericGuardError):
-            cat_state_pair(0.9, 0.9, np.pi, +1)
 
 
 class TestSqueezed:
@@ -375,7 +334,7 @@ class TestIsProduct:
             r_state(0.5),
             spin_singlet(1),
             squeezed_state(0.4, 20),
-            symmetric_coherent(0.8, 0.8, 0.7, 20),
+            entangled_coherent(0.8, 0.6, 0.7, 20),
         ]
         for psi in catalog:
             flag, _ = is_product(psi)
