@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .limits import TSIRELSON_BOUND, NumericGuardError, _check_spin, _check_squeezing
+from .limits import (TSIRELSON_BOUND, NumericGuardError, _check_spin, _check_squeezing,
+                     _coherent_norm)
 
 # unused here: importing it keeps the order in which a process that loads
 # this module first loads bellsim, and that order sets where the heap ends;
@@ -200,14 +201,10 @@ def coherent_pair_series(x, max_terms: int = 60, rel_tol: float = 1e-15):
 
 
 def coherent_omega(eta, sigma, phi):
-    """exp(-(eta^2+sigma^2)) / (1 + cos(phi) exp(-2(eta^2+sigma^2))).  Raises
-    NumericGuardError where the denominator is not positive: the branches cancel."""
-    s = eta * eta + sigma * sigma
-    norm = 1.0 + np.cos(phi) * np.exp(-2.0 * s)
-    if np.any(norm <= 0.0):
-        raise NumericGuardError("degenerate normalization: the two branches cancel "
-                                f"exactly (eta={eta}, sigma={sigma}, phi={phi})")
-    return np.exp(-s) / norm
+    """exp(-(eta^2+sigma^2)) / (1 + cos(phi) exp(-2(eta^2+sigma^2))), the
+    denominator from ``limits._coherent_norm``, which raises
+    NumericGuardError where the two branches cancel."""
+    return np.exp(-(eta * eta + sigma * sigma)) / _coherent_norm(eta, sigma, phi)
 
 
 def coherent_correlation(eta, sigma, phi, max_terms: int = 60):

@@ -99,6 +99,20 @@ def _check_squeezing(lam) -> float:
     return lam
 
 
+def _coherent_norm(eta, sigma, phi) -> float:
+    """1 + cos(phi) e^(-2s), s = eta^2 + sigma^2: half the squared norm of
+    |eta, sigma> + e^(i phi) |-eta, -sigma>.  Written as 2 cos^2(phi/2) +
+    cos(phi) expm1(-2s), which subtracts no two numbers near 1, so it keeps
+    its digits where cos(phi) is near -1 and s near 0.  Raises
+    NumericGuardError where the branches are one vector and cancel: s = 0
+    and cos(phi) = -1."""
+    s, c = eta * eta + sigma * sigma, math.cos(phi)
+    if s == 0.0 and c == -1.0:
+        raise NumericGuardError("degenerate normalization: the two branches cancel "
+                                f"exactly (eta={eta}, sigma={sigma}, phi={phi})")
+    return 2.0 * math.cos(0.5 * phi) ** 2 + c * math.expm1(-2.0 * s)
+
+
 def _check_unit(vec, label: str) -> list:
     """Validate a unit 3-vector, its norm within 1e-9 of 1; return its
     components as floats."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .limits import (DEFAULT_CUTOFF, NumericGuardError, _check_cutoff, _check_family_n,
-                     _check_spin, _check_squeezing)
+                     _check_spin, _check_squeezing, _coherent_norm)
 from .linalg import StateVector
 
 TAIL_TOL = 1e-10
@@ -106,12 +106,7 @@ def entangled_coherent(eta: float, sigma: float, phi: float,
                        cutoff: int = DEFAULT_CUTOFF) -> StateVector:
     """Two-mode superposition of |eta,sigma> and e^(i phi)|-eta,-sigma>."""
     cutoff = _check_cutoff(cutoff)
-    key = 1.0 + np.cos(phi) * np.exp(-2.0 * (eta * eta + sigma * sigma))
-    if key <= 0.0:
-        raise NumericGuardError(
-            "degenerate normalization: the two branches cancel exactly "
-            f"(eta={eta}, sigma={sigma}, phi={phi})"
-        )
+    _coherent_norm(eta, sigma, phi)  # raises where the two branches cancel
     ce, cs = coherent_amplitudes(eta, cutoff), coherent_amplitudes(sigma, cutoff)
     _guard_tail(ce, f"coherent state z={eta}")
     _guard_tail(cs, f"coherent state z={sigma}")

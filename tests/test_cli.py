@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import bellsim
+import reference_mp as ref
 from bellsim import correlators, lhv, linalg, optimize
 from bellsim.cli import main, render_report
+from test_reference import BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -415,6 +418,19 @@ class TestCoherent:
         assert "guard" in err.lower()
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("route", [[], ["--oracle"]], ids=["closed-form", "oracle"])
+    @pytest.mark.parametrize("amplitude", ["1e-6", "1e-8", "3e-9"])
+    def test_near_cancelling_branches_read_their_reference(self, capsys, route, amplitude):
+        # at the default phi = pi, 1 + cos(phi) e^(-2s) once subtracted two
+        # numbers near 1: the closed form read 1.6e-5 low at 1e-6 and 10 %
+        # low at 1e-8, and both routes raised a false guard at 3e-9
+        code, out, _ = run_cli(capsys, "coherent", *route, "--eta", amplitude,
+                               "--sigma", amplitude, "--precision", "17", "--format", "json")
+        assert code == 0
+        z = float(amplitude)
+        distance = ref.ulps(json.loads(out)["value"], ref.coherent_max(z, z, math.pi))
+        assert abs(distance) <= BUDGET["closed"]
 
     @pytest.mark.parametrize("route", [["coherent"], ["coherent", "--optimize"],
                                        ["optimize", "--scenario", "coherent"]],
