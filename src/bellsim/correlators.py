@@ -54,16 +54,23 @@ def settings_of(angles, width):
     return np.stack([np.cos(theta), st * np.cos(alpha), st * np.sin(alpha)], axis=-1)
 
 
+def _wrapped(t):
+    t %= 2.0 * math.pi
+    return t if t < 2.0 * math.pi else 0.0  # a tiny negative angle wraps to 2 pi itself
+
+
 def angles_of(x):
     """The angle vector of settings ``x`` (..., S, w): theta in [0, pi],
-    phases and azimuths in [0, 2 pi)."""
-    phase = np.arctan2(x[..., -1], x[..., -2]) % (2.0 * np.pi)
-    # a tiny negative angle wraps to 2 pi itself
-    phase = np.where(phase < 2.0 * np.pi, phase, 0.0)
+    phases and azimuths in [0, 2 pi).  Each angle is one libm call per
+    setting (``math.atan2``, ``math.hypot``), so its bits do not follow
+    the SIMD level that numpy dispatches to."""
+    x = np.asarray(x, dtype=float)
+    units, shape = x.reshape(-1, x.shape[-1]).tolist(), x.shape[:-1]
+    phase = np.array([_wrapped(math.atan2(u[-1], u[-2])) for u in units]).reshape(shape)
     if x.shape[-1] == 2:
         return phase
-    theta = np.arctan2(np.hypot(x[..., 1], x[..., 2]), x[..., 0])
-    return np.concatenate([theta, phase], axis=-1)
+    theta = np.array([math.atan2(math.hypot(u[1], u[2]), u[0]) for u in units])
+    return np.concatenate([theta.reshape(shape), phase], axis=-1)
 
 
 def _stacked(width, *angles):

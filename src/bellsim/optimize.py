@@ -197,12 +197,13 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
         shape = (min(START_BLOCK, restarts - first), scenario.settings, scenario.width)
         res = minimize(evaluator, _normalized(rng.standard_normal(shape)))
         evaluations += int(res.nfev)
-        values = np.abs(evaluator(res.x)).tolist()
-        angles = co.angles_of(res.x).tolist()
-        for value, settings, success in zip(values, angles, res.success.tolist()):
-            settings = tuple(settings)
+        values = np.abs(evaluator(res.x))
+        # only the rows not below the block's best can win, so only they
+        # are converted to angles (a NaN makes every row such a row)
+        for r in np.flatnonzero(~(values < values.max())).tolist():
+            value, settings = float(values[r]), tuple(co.angles_of(res.x[r]).tolist())
             if best is None or value > best[0] or (value == best[0] and settings < best[1]):
-                best = (value, settings, success)
+                best = (value, settings, bool(res.success[r]))
     return OptimizationResult(best_value=best[0], best_settings=best[1],
                               evaluations=evaluations, converged=best[2])
 

@@ -12,8 +12,11 @@ that means to alter a report.
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -96,6 +99,21 @@ def run(command: str, tmp: pathlib.Path) -> dict:
     return result
 
 
+def expected(record: dict) -> dict:
+    """What a replay of a recorded run must give: a usage error pins only its
+    exit code 2 and an empty stdout, since its wording may change."""
+    return {"code": 2, "stdout": ""} if record["code"] == 2 else record
+
+
+def print_mismatches() -> None:
+    """Replay every run and print the command of each that differs."""
+    corpus = json.loads(CORPUS.read_text())
+    for command in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            if run(command, pathlib.Path(tmp)) != expected(corpus[command]):
+                print(command)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return json.loads(CORPUS.read_text())
@@ -107,16 +125,34 @@ def test_corpus_holds_every_run(corpus):
 
 @pytest.mark.parametrize("command", RUNS)
 def test_report_matches_corpus(corpus, tmp_path, command):
-    expected = corpus[command]
-    if expected["code"] == 2:  # a usage error: its wording may change
-        assert run(command, tmp_path) == {"code": 2, "stdout": ""}
-    else:
-        assert run(command, tmp_path) == expected
+    assert run(command, tmp_path) == expected(corpus[command])
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+# what numpy dispatches to on an x86 host with AVX2 but no AVX-512
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(not all(_cpu_features().get(f) for f in AVX512),
+                    reason="numpy dispatches below AVX-512 here, as the replay above runs")
+def test_corpus_replays_without_avx512():
+    # the corpus was recorded with AVX-512 dispatch; its bits must not follow it
+    here = pathlib.Path(__file__).parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512),
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", "import test_golden as g; g.print_mismatches()"],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert proc.stdout == "", "runs that differ without AVX-512:\n" + proc.stdout
 
 
 if __name__ == "__main__":
-    import tempfile
-
     records = {}
     for command in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
