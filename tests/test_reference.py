@@ -8,9 +8,10 @@ exact maximum.  A seeded sample of settings measures each public closed form
 the same way, against a budget of its own.  ``PYTHONPATH=src:tests python
 tests/test_reference.py [samples]`` prints both tables.
 
-The budgets were set from these measurements before the closed forms became
-correlation-tensor contractions, and are not widened to pass: a value that
-leaves its budget calls for a more accurate form.
+The budgets are the largest distances measured with the correlation-tensor
+forms and the cancellation-free coherent normalization (the sampled forms
+read the same at each of numpy's x86 dispatch levels), and are not widened
+to pass: a value that leaves its budget calls for a more accurate form.
 """
 
 import csv
@@ -30,9 +31,8 @@ from bellsim import (chsh_coherent, chsh_gisin, chsh_phi0_phase, chsh_phi0_polar
 CORPUS = pathlib.Path(__file__).with_name("golden_cli.json")
 FULL = " --precision 17 --format json"
 # largest |distance| in ulps of the double spacing at the reference, per
-# route: the largest distance measured before the tensor forms, rounded up to
-# a half ulp
-BUDGET = {"closed": 5.5, "oracle": 2.0, "search": 6.5}
+# route: the largest distance measured, rounded up to a half ulp
+BUDGET = {"closed": 1.5, "oracle": 2.0, "search": 4.0}
 # settings per closed form in the Tier-1 sample; only |reference| >= 0.5 counts
 SAMPLE = 100
 
@@ -166,14 +166,19 @@ SAMPLED_FORMS = {
                      lambda *p: ref.squeezed_chsh(0.6, *p), [PHASE] * 4),
     "coherent": (lambda *p: chsh_coherent(0.4, 0.7, 2.0, *p),
                  lambda *p: ref.coherent_chsh(0.4, 0.7, 2.0, *p), [PHASE] * 4),
+    # where 1 + cos(phi) e^(-2s) nearly cancels
+    **{f"coherent-{z}-pi": (lambda *p, z=float(z): chsh_coherent(z, z, math.pi, *p),
+                            lambda *p, z=float(z): ref.coherent_chsh(z, z, math.pi, *p),
+                            [PHASE] * 4) for z in ("1e-6", "1e-4")},
     "mermin3": (mermin3_ghz, ref.mermin3, [PHASE] * 6),
     "mermin4": (mermin4_ghz, ref.mermin4, [PHASE] * 8),
 }
-# largest |distance| in ulps per form: the largest of the angle forms over
-# 1000 seeded settings, rounded up to a half ulp
-SAMPLE_BUDGET = {"chsh-phase": 19.5, "chsh-polar": 10.0, "gisin-3": 4.5, "gisin-5": 7.0,
-                 "r-state-0.5": 5.0, "spin-1.5": 6.0, "spin-2": 5.5, "squeezed-0.6": 18.5,
-                 "coherent": 5.0, "mermin3": 27.0, "mermin4": 41.0}
+# largest |distance| in ulps per form: the largest over 1000 seeded
+# settings, rounded up to a half ulp
+SAMPLE_BUDGET = {"chsh-phase": 3.5, "chsh-polar": 4.0, "gisin-3": 4.0, "gisin-5": 4.0,
+                 "r-state-0.5": 4.0, "spin-1.5": 4.0, "spin-2": 4.0, "squeezed-0.6": 5.0,
+                 "coherent": 5.0, "coherent-1e-6-pi": 5.0, "coherent-1e-4-pi": 5.0,
+                 "mermin3": 4.5, "mermin4": 8.0}
 
 
 def sampled_distances(name, count, seed=13):
