@@ -1,5 +1,7 @@
 import importlib
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -22,6 +24,16 @@ def test_public_name_is_the_object_its_submodule_defines(name):
 
 def test_dir_lists_every_public_name():
     assert set(bellsim.__all__) <= set(dir(bellsim))
+
+
+def test_readme_lists_every_public_name_under_its_submodule():
+    readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name: module
+              for module, names in re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", section,
+                                              flags=re.M | re.S)
+              for name in re.findall(r"`(\w+)`", names)}
+    assert listed == {name: bellsim._EXPORTS[name] for name in bellsim.__all__}
 
 
 def test_unknown_name_is_an_attribute_error():
