@@ -1,5 +1,6 @@
-"""Bounds, the violation verdict, defaults, input checks, the scenario table
-and the built-in LHV model names, none of which need numpy.
+"""Bounds, the violation verdict, defaults, input checks (the entangled
+coherent state's normalization among them), the scenario table and the
+built-in LHV model names, none of which need numpy.
 
 The command line reads these while it parses its arguments, before it loads
 any numeric module; the numeric modules import what they use from here, so
