@@ -141,7 +141,7 @@ AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 @pytest.mark.skipif(not all(_cpu_features().get(f) for f in AVX512),
-                    reason="numpy dispatches below AVX-512 here, as the replay above runs")
+                    reason="no AVX-512 to disable: the replay above runs below it already")
 def test_corpus_replays_without_avx512():
     # the corpus was recorded with AVX-512 dispatch; its bits must not follow it
     here = pathlib.Path(__file__).parent
