@@ -223,6 +223,22 @@ class TestEntangledCoherent:
         with pytest.raises(NumericGuardError):
             entangled_coherent(0.0, 0.0, np.pi)
 
+    @pytest.mark.parametrize("phi", [np.pi, -np.pi, 3 * np.pi])
+    def test_degenerate_guard_names_the_cancelling_branches(self, phi):
+        # at the origin with cos(phi) = -1 the two branches are one vector
+        with pytest.raises(NumericGuardError, match="branches cancel"):
+            entangled_coherent(0.0, 0.0, phi)
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-8, 3e-9])
+    def test_near_pi_state_is_the_one_photon_superposition(self, amplitude):
+        # |a,a> - |-a,-a> = 2a(|1,0> + |0,1>) + O(a^3): the branches nearly
+        # cancel, yet the guard holds only at the origin and the state keeps
+        # its two one-photon amplitudes
+        psi = entangled_coherent(amplitude, amplitude, np.pi, 20)
+        probs = np.abs(psi.amplitudes.reshape(psi.shape)) ** 2
+        assert probs[1, 0] == pytest.approx(0.5, abs=1e-12)
+        assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
+
     def test_closed_form_normalization(self):
         # the two-branch sum normalized by the closed-form factor has unit norm
         for eta, sigma, phi in [(0.4, 0.8, 0.9), (1.0, 0.2, np.pi), (0.7, 0.7, 0.0)]:
@@ -255,6 +271,30 @@ class TestEntangledCoherent:
         # amplitude cannot overflow into an OverflowError or NaN amplitudes
         with pytest.raises(NumericGuardError, match="mean photon number"):
             entangled_coherent(eta, 0.1, 0.0, cutoff=40)
+
+
+class TestCatLimit:
+    """With one amplitude zero, the entangled coherent state is a
+    single-mode cat state (|z> + e^(i phi)|-z>) times the vacuum."""
+
+    @pytest.mark.parametrize("eta, sigma", [(0.8, 0.0), (0.0, 0.8)])
+    @pytest.mark.parametrize("phi", [0.7, np.pi])
+    def test_cat_times_vacuum_is_product(self, eta, sigma, phi):
+        cutoff = 20
+        psi = entangled_coherent(eta, sigma, phi, cutoff)
+        assert is_product(psi)[0]
+        amps = coherent_amplitudes(eta + sigma, cutoff)
+        cat = StateVector(amps + np.exp(1j * phi) * _reflected(amps)).amplitudes
+        vacuum = np.eye(cutoff)[0]
+        factors = (cat, vacuum) if sigma == 0.0 else (vacuum, cat)
+        assert np.allclose(psi.amplitudes, np.kron(*factors), atol=1e-15)
+
+    @pytest.mark.parametrize("phi, parity", [(0.0, 0), (np.pi, 1)])
+    def test_even_and_odd_cats_keep_one_photon_parity(self, phi, parity):
+        psi = entangled_coherent(1.2, 0.0, phi, 30)
+        mode_a = psi.amplitudes.reshape(psi.shape)[:, 0]
+        assert np.max(np.abs(mode_a[1 - parity::2])) < 1e-15
+        assert np.linalg.norm(mode_a[parity::2]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSqueezed:
