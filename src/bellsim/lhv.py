@@ -4,19 +4,24 @@ A model is a hidden-variable distribution plus two deterministic +-1 response
 functions, one per side; by interface shape the A response never sees the B
 setting and vice versa, and a response to sample i sees only lam[i].
 Estimates are computed in fixed blocks of BLOCK_SIZE samples, each block
-drawing from its own child seed, so sharding blocks across workers cannot
-change the merged result.  A block is drawn and answered in row chunks of
-8192: each chunk draws its lam from the block's generator just before its
-responses are asked for, so an estimate holds one chunk (192 KiB of lam, and
-int64 responses near 64 KiB each) rather than a whole block.  Samplers draw
-their rows in sequence, so the chunked draws give the rows of one draw of the
+drawing from its own child seed, and the blocks are sharded across up to
+four threads (one per usable core, the caller's thread among them), so the
+sharding cannot change the merged result.  A block is drawn and answered in
+row chunks: each chunk draws its lam from the block's generator just before
+its responses are asked for, and the threads split one chunk of 8192 rows
+among them, so an estimate holds about one chunk (192 KiB of lam, and int64
+responses near 64 KiB each) rather than a whole block.  Samplers draw their
+rows in sequence, so the chunked draws give the rows of one draw of the
 block, and all per-sample combinations are summed as exact integers: neither
-the chunks nor the blocks can change a result.
+the chunks, nor the blocks, nor the order in which threads finish them can
+change a result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +29,11 @@ import numpy as np
 from .limits import DEFAULT_SAMPLES, MAX_SAMPLES, _check_unit
 
 BLOCK_SIZE = 1 << 16
-# rows of lam per response call; divides BLOCK_SIZE
+# rows of lam per response call, split among the threads of one estimate
 _CHUNK = 1 << 13
+# threads per estimate: one per usable core, at most four
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, 4)
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,9 @@ class LhvModel:
     response to sample i depends on lam[i] alone, never on other rows, so a
     batch may be answered in any row chunks.  They must also satisfy the
     anti-correlation constraint response_b(v, lam) = -response_a(v, lam).
-    Construction probes all four rules on random draws.
+    Construction probes all four rules on random draws.  An estimate calls
+    ``sample`` and the responses from several threads at once, so they must
+    not change shared state.
     """
 
     name: str
@@ -144,30 +154,86 @@ def _unit(vec, label: str) -> np.ndarray:
 
 
 def _block(model: LhvModel, side_a, side_b, combine, square: int, seed: int,
-           block: int, size: int) -> tuple[int, int, int]:
+           block: int, size: int, chunk: int) -> tuple[int, int, int]:
     """Exact sums of ``combine`` and of its square over one block of ``size``
-    samples, and the count of samples that do not square to ``square``."""
+    samples, answered ``chunk`` rows at a time, and the count of samples that
+    do not square to ``square``."""
     # one child stream per fixed-size block; the merge over blocks is then
     # independent of how blocks are distributed across workers
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     total = total_sq = bad = 0
-    for start in range(0, size, _CHUNK):
+    for start in range(0, size, chunk):
         # the sampler draws in sequence, so chunked draws are the block's rows
-        rows = model.sample(rng, min(_CHUNK, size - start))
+        # whether or not the chunk divides the block
+        rows = model.sample(rng, min(chunk, size - start))
+        # the last chunk's c goes only once these rows are drawn: freed with
+        # the rest of its chunk, it would let glibc trim the heap, and the
+        # draw would fault it back in
+        c = None
         ra = [np.asarray(model.response_a(v, rows), dtype=np.int64) for v in side_a]
         rb = [np.asarray(model.response_b(v, rows), dtype=np.int64) for v in side_b]
         # release the rows and the responses once spent, so the next chunk
-        # never holds them beside its own; c and sq go when rebound, since
-        # freeing the whole chunk at once lets glibc trim the heap, and the
-        # next draw faults it back in
+        # never holds them beside its own
         del rows
         c = combine(ra, rb)
         del ra, rb
-        sq = c * c
         total += int(c.sum())
-        total_sq += int(sq.sum())
-        bad += int(np.count_nonzero(sq != square))
+        # squared in place, so a chunk holds no second array of its size
+        np.multiply(c, c, out=c)
+        total_sq += int(c.sum())
+        bad += int(np.count_nonzero(c != square))
     return total, total_sq, bad
+
+
+def _on_threads(run, workers: int) -> None:
+    """Call ``run(w, stop)`` for each w below ``workers``: w = 0 in the
+    caller's thread, every other w on a thread of its own, so one worker
+    starts no thread.  ``run`` returns early once the Event ``stop`` is set.
+    An error in any call, Ctrl-C in the caller's thread included, sets it,
+    and is raised here with its own type once every thread has ended."""
+    stop, go = threading.Event(), threading.Event()
+    errors = []
+
+    def work(w, ended):
+        try:
+            # no call starts before every start has returned, so no worker
+            # can raise, or send Ctrl-C, while Thread.start waits: a start
+            # cut short would leave its thread out of ``threads``
+            go.wait()
+            run(w, stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+        finally:
+            ended.set()
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            ended = threading.Event()
+            thread = threading.Thread(target=work, args=(w, ended), daemon=True)
+            thread.start()
+            threads.append((thread, ended))
+        go.set()
+        run(0, stop)
+        for _, ended in threads:
+            ended.wait()
+    finally:
+        # reached once every thread has ended, or on an error here.  The wait
+        # is on ``ended``, since a Ctrl-C inside Thread.join can mark a
+        # running thread as stopped (Python 3.11); a second Ctrl-C is
+        # absorbed, as the first is already on its way.
+        stop.set()
+        go.set()
+        for thread, ended in threads:
+            while not ended.is_set():
+                try:
+                    ended.wait()
+                except KeyboardInterrupt:
+                    pass
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
@@ -182,13 +248,22 @@ def _estimate(model: LhvModel, side_a, side_b, combine, square: int, n: int,
     side_b = [_unit(v, "b" + "'" * k) for k, v in enumerate(side_b)]
     if not 1 <= n <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n}")
-    total = total_sq = bad = 0
-    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
-        block_total, block_sq, block_bad = _block(model, side_a, side_b, combine, square,
-                                                  seed, block, min(BLOCK_SIZE, n - start))
-        total += block_total
-        total_sq += block_sq
-        bad += block_bad
+    blocks = -(-n // BLOCK_SIZE)
+    workers = min(_WORKERS, blocks)
+    chunk = _CHUNK // workers
+    # sums[w] holds worker w's exact totals over every workers-th block
+    sums = [[0, 0, 0] for _ in range(workers)]
+
+    def run(w, stop):
+        for block in range(w, blocks, workers):
+            if stop.is_set():
+                return
+            part = _block(model, side_a, side_b, combine, square, seed, block,
+                          min(BLOCK_SIZE, n - block * BLOCK_SIZE), chunk)
+            sums[w] = [s + p for s, p in zip(sums[w], part)]
+
+    _on_threads(run, workers)
+    total, total_sq, bad = (sum(column) for column in zip(*sums))
     mean = total / n
     # total_sq is square * n for a valid model, an exact integer either way
     var = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0

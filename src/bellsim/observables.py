@@ -204,8 +204,11 @@ MAX_DENSE_DIM = 2048
 
 def _merge(x, lo: np.ndarray, x_p, hi: np.ndarray, left: int) -> np.ndarray:
     """X on ``lo`` plus X' on ``hi``, both along the axis after ``left``
-    entries, summed in place so one temporary is alive at a time."""
+    entries, summed in place so one temporary is alive at a time.  ``lo`` is
+    released once applied, so a caller that passes its last reference holds
+    no more than ``hi``, the sum and one temporary."""
     out = x.apply_along(lo, left)
+    del lo
     out += x_p.apply_along(hi, left)
     return out
 
@@ -264,8 +267,12 @@ class SignedKronSum:
         if (isinstance(x, PhaseFlipObservable) and isinstance(x_p, PhaseFlipObservable)
                 and np.array_equal(x.perm, x_p.perm)):
             gathered = vec.reshape(x.dim, -1).take(x.perm, axis=0)
-            return [((signs[s] * x.coef + signs[s + 1] * x_p.coef)[:, None]
-                     * gathered).reshape(-1) for s in range(len(self.parties))]
+            last = len(self.parties) - 1
+            # the last shift is formed in the gather's buffer, so the gather
+            # is not held beside every shift
+            return [np.multiply((signs[s] * x.coef + signs[s + 1] * x_p.coef)[:, None],
+                                gathered, out=gathered if s == last else None).reshape(-1)
+                    for s in range(last + 1)]
         return [(m @ vec.reshape(x.dim, -1)).reshape(-1) for m in self._first_party_shifts()]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -278,7 +285,12 @@ class SignedKronSum:
         partial = self._apply_first_party(vec)
         left = self.parties[0][0].dim
         for x, x_p in self.parties[1:]:
-            partial = [_merge(x, lo, x_p, hi, left) for lo, hi in zip(partial, partial[1:])]
+            # each shift is popped into its last merge, so it is freed once
+            # that merge has applied it, not when the whole level is done
+            merged = []
+            while len(partial) > 1:
+                merged.append(_merge(x, partial.pop(0), x_p, partial[0], left))
+            partial = merged
             left *= x.dim
         return partial[0]
 

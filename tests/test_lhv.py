@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -272,13 +277,21 @@ class TestWorkingSet:
     # and answers one chunk at a time and releases its rows and responses
     # once spent, so it never holds a whole block of lam, whatever n is.
     # While they were kept through the next chunk, CHSH peaked at 771 KiB and
-    # E at 514 KiB (sign) and 643 KiB (sphere), against 587-643 and 458-514.
+    # E at 514 KiB (sign) and 643 KiB (sphere); on one thread they now read
+    # 463-519 and 334-391.  The threads of one estimate split one chunk of
+    # rows among them, so the bounds hold at any worker count: a thread
+    # answering 2048 rows peaks at 135 KiB at most, so four threads at their
+    # peaks at once hold 540 KiB.  With the combination and its square both
+    # kept through the next chunk, E read up to 599 KiB at four workers.
+    @pytest.mark.parametrize("workers", [lhv._WORKERS, 4], ids=["host", "4-workers"])
     @pytest.mark.parametrize("model", [SIGN_MODEL, SHIFTED_SPHERE], ids=["sign", "sphere"])
     @pytest.mark.parametrize("estimate, limit_kib", [
         (lambda model, n: chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=1), 700),
         (lambda model, n: estimate_E(model, X, vec_at(0.5), n=n, seed=1), 560),
     ], ids=["chsh", "E"])
-    def test_traced_peak_stays_within_one_block(self, estimate, limit_kib, model):
+    def test_traced_peak_stays_within_one_block(self, estimate, limit_kib, model, workers,
+                                                monkeypatch):
+        monkeypatch.setattr(lhv, "_WORKERS", workers)
         estimate(model, lhv.BLOCK_SIZE)  # warm any lazy caches
         tracemalloc.start()
         try:
@@ -336,19 +349,31 @@ GOLDEN = {
 }
 
 
+def _golden_estimate(key):
+    name, estimator, n = key
+    model = {"sign": SIGN_MODEL, "sphere": SHIFTED_SPHERE}[name]
+    if estimator == "chsh":
+        return chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=11)
+    return estimate_E(model, X, vec_at(1.0), n=n, seed=9)
+
+
 class TestPinnedStreams:
     # exact results of the seeded block streams; any change to the draws, the
     # responses or the integer accumulation moves them
     @pytest.mark.parametrize("key", sorted(GOLDEN, key=str), ids=str)
     def test_golden_estimates(self, key):
-        name, estimator, n = key
-        model = {"sign": SIGN_MODEL, "sphere": SHIFTED_SPHERE}[name]
-        if estimator == "chsh":
-            est = chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=n, seed=11)
-        else:
-            est = estimate_E(model, X, vec_at(1.0), n=n, seed=9)
+        est = _golden_estimate(key)
         assert (est.mean.hex(), est.std_error.hex(), est.dichotomy_failures) == GOLDEN[key]
-        assert est.samples == n
+        assert est.samples == key[2]
+
+    # more than one block: the blocks run on threads, whatever the host's cores
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("key", sorted((k for k in GOLDEN if k[2] > lhv.BLOCK_SIZE),
+                                           key=str), ids=str)
+    def test_worker_count_cannot_change_a_result(self, key, workers, monkeypatch):
+        monkeypatch.setattr(lhv, "_WORKERS", workers)
+        est = _golden_estimate(key)
+        assert (est.mean.hex(), est.std_error.hex(), est.dichotomy_failures) == GOLDEN[key]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_uniform_sphere_bits(self, seed):
@@ -367,3 +392,77 @@ class TestPinnedStreams:
     def test_e_mean(self):
         est = estimate_E(SIGN_MODEL, X, vec_at(1.0), n=123_457, seed=9)
         assert est.mean == -0.368168674113254
+
+
+class TestThreadedErrors:
+    SEED = 31
+
+    def _marked_model(self, block, act):
+        # calls act() when asked to answer the first row of ``block``'s stream.
+        # The construction probe draws 64 rows from its own seed, 0xBE11, and
+        # never that row (asserted below), so the model is accepted; it also
+        # counts the rows drawn, across every thread
+        marker = np.random.default_rng(
+            np.random.SeedSequence(entropy=self.SEED, spawn_key=(block,))).standard_normal(3)
+        probe = _gaussian(np.random.default_rng(0xBE11), 64)
+        assert not np.all(probe == marker, axis=1).any()
+        drawn = []
+
+        def sample(rng, n):
+            drawn.append(n)
+            return _gaussian(rng, n)
+
+        def response(setting, lam):
+            if np.all(lam == marker, axis=1).any():
+                act()
+            return np.where(lam @ np.asarray(setting) >= 0, 1, -1)
+
+        model = LhvModel(name="marked", sample=sample, response_a=response,
+                         response_b=lambda s, lam: -response(s, lam))
+        drawn.clear()
+        return model, drawn
+
+    def _check_stopped_early(self, drawn, before):
+        # every thread has ended, and none ran on through the 15,259 blocks
+        # of MAX_SAMPLES after the error
+        assert threading.active_count() == before
+        assert sum(drawn) < 100 * lhv.BLOCK_SIZE
+
+    # block 2 at 2 workers falls to the caller's thread, the others to a started one
+    @pytest.mark.parametrize("workers, block", [(2, 1), (2, 2), (4, 3)])
+    def test_response_error_is_raised_in_the_caller(self, workers, block, monkeypatch):
+        monkeypatch.setattr(lhv, "_WORKERS", workers)
+
+        def fail():
+            raise ArithmeticError(f"no answer in block {block}")
+
+        model, drawn = self._marked_model(block, fail)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^no answer in block {block}$"):
+            chsh_lhv(model, X, Y, vec_at(0.5), vec_at(2.5), n=lhv.MAX_SAMPLES, seed=self.SEED)
+        self._check_stopped_early(drawn, before)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT is not a POSIX signal there")
+    @pytest.mark.skipif(threading.current_thread() is not threading.main_thread(),
+                        reason="Python delivers SIGINT to the main thread only")
+    @pytest.mark.parametrize("presses", [1, 2])
+    def test_ctrl_c_stops_every_thread(self, presses, monkeypatch):
+        monkeypatch.setattr(lhv, "_WORKERS", 2)
+        # block 1 runs on the started thread, which presses Ctrl-C for the
+        # caller's thread once, although both sides answer the marked row.
+        # A second press comes when the caller has long been waiting for that
+        # thread to stop, and must not cut the wait short.
+        pressed = []
+
+        def interrupt():
+            if not pressed:
+                pressed.append(os.kill(os.getpid(), signal.SIGINT))
+                for _ in range(presses - 1):
+                    time.sleep(0.5)
+                    os.kill(os.getpid(), signal.SIGINT)
+
+        model, drawn = self._marked_model(1, interrupt)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_E(model, X, vec_at(1.0), n=lhv.MAX_SAMPLES, seed=self.SEED)
+        self._check_stopped_early(drawn, before)
