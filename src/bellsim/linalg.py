@@ -6,6 +6,8 @@ operators expose read-only numpy arrays, so concurrent read-only use is safe.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .limits import NumericGuardError
@@ -33,16 +35,23 @@ class StateVector:
         amps = np.array(amplitudes, dtype=np.complex128).ravel()
         if amps.size == 0:
             raise ValueError("state vector needs at least one amplitude")
-        if not np.isfinite(amps).all():
-            raise NumericGuardError("state amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(amps)
+        if not math.isfinite(norm):  # a finite norm has finite amplitudes
+            if not np.isfinite(amps).all():
+                raise NumericGuardError("state amplitudes must be finite")
+            # the squared norm overflowed: rescale by the largest part, with
+            # a real division rounded once per part, and take it again
+            parts = amps.view(np.float64)
+            parts /= np.max(np.abs(parts))
+            norm = np.linalg.norm(amps)
         if norm < 1e-150:
             raise NumericGuardError("cannot normalize a (numerically) zero vector")
         amps /= norm
         if shape is None:
             shape = (amps.size,)
         shape = tuple(int(d) for d in shape)
-        if any(d < 1 for d in shape) or int(np.prod(shape)) != amps.size:
+        if any(d < 1 for d in shape) or math.prod(shape) != amps.size:
             raise ValueError(f"shape {shape} incompatible with dimension {amps.size}")
         amps.setflags(write=False)
         self.amplitudes = amps

@@ -14,6 +14,7 @@ matrix is formed unless ``.matrix`` is asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -251,7 +252,7 @@ class SignedKronSum:
 
     @property
     def dim(self) -> int:
-        return int(np.prod([x.dim for x, _ in self.parties]))
+        return math.prod(x.dim for x, _ in self.parties)
 
     def _first_party_shifts(self) -> list:
         """signs[s] X + signs[s+1] X' of the first party, for each sign shift s."""
@@ -265,7 +266,7 @@ class SignedKronSum:
         dense sum does, and share one gather."""
         (x, x_p), signs = self.parties[0], self.signs
         if (isinstance(x, PhaseFlipObservable) and isinstance(x_p, PhaseFlipObservable)
-                and np.array_equal(x.perm, x_p.perm)):
+                and (x.perm is x_p.perm or np.array_equal(x.perm, x_p.perm))):
             gathered = vec.reshape(x.dim, -1).take(x.perm, axis=0)
             last = len(self.parties) - 1
             # the last shift is formed in the gather's buffer, so the gather

@@ -9,6 +9,8 @@ space so every invariant is exact there.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .limits import (DEFAULT_CUTOFF, NumericGuardError, _check_cutoff, _check_family_n,
@@ -71,16 +73,37 @@ def coherent_amplitudes(z: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     outside, so it is refused up front, which also keeps every term finite.
     """
     cutoff = _check_cutoff(cutoff)
-    if not abs(z) < np.sqrt(cutoff):
+    if not abs(z) < math.sqrt(cutoff):
         raise NumericGuardError(
             f"coherent state z={z}: mean photon number |z|^2 is not below the "
             f"cutoff {cutoff}; increase the cutoff"
         )
-    amps = np.zeros(cutoff, dtype=np.complex128)
-    amps[0] = 1.0
-    for n in range(1, cutoff):
-        amps[n] = amps[n - 1] * z / np.sqrt(n)
-    return amps * np.exp(-abs(z) ** 2 / 2.0)
+    # The recurrence a_n = a_(n-1) z / sqrt(n) runs on Python numbers in the
+    # operations numpy's complex scalars took, so it keeps their bits, signed
+    # zeros included: a complex product, then the division by the real
+    # sqrt(n), which numpy takes as (p + q*0 + i (q - p*0)) * (1/sqrt(n)).
+    terms = [1.0]
+    if isinstance(z, (complex, np.complexfloating)):
+        zr, zi, ar, ai = float(z.real), float(z.imag), 1.0, 0.0
+        for n in range(1, cutoff):
+            pr, pi = ar * zr - ai * zi, ar * zi + ai * zr
+            scl = 1.0 / math.sqrt(n)
+            ar, ai = (pr + pi * 0.0) * scl, (pi - pr * 0.0) * scl
+            terms.append(complex(ar, ai))
+    else:
+        # For real z that is one product and one multiply by the reciprocal,
+        # and the imaginary zeros it leaves are +0.0 once scaled below.  The
+        # first zero term is -0.0 only where that multiply underflows (a zero
+        # product reads +0.0), and every later term is +0.0.
+        zr, a = float(z), 1.0
+        for n in range(1, cutoff):
+            a = a * zr * (1.0 / math.sqrt(n))
+            if a == 0:
+                terms.append((terms[-1] * zr + 0.0) * (1.0 / math.sqrt(n)))
+                break
+            terms.append(a)
+    terms += [0.0] * (cutoff - len(terms))
+    return np.array(terms, dtype=np.complex128) * np.exp(-abs(z) ** 2 / 2.0)
 
 
 def _reflected(amps: np.ndarray) -> np.ndarray:
@@ -112,9 +135,9 @@ def entangled_coherent(eta: float, sigma: float, phi: float,
     _guard_tail(cs, f"coherent state z={sigma}")
     # e^(i phi) |-eta,-sigma> + |eta,sigma>, built in place: addition
     # commutes, so these are the bits of |eta,sigma> + e^(i phi) |-eta,-sigma>
-    amps = np.kron(_reflected(ce), _reflected(cs))
+    amps = np.multiply.outer(_reflected(ce), _reflected(cs)).ravel()
     amps *= np.exp(1j * phi)
-    amps += np.kron(ce, cs)
+    amps += np.multiply.outer(ce, cs).ravel()
     return StateVector(amps, (cutoff, cutoff))
 
 

@@ -46,6 +46,18 @@ class TestStateVector:
         with pytest.raises(NumericGuardError):
             StateVector([1.0, np.nan])
 
+    @pytest.mark.parametrize("amps", [[1e200, np.inf], [complex(1, np.inf)], [np.inf, -np.inf]])
+    def test_rejects_infinite_beside_any_norm(self, amps):
+        with pytest.raises(NumericGuardError, match="finite"):
+            StateVector(amps)
+
+    @pytest.mark.parametrize("big", [1e155, 1e200, 1.7e308])
+    def test_overflowing_norm_is_rescaled(self, big):
+        # the squared norm overflows to inf, which divided every amplitude to 0
+        assert np.array_equal(StateVector([big, big]).amplitudes, [1 / np.sqrt(2.0)] * 2)
+        psi = StateVector([big * (1 + 1j), -big])
+        assert psi.amplitudes.tobytes() == StateVector([1 + 1j, -1]).amplitudes.tobytes()
+
     def test_shape_must_match_dimension(self):
         with pytest.raises(ValueError):
             StateVector([1, 0, 0, 0], shape=(3, 2))

@@ -125,16 +125,22 @@ class TestStructuredPhaseFlip:
     @pytest.mark.parametrize("scheme", STRUCTURED_SCHEMES, ids=SCHEME_IDS)
     def test_matrix_equals_entrywise_construction_bytes(self, scheme):
         rng = np.random.default_rng(61)
-        for phases in (0.0, -2.5, 1e3, *rng.uniform(-10.0, 10.0, (20, len(scheme.pairs)))):
+        for phases in (0.0, -0.0, -2.5, 1e3, 1e6, -1e6,
+                       *rng.uniform(-10.0, 10.0, (20, len(scheme.pairs))),
+                       *rng.uniform(-1e6, 1e6, (5, len(scheme.pairs)))):
             op = phase_flip_observable(phases, scheme)
             assert isinstance(op, PhaseFlipObservable) and op.dim == scheme.dim
             assert op.matrix.tobytes() == _entrywise_matrix(phases, scheme).tobytes()
-            # Hermitian exactly: np.exp(-1j a) is conj(np.exp(1j a)) bit for bit
+            # Hermitian exactly: np.exp(-1j a) is conj(np.exp(1j a)) in value
             assert np.array_equal(op.matrix, op.matrix.conj().T)
 
     def test_negated_phase_is_conjugate_bitwise(self):
         a = np.random.default_rng(67).uniform(-1e3, 1e3, 100_000)
         assert np.exp(-1j * a).tobytes() == np.exp(1j * a).conj().tobytes()
+        # but not at a = -0.0: 1j * -0.0 and -1j * -0.0 both have imaginary
+        # part +0.0, so both exponentials are 1+0j, and the builder keeps two
+        zero = np.array(-0.0)
+        assert np.exp(-1j * zero).tobytes() != np.exp(1j * zero).conj().tobytes()
 
     @pytest.mark.parametrize("scheme", STRUCTURED_SCHEMES, ids=SCHEME_IDS)
     def test_permutation_is_a_cached_involution(self, scheme):

@@ -89,6 +89,12 @@ class TestRState:
         with pytest.raises(ValueError):
             r_state(np.inf)
 
+    @pytest.mark.parametrize("r", [1e155, 1e200])
+    def test_huge_r_is_minus_plus(self, r):
+        # 1 + r^2 overflows; the state is |-+> up to a 1/r amplitude on |+->
+        assert np.allclose(r_state(r).amplitudes, [0, 0, 1, 0], rtol=0, atol=1e-150)
+        assert r_state(r).amplitudes[2] == 1.0
+
 
 class TestSpinSinglet:
     def test_half_spin_matches_bell_singlet(self):
@@ -214,6 +220,65 @@ class TestReflectedBranch:
         assert entangled_coherent(eta, sigma, phi, cutoff).amplitudes.tobytes() == expected.tobytes()
 
 
+def _numpy_scalar_amplitudes(z, cutoff):
+    """coherent_amplitudes written as a recurrence on numpy complex scalars:
+    the reference the Python-number recurrence keeps the bits of."""
+    amps = np.zeros(cutoff, dtype=np.complex128)
+    amps[0] = 1.0
+    for n in range(1, cutoff):
+        amps[n] = amps[n - 1] * z / np.sqrt(n)
+    return amps * np.exp(-abs(z) ** 2 / 2.0)
+
+
+def _kron_entangled_coherent(eta, sigma, phi, cutoff):
+    """entangled_coherent built from the numpy-scalar amplitudes with np.kron."""
+    ce, cs = _numpy_scalar_amplitudes(eta, cutoff), _numpy_scalar_amplitudes(sigma, cutoff)
+    amps = np.kron(_reflected(ce), _reflected(cs))
+    amps *= np.exp(1j * phi)
+    amps += np.kron(ce, cs)
+    return StateVector(amps, (cutoff, cutoff)).amplitudes
+
+
+class TestRecurrenceBytes:
+    """The Python-number recurrence and the outer-product build keep every
+    bit of the numpy-scalar recurrence and the np.kron build, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("cutoff", [2, 20, 40, 64, 200, 1024])
+    def test_real_z(self, cutoff):
+        root = math.sqrt(cutoff)
+        # +-0, tails that underflow through the subnormals (1e-160 at level
+        # 2, 0.038 near level 250), negative z, and z just below sqrt(cutoff)
+        zs = [0.0, -0.0, 0, 1e-160, -1e-160, 1e-300, -1e-300, 0.038, -0.038,
+              -0.0194, 0.999999 * root, -0.999999 * root,
+              *np.random.default_rng(cutoff).uniform(-root, root, 24)]
+        for z in zs:
+            expected = _numpy_scalar_amplitudes(z, cutoff).tobytes()
+            assert coherent_amplitudes(z, cutoff).tobytes() == expected, z
+
+    @pytest.mark.parametrize("cutoff", [2, 20, 40, 64])
+    def test_complex_z(self, cutoff):
+        zs = [0j, complex(-0.0, -0.0), complex(-0.3, -0.0), 0.3 + 0j, 2j, 0.5 + 0.5j,
+              -1.2 + 0.3j, 1e-300 - 1e-300j, -1e-160 + 1e-160j]
+        for z in zs:
+            if abs(z) < math.sqrt(cutoff):
+                expected = _numpy_scalar_amplitudes(z, cutoff).tobytes()
+                assert coherent_amplitudes(z, cutoff).tobytes() == expected, z
+
+    @pytest.mark.parametrize("eta, sigma, phi, cutoff", [
+        (0.0, 0.0, 0.3, 2), (-0.0, 0.5, 1.0, 20), (0.8, 0.0, 0.7, 20), (-0.038, 0.02, 2.0, 200),
+        # a -0.0 on the first underflowed level of a negative branch reaches
+        # these states' bytes: a +0.0 zero fill there changes them
+        (-0.10256544920578836, -0.425840314886228, -1.6197594677943483, 200),
+        (-0.05040830572256749, -0.047007142231249445, -1.909768983362504, 200),
+        (-0.019448978930334482, -0.43843454679592964, -2.1055410182199727, 1024),
+        *[(eta, sigma, phi, cutoff) for cutoff in (20, 40, 64) for eta, sigma, phi in
+          np.random.default_rng(cutoff).uniform(-1, 1, (6, 3)) * (cutoff ** 0.5 / 3, cutoff ** 0.5 / 3, 7)]])
+    def test_entangled_coherent(self, eta, sigma, phi, cutoff):
+        expected = _kron_entangled_coherent(eta, sigma, phi, cutoff).tobytes()
+        assert entangled_coherent(eta, sigma, phi, cutoff).amplitudes.tobytes() == expected
+
+
 class TestEntangledCoherent:
     def test_vacuum_limit(self):
         psi = entangled_coherent(0.0, 0.0, 0.0)
@@ -251,7 +316,8 @@ class TestEntangledCoherent:
 
     def test_traced_peak_at_cutoff_1024(self):
         # one joint vector at cutoff 1024 is 16 MiB; the build held four of
-        # them (65 MiB) before it summed the branches in place (33 MiB)
+        # them (65 MiB) before it summed the branches in place (33.0 MiB), and
+        # the bound leaves no room for a third joint-sized temporary
         entangled_coherent(1.0, 0.8, 0.3, 16)
         tracemalloc.start()
         try:
@@ -259,7 +325,7 @@ class TestEntangledCoherent:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20
+        assert peak <= 34 * 2 ** 20
 
     def test_tail_guard(self):
         with pytest.raises(NumericGuardError):
@@ -375,6 +441,7 @@ class TestIsProduct:
             spin_singlet(1),
             squeezed_state(0.4, 20),
             entangled_coherent(0.8, 0.6, 0.7, 20),
+            entangled_coherent(0.8, 0.0, 0.7, 20),  # a cat times the vacuum
         ]
         for psi in catalog:
             flag, _ = is_product(psi)
