@@ -78,30 +78,17 @@ def coherent_amplitudes(z: complex, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
             f"coherent state z={z}: mean photon number |z|^2 is not below the "
             f"cutoff {cutoff}; increase the cutoff"
         )
-    # The recurrence a_n = a_(n-1) z / sqrt(n) runs on Python numbers in the
-    # operations numpy's complex scalars took, so it keeps their bits, signed
-    # zeros included: a complex product, then the division by the real
-    # sqrt(n), which numpy takes as (p + q*0 + i (q - p*0)) * (1/sqrt(n)).
-    terms = [1.0]
-    if isinstance(z, (complex, np.complexfloating)):
-        zr, zi, ar, ai = float(z.real), float(z.imag), 1.0, 0.0
-        for n in range(1, cutoff):
-            pr, pi = ar * zr - ai * zi, ar * zi + ai * zr
-            scl = 1.0 / math.sqrt(n)
-            ar, ai = (pr + pi * 0.0) * scl, (pi - pr * 0.0) * scl
-            terms.append(complex(ar, ai))
-    else:
-        # For real z that is one product and one multiply by the reciprocal,
-        # and the imaginary zeros it leaves are +0.0 once scaled below.  The
-        # first zero term is -0.0 only where that multiply underflows (a zero
-        # product reads +0.0), and every later term is +0.0.
-        zr, a = float(z), 1.0
-        for n in range(1, cutoff):
-            a = a * zr * (1.0 / math.sqrt(n))
-            if a == 0:
-                terms.append((terms[-1] * zr + 0.0) * (1.0 / math.sqrt(n)))
-                break
-            terms.append(a)
+    # a_n = a_(n-1) z / sqrt(n) on Python numbers.  numpy scalars divide by
+    # sqrt(n) through its reciprocal, so for real z these are their bits; the
+    # first zero is -0.0 where that multiply underflows, as numpy's is.
+    w = complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
+    terms, a = [1.0], 1.0
+    for n in range(1, cutoff):
+        a = a * w * (1.0 / math.sqrt(n))
+        if a == 0:
+            terms.append((terms[-1] * w + 0.0) * (1.0 / math.sqrt(n)))
+            break
+        terms.append(a)
     terms += [0.0] * (cutoff - len(terms))
     return np.array(terms, dtype=np.complex128) * np.exp(-abs(z) ** 2 / 2.0)
 
