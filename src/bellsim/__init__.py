@@ -34,7 +34,6 @@ _EXPORTS = {
     ), "correlators"),
     **dict.fromkeys((
         "OptimizationResult", "Scenario", "make_scenario", "maximize_violation",
-        "table_gisin",
     ), "optimize"),
     **dict.fromkeys((
         "LhvEstimate", "LhvModel", "SIGN_MODEL", "chsh_lhv", "estimate_E", "get_model",

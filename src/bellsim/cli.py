@@ -2,11 +2,11 @@
 
 Each subcommand evaluates one named scenario with the closed-form route by
 default (matrix route behind --oracle, parameter search behind --optimize)
-and renders a uniform report: scenario, params, settings, value, bounds and
-the violation verdict of ``limits.classify``, which makes a value past its
-quantum bound a numeric guard failure.  Exit codes: 0 success, 2 usage
-error, 1 numeric guard failure or a stdout closed before the report was
-written.
+and renders the report ``Scenario.report`` builds with ``limits.report``:
+scenario, params, settings, value, bounds and the violation verdict, a value
+past its quantum bound a numeric guard failure.  Exit codes: 0 success, 2
+usage error, 1 numeric guard failure or a stdout the report could not be
+written to.
 
 The parser checks every argument against the numpy-free rules of
 ``bellsim.limits``, and each handler checks the rest of its argv before it
@@ -24,10 +24,9 @@ import os
 import re
 import sys
 
-from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, DEFAULT_SAMPLES, LHV_MODELS,
-                     MAX_RESTARTS, MAX_SAMPLES, SCENARIOS, TSIRELSON_BOUND, NumericGuardError,
-                     _check_cutoff, _check_family_n, _check_finite, _check_scenario,
-                     _check_unit, classify)
+from .limits import (DEFAULT_CUTOFF, DEFAULT_SAMPLES, LHV_MODELS, MAX_RESTARTS, MAX_SAMPLES,
+                     SCENARIOS, NumericGuardError, _check_cutoff, _check_family_n, _check_finite,
+                     _check_scenario, _check_unit, report)
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -98,21 +97,6 @@ def _emit(report: dict, args, parser) -> None:
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
 
 
-def _single_report(scenario, params, settings, value, classical, quantum, bound_guard=0.0):
-    # closed-form paths classify strictly; optimizer paths pass a small guard
-    # so the refinement's float noise cannot promote a threshold case
-    return {
-        "scenario": scenario,
-        "params": params,
-        "settings": [float(s) for s in settings],
-        "value": float(value),
-        "classical_bound": float(classical),
-        "quantum_bound": float(quantum),
-        "violated": classify(value, classical, quantum, bound_guard),
-    }
-
-
-_OPT_BOUND_GUARD = 1e-9
 # a double carries at most 17 significant digits, and a huge precision would
 # render strings of that many characters per number
 MAX_PRECISION = 17
@@ -234,30 +218,14 @@ def _check_search(args, parser):
                      "drop --oracle and --angles")
 
 
-def _scenario_report(args, parser, scenario, params, settings=None):
-    """``scenario`` on the route the flags pick: the parameter search with
-    --optimize, else ``settings`` (default --angles, else the scenario's
-    maximizing defaults) on the closed form or, with --oracle, the matrix
-    route."""
+def _scenario_report(args, scenario, params=None, angles=None):
+    """``scenario.report`` on the route the flags pick: the search with
+    --optimize, else ``angles`` (default --angles) on the closed form or,
+    with --oracle, the matrix route, its params then ``params`` if given."""
     if args.optimize:
-        from .optimize import maximize_violation
-        result = maximize_violation(scenario, restarts=args.restarts, seed=args.seed)
-        params = dict(scenario.params, restarts=args.restarts, seed=args.seed,
-                      evaluations=result.evaluations, converged=result.converged)
-        return _single_report(scenario.name, params, result.best_settings,
-                              result.best_value, scenario.classical_bound,
-                              scenario.quantum_bound, bound_guard=_OPT_BOUND_GUARD)
-    if settings is None:
-        settings = list(scenario.defaults) if args.angles is None else args.angles
-    if args.oracle:
-        # oracle reports name the family: chsh-oracle, coherent-oracle, ...
-        name = scenario.name.removesuffix("-phase") + "-oracle"
-        value = scenario.oracle(settings)
-    else:
-        name = scenario.name
-        value = scenario.value(settings)
-    return _single_report(name, params, settings, float(value),
-                          scenario.classical_bound, scenario.quantum_bound)
+        return scenario.report(restarts=args.restarts, seed=args.seed)
+    result = scenario.report(args.angles if angles is None else angles, oracle=args.oracle)
+    return result if params is None else result | {"params": params}
 
 
 def _build(parser, factory, *args, **kwargs):
@@ -283,22 +251,19 @@ def cmd_chsh(args, parser):
     _check_search(args, parser)
     from .optimize import make_scenario, scenario_chsh_phase
     if args.polar is not None:
-        return _scenario_report(args, parser, make_scenario("chsh-polar"), {"bell_index": 0},
-                                args.polar)
+        return _scenario_report(args, make_scenario("chsh-polar"), {"bell_index": 0}, args.polar)
     args.oracle |= args.bell_index != 0  # the closed form is Bell index 0's
     scenario = (make_scenario("chsh-polar") if args.optimize
                 else scenario_chsh_phase(args.bell_index))
-    return _scenario_report(args, parser, scenario, {"bell_index": args.bell_index})
+    return _scenario_report(args, scenario, {"bell_index": args.bell_index})
 
 
 def cmd_gisin(args, parser):
-    from .optimize import table_gisin
-    spec = SCENARIOS["gisin"]
-    rows = [
-        {"n": n, "value": float(v),
-         "violated": classify(v, spec.classical_bound, spec.quantum_bound, _OPT_BOUND_GUARD)}
-        for n, v in table_gisin(args.n_list, restarts=args.restarts, seed=args.seed)
-    ]
+    from .optimize import make_scenario
+    reports = [make_scenario("gisin", n=n).report(restarts=args.restarts, seed=args.seed)
+               for n in args.n_list]
+    rows = [{"n": r["params"]["n"], "value": r["value"], "violated": r["violated"]}
+            for r in reports]
     return {"scenario": "gisin", "params": {"restarts": args.restarts, "seed": args.seed},
             "rows": rows}
 
@@ -314,8 +279,8 @@ def cmd_scenario(args, parser):
     from .optimize import make_scenario
     scenario = _build(parser, make_scenario, name, **params)
     # the parameters the scenario computed: spin 1 for --j 1.0000000001
-    params = dict(scenario.params, cutoff=args.cutoff) if args.oracle else scenario.params
-    return _scenario_report(args, parser, scenario, params)
+    return _scenario_report(args, scenario,
+                            dict(scenario.params, cutoff=args.cutoff) if args.oracle else None)
 
 
 def cmd_mermin(args, parser):
@@ -323,21 +288,16 @@ def cmd_mermin(args, parser):
     _expect_len(parser, args.angles, 2 * SCENARIOS[name].parties, "--angles")
     _check_search(args, parser)
     from .optimize import make_scenario
-    scenario = make_scenario(name)
-    return _scenario_report(args, parser, scenario, {"parties": args.parties})
+    return _scenario_report(args, make_scenario(name), {"parties": args.parties})
 
 
 def cmd_lhv(args, parser):
     from . import lhv
     est = _build(parser, lhv.chsh_lhv, lhv.get_model(args.model), *args.vectors,
                  n=args.samples, seed=args.seed)
-    report = _single_report("lhv", {"model": args.model, "samples": args.samples,
-                                    "seed": args.seed},
-                            [x for v in args.vectors for x in v], est.mean,
-                            CHSH_CLASSICAL_BOUND, TSIRELSON_BOUND)
-    report["std_error"] = est.std_error
-    report["quantum_value"] = lhv.singlet_quantum_chsh(*args.vectors)
-    return report
+    return report("lhv", {"model": args.model, "samples": args.samples, "seed": args.seed},
+                  [x for v in args.vectors for x in v], est.mean, std_error=est.std_error,
+                  quantum_value=lhv.singlet_quantum_chsh(*args.vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +400,9 @@ def main(argv=None) -> int:
         # stdout closed before the report was written (bellsim chsh | true): devnull
         # takes its place, as Python's signal docs advise, so the final flush is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # a full disk: bellsim chsh > /dev/full
+        print(f"cannot write the report: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

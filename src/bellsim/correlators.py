@@ -24,11 +24,6 @@ import numpy as np
 from .limits import (TSIRELSON_BOUND, NumericGuardError, _check_spin, _check_squeezing,
                      _coherent_norm)
 
-# unused here: importing it keeps the order in which a process that loads
-# this module first loads bellsim, and that order sets where the heap ends;
-# without it lhv-montecarlo wall_s read about 6 % higher (18 benchmark pairs)
-from . import observables  # noqa: F401
-
 # Standard maximizing phases (alpha, alpha', beta, beta') for the cos(a+b)
 # family; they yield 2 sqrt(2) on the first Bell state.
 STANDARD_CHSH_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
@@ -40,6 +35,8 @@ STANDARD_MERMIN_ANGLES = {
     3: (0.0, np.pi / 2, -np.pi / 4, np.pi / 4, -np.pi / 4, np.pi / 4),
     4: tuple(v for _ in range(4) for v in (np.pi / 16, np.pi / 16 + np.pi / 2)),
 }
+# ``coherent_pair_series`` stops once a term drops below this share of its sum
+SERIES_REL_TOL = 1e-15
 
 
 def settings_of(angles, width):
@@ -185,12 +182,13 @@ def spin_j_max(j) -> float:
 # Fock-space families
 # ---------------------------------------------------------------------------
 
-def coherent_pair_series(x, max_terms: int = 60, rel_tol: float = 1e-15):
+def coherent_pair_series(x, max_terms: int = 60):
     """Sum of x^(4n+1)/sqrt((2n)!(2n+1)!), the single-mode factor of the
-    coherent-state overlap sum.  Stops once a term drops below rel_tol of the
-    partial sum.  Raises NumericGuardError once a term or the sum leaves the
-    double range: from |x| of about 6.1 on, or sooner for huge x, since the
-    factorials stop converting to float near n = 50."""
+    coherent-state overlap sum.  Stops once a term drops below
+    ``SERIES_REL_TOL`` of the partial sum.  Raises NumericGuardError once a
+    term or the sum leaves the double range: from |x| of about 6.1 on, or
+    sooner for huge x, since the factorials stop converting to float near
+    n = 50."""
     total = 0.0
     try:
         for n in range(max_terms):
@@ -198,7 +196,7 @@ def coherent_pair_series(x, max_terms: int = 60, rel_tol: float = 1e-15):
                 math.factorial(2 * n) * math.factorial(2 * n + 1)
             )
             total += term
-            if abs(term) < rel_tol * max(abs(total), 1e-300):
+            if abs(term) < SERIES_REL_TOL * max(abs(total), 1e-300):
                 break
     except OverflowError:
         total = math.inf

@@ -1,6 +1,6 @@
-"""Bounds, the violation verdict, defaults, input checks (the entangled
-coherent state's normalization among them), the scenario table and the
-built-in LHV model names, none of which need numpy.
+"""Bounds, the violation verdict and the report around it, defaults, input
+checks (the entangled coherent state's normalization among them), the
+scenario table and the built-in LHV model names, none of which need numpy.
 
 The command line reads these while it parses its arguments, before it loads
 any numeric module; the numeric modules import what they use from here, so
@@ -45,6 +45,27 @@ def classify(value, classical_bound, quantum_bound, guard=0.0) -> bool:
         raise NumericGuardError(f"|value| = {abs(value)} exceeds the quantum bound "
                                 f"{quantum_bound}")
     return bool(abs(value) > classical_bound + guard)
+
+
+# the guard of a searched value, so the search's float noise cannot promote a
+# threshold case
+SEARCH_GUARD = 1e-9
+
+
+def report(scenario: str, params: dict, settings, value, classical_bound=CHSH_CLASSICAL_BOUND,
+           quantum_bound=TSIRELSON_BOUND, guard=0.0, **fields) -> dict:
+    """Every route's report: scenario, params, settings, value, bounds, the
+    ``classify`` verdict under ``guard``, then ``fields`` in order."""
+    return {
+        "scenario": scenario,
+        "params": params,
+        "settings": [float(s) for s in settings],
+        "value": float(value),
+        "classical_bound": float(classical_bound),
+        "quantum_bound": float(quantum_bound),
+        "violated": classify(value, classical_bound, quantum_bound, guard),
+        **fields,
+    }
 
 
 def _check_cutoff(cutoff: int) -> int:

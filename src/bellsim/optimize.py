@@ -31,8 +31,8 @@ import numpy as np
 from . import correlators as co
 from . import linalg, observables, states
 from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, MAX_RESTARTS, SCENARIOS,
-                     TSIRELSON_BOUND, NumericGuardError, _check_cutoff, _check_family_n,
-                     _check_scenario, _check_spin, _check_squeezing)
+                     SEARCH_GUARD, TSIRELSON_BOUND, NumericGuardError, _check_cutoff,
+                     _check_family_n, _check_scenario, _check_spin, _check_squeezing, report)
 from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
@@ -78,6 +78,27 @@ class Scenario:
     def value(self, angles):
         """The evaluator at settings given as angles."""
         return self.evaluator(co.settings_of(angles, self.width))
+
+    def report(self, angles=None, oracle=False, restarts=None, seed=0) -> dict:
+        """The ``limits.report`` of one route.  Given ``restarts``, the
+        search's best, its params then restarts, seed, evaluations and
+        converged, under ``SEARCH_GUARD``; else ``angles`` (default
+        ``defaults``) on the closed form or, with ``oracle``, on the matrix
+        route, named for the family: chsh-oracle, coherent-oracle, ..."""
+        bounds = self.classical_bound, self.quantum_bound
+        if restarts is not None:
+            result = maximize_violation(self, restarts=restarts, seed=seed)
+            params = dict(self.params, restarts=restarts, seed=seed,
+                          evaluations=result.evaluations, converged=result.converged)
+            return report(self.name, params, result.best_settings, result.best_value,
+                          *bounds, guard=SEARCH_GUARD)
+        settings = self.defaults if angles is None else angles
+        if not oracle:
+            return report(self.name, dict(self.params), settings, self.value(settings), *bounds)
+        if self.oracle is None:
+            raise ValueError(f"scenario {self.name!r} has no matrix route")
+        return report(self.name.removesuffix("-phase") + "-oracle", dict(self.params), settings,
+                      self.oracle(settings), *bounds)
 
 
 @dataclass(frozen=True)
@@ -206,16 +227,6 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
                 best = (value, settings, bool(res.success[r]))
     return OptimizationResult(best_value=best[0], best_settings=best[1],
                               evaluations=evaluations, converged=best[2])
-
-
-def table_gisin(n_values, restarts: int = 8, seed: int = 0):
-    """Maximal CHSH value of the N-family state for each N, as (N, max) rows."""
-    rows = []
-    for n in n_values:
-        result = maximize_violation(make_scenario("gisin", n=n),
-                                    restarts=restarts, seed=seed)
-        rows.append((int(n), result.best_value))
-    return rows
 
 
 # ---------------------------------------------------------------------------

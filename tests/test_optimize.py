@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellsim import correlators, make_scenario, maximize_violation, optimize, table_gisin
+from bellsim import correlators, make_scenario, maximize_violation, optimize
 from bellsim.correlators import coherent_omega, coherent_pair_series, spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
-from bellsim.limits import SCENARIOS
+from bellsim.limits import SCENARIOS, NumericGuardError
 from bellsim.linalg import ATOL_OPT, ATOL_ORACLE
 from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin
 
@@ -151,7 +151,7 @@ class TestMaximizeViolation:
         with pytest.raises(ValueError, match=str(optimize.MAX_RESTARTS)):
             maximize_violation(make_scenario("chsh-phase"), restarts=optimize.MAX_RESTARTS + 1)
         with pytest.raises(ValueError):
-            table_gisin([3], restarts=10 ** 12)
+            maximize_violation(make_scenario("gisin", n=3), restarts=10 ** 12)
 
 
 def _gisin_max(n):
@@ -533,22 +533,83 @@ class TestFamilies:
             assert result.best_value == pytest.approx(spin_j_max(j), abs=1e-4)
 
 
+def _gisin_maxima(ns):
+    # the searched maximum of each N-family member, in the order of ns
+    return {n: maximize_violation(make_scenario("gisin", n=n), restarts=6, seed=0).best_value
+            for n in ns}
+
+
 class TestGisinTable:
     def test_small_members(self):
-        rows = dict(table_gisin([4, 10], restarts=6, seed=0))
+        rows = _gisin_maxima([4, 10])
         assert rows[4] == pytest.approx(2.0, abs=1e-6)
         assert rows[10] == pytest.approx(2.1055545, abs=1e-5)
 
     def test_maximum_decays_toward_classical_bound(self):
         # the family maximum 2 sqrt(1 + 4 ((sqrt(N-3)-1)/N)^2) peaks at N=12
         # and decays to 2 from there; every finite member still violates
-        rows = table_gisin([12, 20, 50, 200], restarts=6, seed=0)
-        values = [v for _, v in rows]
+        values = list(_gisin_maxima([12, 20, 50, 200]).values())
         assert all(v2 <= v1 + 1e-9 for v1, v2 in zip(values, values[1:]))
         assert all(v > 2.0 for v in values)
         # excess over the bound decays like 1/N: about 0.017 by N=200
         assert values[-1] - 2.0 < 2e-2
 
     def test_maximum_matches_exact_family_formula(self):
-        for n, v in table_gisin([5, 8, 12, 20], restarts=6, seed=0):
+        for n, v in _gisin_maxima([5, 8, 12, 20]).items():
             assert v == pytest.approx(_gisin_max(n), abs=1e-5)
+
+
+def _constant_scenario(value):
+    # a phase scenario whose closed form and matrix route both read ``value``
+    return Scenario("constant-phase", lambda x: np.full(x.shape[:-2], value), 4, 2,
+                    oracle=lambda settings: value, defaults=(0.0,) * 4)
+
+
+class TestScenarioReport:
+    def test_search_guard_holds_a_threshold_value_back_on_the_search_only(self):
+        scenario = _constant_scenario(2.0 + 5e-10)
+        assert scenario.report()["violated"] is True
+        assert scenario.report(oracle=True)["violated"] is True
+        searched = scenario.report(restarts=1)
+        assert searched["value"] == 2.0 + 5e-10
+        assert searched["violated"] is False
+
+    @pytest.mark.parametrize("route", [{}, {"oracle": True}, {"restarts": 1}],
+                             ids=["closed", "oracle", "search"])
+    def test_value_past_the_quantum_bound_is_a_guard_failure(self, route):
+        with pytest.raises(NumericGuardError, match="exceeds the quantum bound"):
+            _constant_scenario(3.0).report(**route)
+
+    @pytest.mark.parametrize("name, params, reported", [
+        ("chsh-phase", {}, "chsh-oracle"),
+        ("coherent", {"eta": 0.1, "sigma": 0.1, "phi": np.pi}, "coherent-oracle"),
+        ("mermin3", {}, "mermin3-oracle"),
+    ], ids=["chsh-phase", "coherent", "mermin3"])
+    def test_oracle_report_names_the_family(self, name, params, reported):
+        scenario = make_scenario(name, **params)
+        report = scenario.report(oracle=True)
+        assert report["scenario"] == reported
+        assert report["params"] == scenario.params
+        assert report["value"] == float(scenario.oracle(scenario.defaults))
+        assert scenario.report()["scenario"] == name
+
+    def test_search_params_follow_the_scenario_params(self):
+        scenario = make_scenario("gisin", n=5)
+        report = scenario.report(restarts=3, seed=7)
+        result = maximize_violation(scenario, restarts=3, seed=7)
+        assert report["params"] == {"n": 5, "restarts": 3, "seed": 7,
+                                    "evaluations": result.evaluations,
+                                    "converged": result.converged}
+        assert list(report["params"]) == ["n", "restarts", "seed", "evaluations", "converged"]
+        assert (report["value"], report["settings"]) == (result.best_value,
+                                                         list(result.best_settings))
+
+    def test_angles_default_to_the_maximizing_settings(self):
+        scenario = make_scenario("chsh-phase")
+        assert scenario.report() == scenario.report(scenario.defaults)
+        angles = [0.3, 1.2, -0.5, 2.5]
+        assert scenario.report(angles)["value"] == float(scenario.value(angles))
+
+    def test_oracle_route_needs_an_oracle(self):
+        with pytest.raises(ValueError, match="no matrix route"):
+            make_scenario("gisin", n=5).report(oracle=True)

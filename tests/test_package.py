@@ -36,6 +36,23 @@ def test_readme_lists_every_public_name_under_its_submodule():
     assert listed == {name: bellsim._EXPORTS[name] for name in bellsim.__all__}
 
 
+def test_readme_library_sketch_gives_the_values_its_comments_state():
+    readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = {}
+    exec(re.search(r"```python\n(.*?)```", section, flags=re.S).group(1), sketch)
+    value, classify, bound = sketch["value"], sketch["classify"], sketch["TSIRELSON_BOUND"]
+    assert value == pytest.approx(2.828427, abs=1e-6)
+    assert classify(value, 2.0, bound) and not classify(2.0, 2.0, bound)
+    with pytest.raises(bellsim.NumericGuardError):
+        classify(3.0, 2.0, bound)
+    report = sketch["report"]
+    assert (report["scenario"], report["violated"]) == ("chsh-oracle", True)
+    assert report["value"] == pytest.approx(2.828427, abs=1e-6)
+    assert sketch["closed"] == pytest.approx(4.0, abs=1e-15)
+    assert sketch["matrix"] == pytest.approx(-4.0, abs=1e-15)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="nope"):
         bellsim.nope
