@@ -1,12 +1,13 @@
 """Command-line front door.
 
-Each subcommand evaluates one named scenario with the closed-form route by
-default (matrix route behind --oracle, parameter search behind --optimize)
-and renders the report ``Scenario.report`` builds with ``limits.report``:
-scenario, params, settings, value, bounds and the violation verdict, a value
-past its quantum bound a numeric guard failure.  Exit codes: 0 success, 2
-usage error, 1 numeric guard failure or a stdout the report could not be
-written to.
+Each scenario subcommand, its flags and their defaults come from
+``limits.SCENARIOS``.  One handler serves them all and ``optimize``: it
+builds the scenario the flags select and renders the report
+``Scenario.report`` builds on the route they pick, the closed form by
+default, the matrix route behind --oracle, the search behind --optimize.
+``gisin`` and ``lhv`` have handlers of their own.  Exit codes: 0 success, 2
+usage error (an --out path that cannot be opened among them), 1 numeric
+guard failure or a report that could not be written.
 
 The parser checks every argument against the numpy-free rules of
 ``bellsim.limits``, and each handler checks the rest of its argv before it
@@ -19,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -85,16 +85,19 @@ def render_report(report: dict, fmt: str, precision: int) -> str:
 
 
 def _emit(report: dict, args, parser) -> None:
+    """Print the report, or write it to --out: a path that cannot be opened
+    is a usage error, a failed write raises OSError."""
     if not args.out:
         print(render_report(report, args.format, args.precision))
         return
     fmt = ("json" if args.out.endswith(".json") else
            "csv" if args.out.endswith(".csv") else args.format)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report, fmt, args.precision) + "\n")
+        fh = open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+    with fh:
+        fh.write(render_report(report, fmt, args.precision) + "\n")
 
 
 # a double carries at most 17 significant digits, and a huge precision would
@@ -163,7 +166,6 @@ def _expect_len(parser, values, n, flag):
     if values is not None and len(values) != n:
         parser.error(f"{flag} expects {n} comma-separated values in radians "
                      f"(got {len(values)})")
-    return values
 
 
 def _add_common(sub, handler):
@@ -183,7 +185,7 @@ def _add_common(sub, handler):
 def _add_search(sub, oracle: bool, optimize: bool = True):
     """--restarts for the parameter search, plus the --oracle and --optimize
     switches the subcommand offers; a switch it lacks reads as off, and
-    --angles as absent."""
+    --angles and --polar as absent."""
     if oracle:
         sub.add_argument("--oracle", action="store_true",
                          help="evaluate through the matrix route: each party's "
@@ -193,40 +195,25 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
     sub.add_argument("--restarts", type=_int_between(1, MAX_RESTARTS), default=8,
                      help="seeded uniform starts of the search, each ascended "
                           f"on f, 1 to {MAX_RESTARTS} (default 8)")
-    sub.set_defaults(oracle=False, optimize=False, angles=None)
+    sub.set_defaults(oracle=False, optimize=False, angles=None, polar=None)
 
 
 # every scenario parameter of the table, by keyword
 _PARAMS = {p.keyword: p for spec in SCENARIOS.values() for p in spec.params}
 
 
-def _add_params(sub, scenario=None, required=False, **defaults):
-    """A flag for each parameter of ``scenario``, or of every scenario, typed
-    by the parameter's check: required, or defaulting to ``defaults`` or None."""
-    for p in SCENARIOS[scenario].params if scenario else _PARAMS.values():
-        sub.add_argument(p.flag, dest=p.keyword, type=_checked(p.parse, p.check),
-                         required=required, default=defaults.get(p.keyword), help=p.help)
+def _add_params(sub, params, defaults: bool):
+    """A flag for each of ``params``, typed by the parameter's check: with
+    ``defaults``, required or defaulting as the table says, else None."""
+    for p in params:
+        sub.add_argument(p.flag, dest=p.keyword, type=_checked(p.parse, p.check), help=p.help,
+                         required=defaults and p.default is None,
+                         default=p.default if defaults else None)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
-
-def _check_search(args, parser):
-    if args.optimize and (args.oracle or args.angles is not None):
-        parser.error("--optimize searches its own settings on the closed form: "
-                     "drop --oracle and --angles")
-
-
-def _scenario_report(args, scenario, params=None, angles=None):
-    """``scenario.report`` on the route the flags pick: the search with
-    --optimize, else ``angles`` (default --angles) on the closed form or,
-    with --oracle, the matrix route, its params then ``params`` if given."""
-    if args.optimize:
-        return scenario.report(restarts=args.restarts, seed=args.seed)
-    result = scenario.report(args.angles if angles is None else angles, oracle=args.oracle)
-    return result if params is None else result | {"params": params}
-
 
 def _build(parser, factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, with a rejected input a usage error."""
@@ -237,25 +224,38 @@ def _build(parser, factory, *args, **kwargs):
         parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))
 
 
-def cmd_chsh(args, parser):
-    _expect_len(parser, args.angles, 2 * SCENARIOS["chsh-phase"].parties, "--angles")
-    if args.optimize and args.bell_index != 0:
-        parser.error("--optimize searches Bell index 0 only")
+def _selected(args) -> str:
+    """The scenario the flags name: --scenario, else the subcommand's at
+    --parties, or the one its --polar or --optimize evaluates in its place."""
+    if args.command == "optimize":
+        return args.scenario
+    name, spec = next((n, s) for n, s in SCENARIOS.items() if s.command == args.command
+                      and s.parties == getattr(args, "parties", s.parties))
     if args.polar is not None:
-        _expect_len(parser, args.polar, 8, "--polar")
-        if args.bell_index != 0:
-            parser.error("--polar settings are wired to Bell index 0")
-        if args.optimize or args.oracle:
-            parser.error("--polar settings are evaluated on the closed form only: "
-                         "drop --optimize and --oracle")
-    _check_search(args, parser)
-    from .optimize import make_scenario, scenario_chsh_phase
-    if args.polar is not None:
-        return _scenario_report(args, make_scenario("chsh-polar"), {"bell_index": 0}, args.polar)
-    args.oracle |= args.bell_index != 0  # the closed form is Bell index 0's
-    scenario = (make_scenario("chsh-polar") if args.optimize
-                else scenario_chsh_phase(args.bell_index))
-    return _scenario_report(args, scenario, {"bell_index": args.bell_index})
+        return spec.polar
+    return spec.search if args.optimize and spec.search else name
+
+
+def cmd_scenario(args, parser):
+    """Every scenario subcommand and ``optimize``: ``Scenario.report`` of the
+    scenario the flags select, built from the parameter flags (one the
+    subcommand lacks is absent), on the route the flags pick."""
+    name = _selected(args)
+    spec = SCENARIOS[name]
+    _expect_len(parser, args.angles, 2 * spec.parties, "--angles")
+    _expect_len(parser, args.polar, 4 * spec.parties, "--polar")
+    if args.optimize and (args.oracle or args.angles is not None or args.polar is not None):
+        parser.error("--optimize searches its own settings on the closed form: "
+                     "drop --oracle, --angles and --polar")
+    if args.oracle and not spec.oracle:
+        parser.error(f"scenario {name} has no matrix route: drop --oracle")
+    params = _build(parser, _check_scenario, name,
+                    {k: getattr(args, k, None) for k in (*_PARAMS, "cutoff")})
+    from .optimize import make_scenario
+    scenario = make_scenario(name, **params)
+    if args.optimize:
+        return scenario.report(restarts=args.restarts, seed=args.seed)
+    return scenario.report(args.angles if args.polar is None else args.polar, oracle=args.oracle)
 
 
 def cmd_gisin(args, parser):
@@ -266,29 +266,6 @@ def cmd_gisin(args, parser):
             for r in reports]
     return {"scenario": "gisin", "params": {"restarts": args.restarts, "seed": args.seed},
             "rows": rows}
-
-
-def cmd_scenario(args, parser):
-    """spin, coherent, squeezed and optimize: the scenario --scenario or else
-    the subcommand names, from its flags; a flag the subcommand lacks is absent."""
-    name = getattr(args, "scenario", args.command)
-    _expect_len(parser, args.angles, 2 * SCENARIOS[name].parties, "--angles")
-    _check_search(args, parser)
-    params = _build(parser, _check_scenario, name,
-                    {k: getattr(args, k, None) for k in (*_PARAMS, "cutoff")})
-    from .optimize import make_scenario
-    scenario = _build(parser, make_scenario, name, **params)
-    # the parameters the scenario computed: spin 1 for --j 1.0000000001
-    return _scenario_report(args, scenario,
-                            dict(scenario.params, cutoff=args.cutoff) if args.oracle else None)
-
-
-def cmd_mermin(args, parser):
-    name = f"mermin{args.parties}"
-    _expect_len(parser, args.angles, 2 * SCENARIOS[name].parties, "--angles")
-    _check_search(args, parser)
-    from .optimize import make_scenario
-    return _scenario_report(args, make_scenario(name), {"parties": args.parties})
 
 
 def cmd_lhv(args, parser):
@@ -323,47 +300,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("chsh", help="CHSH correlator on a Bell state")
-    p.add_argument("--bell-index", type=int, choices=(0, 1, 2, 3), default=0)
-    p.add_argument("--angles", type=_floats, default=None,
-                   help="alpha,alpha',beta,beta' in radians")
-    p.add_argument("--polar", type=_floats, default=None,
-                   help="theta,theta',omega,omega',alpha,alpha',beta,beta'")
-    _add_search(p, oracle=True)
-    _add_common(p, cmd_chsh)
+    for command in dict.fromkeys(s.command for s in SCENARIOS.values() if s.command):
+        spec, *more = [s for s in SCENARIOS.values() if s.command == command]
+        p = subs.add_parser(command, help=spec.help)
+        if more:
+            p.add_argument("--parties", type=int, required=True,
+                           choices=[s.parties for s in (spec, *more)])
+        _add_params(p, spec.params, defaults=True)
+        if spec.angles:
+            p.add_argument("--angles", type=_floats, help="one phase per setting in radians")
+        if spec.polar:
+            p.add_argument("--polar", type=_floats,
+                           help="theta,theta',omega,omega',alpha,alpha',beta,beta'")
+        if spec.truncated:
+            p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
+        _add_search(p, oracle=spec.oracle)
+        _add_common(p, cmd_scenario)
 
     p = subs.add_parser("gisin", help="maximal CHSH value of the N-family state")
     p.add_argument("--n-list", type=_family_ns, required=True,
                    help="comma-separated N values, each an integer >= 3")
     _add_search(p, oracle=False, optimize=False)
     _add_common(p, cmd_gisin)
-
-    p = subs.add_parser("spin", help="CHSH on the spin-j singlet")
-    _add_params(p, "spin", required=True)
-    _add_search(p, oracle=False)
-    _add_common(p, cmd_scenario)
-
-    p = subs.add_parser("coherent", help="CHSH on the entangled coherent state")
-    _add_params(p, "coherent", eta=0.1, sigma=0.1, phi=math.pi)
-    p.add_argument("--angles", type=_floats, default=None,
-                   help="alpha,alpha',beta,beta' (default: maximizing set for phi)")
-    p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
-    _add_search(p, oracle=True)
-    _add_common(p, cmd_scenario)
-
-    p = subs.add_parser("squeezed", help="CHSH on the two-mode squeezed state")
-    _add_params(p, "squeezed", required=True)
-    p.add_argument("--angles", type=_floats, default=None)
-    p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
-    _add_search(p, oracle=True)
-    _add_common(p, cmd_scenario)
-
-    p = subs.add_parser("mermin", help="Mermin correlator on a GHZ state")
-    p.add_argument("--parties", type=int, required=True,
-                   choices=[s.parties for s in SCENARIOS.values() if s.parties > 2])
-    p.add_argument("--angles", type=_floats, default=None)
-    _add_search(p, oracle=True)
-    _add_common(p, cmd_mermin)
 
     p = subs.add_parser("lhv", help="local-hidden-variable Monte Carlo CHSH")
     p.add_argument("--model", choices=LHV_MODELS, default="sign")
@@ -376,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("optimize", help="maximize |correlator| for a scenario")
     p.add_argument("--scenario", required=True, choices=list(SCENARIOS),
-                   help="a registered scenario; the flags below set its parameters")
-    _add_params(p)
+                   help="a registered scenario; the flags below set its parameters, "
+                        "each left out taking the table's default")
+    _add_params(p, _PARAMS.values(), defaults=False)
     _add_search(p, oracle=False, optimize=False)
     _add_common(p, cmd_scenario)
     p.set_defaults(optimize=True)

@@ -91,24 +91,26 @@ def chsh(t, x):
 # Two-qubit closed forms
 # ---------------------------------------------------------------------------
 
-# (|00> + |11>)/sqrt(2): <s_z s_z> = <s_x s_x> = 1 and <s_y s_y> = -1, so
-# E = cos t cos o + sin t sin o cos(a + b); its (x, y) block on phases,
-# E = cos(a + b)
-T_PHI0_POLAR = np.diag([1.0, 1.0, -1.0])
-T_PHI0_PHASE = np.diag([1.0, -1.0])
+# T of each Bell state (``states.bell_state``) by index: (|00> +- |11>)/sqrt(2)
+# has <s_z s_z> = 1 and <s_x s_x> = -<s_y s_y> = +-1, (|01> -+ |10>)/sqrt(2)
+# has <s_z s_z> = -1 and <s_x s_x> = <s_y s_y> = -+1.  On phases T is the
+# (x, y) block: E = cos(a + b), -cos(a + b), -cos(a - b) and cos(a - b).
+T_BELL_POLAR = tuple(np.diag(d) for d in ((1.0, 1.0, -1.0), (1.0, -1.0, 1.0),
+                                          (-1.0, -1.0, -1.0), (-1.0, 1.0, 1.0)))
+T_BELL_PHASE = tuple(t[1:, 1:].copy() for t in T_BELL_POLAR)
 
 
 def chsh_phi0_phase(alpha, alpha_p, beta, beta_p):
     """CHSH on the first Bell state with phase-flip observables:
     cos(a+b) + cos(a'+b) + cos(a+b') - cos(a'+b')."""
-    return chsh(T_PHI0_PHASE, _stacked(2, alpha, alpha_p, beta, beta_p))
+    return chsh(T_BELL_PHASE[0], _stacked(2, alpha, alpha_p, beta, beta_p))
 
 
 def chsh_phi0_polar(theta, theta_p, omega, omega_p, alpha, alpha_p, beta, beta_p):
     """CHSH on the first Bell state with full polar observables; reduces to
     chsh_phi0_phase at theta = theta' = omega = omega' = pi/2."""
-    return chsh(T_PHI0_POLAR, _stacked(3, theta, theta_p, omega, omega_p,
-                                       alpha, alpha_p, beta, beta_p))
+    return chsh(T_BELL_POLAR[0], _stacked(3, theta, theta_p, omega, omega_p,
+                                          alpha, alpha_p, beta, beta_p))
 
 
 def gisin_correlation(n):

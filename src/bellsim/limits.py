@@ -105,6 +105,13 @@ def _check_family_n(n) -> int:
     return n
 
 
+def _check_bell_index(k) -> int:
+    """Validate a Bell state index, 0 to 3; return it as int."""
+    if k not in (0, 1, 2, 3):  # NaN fails here too
+        raise ValueError(f"Bell index must be in 0..3, got {k}")
+    return int(k)
+
+
 def _check_finite(x) -> float:
     """Validate a finite real number; return it as float."""
     x = float(x)
@@ -150,64 +157,89 @@ def _check_unit(vec, label: str) -> list:
 
 
 class Param(NamedTuple):
-    """A scenario parameter: factory keyword, flag, flag parse, value check, help."""
+    """A scenario parameter: factory keyword, flag, flag parse, value check,
+    help, and its default, None for a required one."""
 
     keyword: str
     flag: str
     parse: type
     check: object
     help: str
+    default: object = None
 
 
 class ScenarioSpec(NamedTuple):
-    """A scenario's required parameters, party count and bounds; the factory of
-    a ``truncated`` one also takes the Fock ``cutoff`` of its oracle."""
+    """A scenario's parameters, party count, bounds and whether it has a
+    matrix route (``oracle``), whose Fock ``cutoff`` the factory of a
+    ``truncated`` one takes.  For the command line: its subcommand and help
+    (scenarios that share one differ in party count, picked by --parties),
+    whether it takes --angles, and the scenarios --polar and --optimize
+    evaluate in its place."""
 
     params: tuple = ()
     parties: int = 2
     classical_bound: float = CHSH_CLASSICAL_BOUND
     quantum_bound: float = TSIRELSON_BOUND
     truncated: bool = False
+    oracle: bool = False
+    command: str = ""
+    help: str = ""
+    angles: bool = True
+    polar: str = ""
+    search: str = ""
 
+
+_BELL_INDEX = Param("bell_index", "--bell-index", int, _check_bell_index,
+                    "Bell state index, 0 to 3", 0)
+_MERMIN = dict(classical_bound=2.0, oracle=True, command="mermin",
+               help="Mermin correlator on a GHZ state")
 
 # every registered scenario; ``optimize.scenario_<name>`` (- read as _) builds it
 SCENARIOS = {
-    "chsh-phase": ScenarioSpec(),
-    "chsh-polar": ScenarioSpec(),
+    "chsh-phase": ScenarioSpec((_BELL_INDEX,), oracle=True, command="chsh",
+                               help="CHSH correlator on a Bell state",
+                               polar="chsh-polar", search="chsh-polar"),
+    "chsh-polar": ScenarioSpec((_BELL_INDEX,)),
     "product-state": ScenarioSpec(),
     "gisin": ScenarioSpec((Param("n", "--n", int, _check_family_n,
                                  "N-family parameter, an integer >= 3"),)),
     "r-state": ScenarioSpec((Param("r", "--r", float, _check_finite,
                                    "weight r of |-+> against |+->"),)),
+    # its phase count grows with j, so it takes no --angles
     "spin": ScenarioSpec((Param("j", "--j", float, _check_spin,
-                                "spin (integer or half-integer)"),)),
+                                "spin (integer or half-integer)"),),
+                         command="spin", help="CHSH on the spin-j singlet", angles=False),
     "squeezed": ScenarioSpec((Param("lam", "--lambda", float, _check_squeezing,
-                                    "squeezing parameter in (0, 1)"),), truncated=True),
+                                    "squeezing parameter in (0, 1)"),),
+                             truncated=True, oracle=True, command="squeezed",
+                             help="CHSH on the two-mode squeezed state"),
     "coherent": ScenarioSpec((Param("eta", "--eta", float, _check_finite,
-                                    "coherent amplitude of mode A"),
+                                    "coherent amplitude of mode A", 0.1),
                               Param("sigma", "--sigma", float, _check_finite,
-                                    "coherent amplitude of mode B"),
+                                    "coherent amplitude of mode B", 0.1),
                               Param("phi", "--phi", float, _check_finite,
-                                    "phase between the two branches")),
-                             truncated=True),
-    "mermin3": ScenarioSpec(parties=3, classical_bound=2.0, quantum_bound=4.0),
-    "mermin4": ScenarioSpec(parties=4, classical_bound=2.0, quantum_bound=4.0 * math.sqrt(2.0)),
+                                    "phase between the two branches", math.pi)),
+                             truncated=True, oracle=True, command="coherent",
+                             help="CHSH on the entangled coherent state"),
+    "mermin3": ScenarioSpec(parties=3, quantum_bound=4.0, **_MERMIN),
+    "mermin4": ScenarioSpec(parties=4, quantum_bound=4.0 * math.sqrt(2.0), **_MERMIN),
 }
 
 
 def _check_scenario(name: str, params: dict) -> dict:
     """The entries of ``params`` that scenario ``name`` takes, None counting as
-    absent; raises KeyError for an unknown name, and ValueError when a required
-    parameter is missing or one the scenario does not take is given."""
+    absent, over the table's defaults; raises KeyError for an unknown name,
+    and ValueError when a required parameter is missing or one the scenario
+    does not take is given."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     spec = SCENARIOS[name]
-    given = {k: v for k, v in params.items() if v is not None}
-    required = [p.keyword for p in spec.params]
-    missing = [k for k in required if k not in given]
+    table = {p.keyword: p.default for p in spec.params}
+    given = table | {k: v for k, v in params.items() if v is not None}
+    missing = [k for k, v in given.items() if v is None]
     if missing:
         raise ValueError(f"scenario {name!r} requires parameters {missing}")
-    unused = sorted(given.keys() - {*required, *(["cutoff"] if spec.truncated else [])})
+    unused = sorted(given.keys() - table.keys() - ({"cutoff"} if spec.truncated else set()))
     if unused:
         raise ValueError(f"scenario {name!r} does not take parameters {unused}")
     return given

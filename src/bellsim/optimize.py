@@ -31,8 +31,9 @@ import numpy as np
 from . import correlators as co
 from . import linalg, observables, states
 from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, MAX_RESTARTS, SCENARIOS,
-                     SEARCH_GUARD, TSIRELSON_BOUND, NumericGuardError, _check_cutoff,
-                     _check_family_n, _check_scenario, _check_spin, _check_squeezing, report)
+                     SEARCH_GUARD, TSIRELSON_BOUND, NumericGuardError, _check_bell_index,
+                     _check_cutoff, _check_family_n, _check_scenario, _check_spin,
+                     _check_squeezing, report)
 from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
@@ -56,7 +57,8 @@ class Scenario:
     correlator values of shape (...), multilinear in the settings.
     ``oracle``, when set, evaluates one angle vector through the matrix
     route (each party's observables applied to the state), sharing no code
-    with ``evaluator``; ``defaults`` is the maximizing angle vector, when
+    with ``evaluator``, its reports adding ``oracle_params`` (a Fock
+    cutoff) to ``params``; ``defaults`` is the maximizing angle vector, when
     known.  Angles come one per phase, or as the polar angles theta of all
     settings followed by their azimuths alpha.
     """
@@ -69,6 +71,7 @@ class Scenario:
     quantum_bound: float = TSIRELSON_BOUND
     params: dict = field(default_factory=dict)
     oracle: object = None
+    oracle_params: dict = field(default_factory=dict)
     defaults: tuple = ()
 
     def __post_init__(self):
@@ -84,7 +87,8 @@ class Scenario:
         search's best, its params then restarts, seed, evaluations and
         converged, under ``SEARCH_GUARD``; else ``angles`` (default
         ``defaults``) on the closed form or, with ``oracle``, on the matrix
-        route, named for the family: chsh-oracle, coherent-oracle, ..."""
+        route, named for the family (chsh-oracle, coherent-oracle, ...) and
+        its params then ``oracle_params``."""
         bounds = self.classical_bound, self.quantum_bound
         if restarts is not None:
             result = maximize_violation(self, restarts=restarts, seed=seed)
@@ -97,8 +101,8 @@ class Scenario:
             return report(self.name, dict(self.params), settings, self.value(settings), *bounds)
         if self.oracle is None:
             raise ValueError(f"scenario {self.name!r} has no matrix route")
-        return report(self.name.removesuffix("-phase") + "-oracle", dict(self.params), settings,
-                      self.oracle(settings), *bounds)
+        return report(self.name.removesuffix("-phase") + "-oracle",
+                      self.params | self.oracle_params, settings, self.oracle(settings), *bounds)
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,7 @@ def _polar_scenario(name, t, params=None):
 
 
 def _phase_scenario(name, evaluator, state, scheme, build_operator, defaults,
-                    params=None) -> Scenario:
+                    params=None, oracle_params=None) -> Scenario:
     """``SCENARIOS[name]`` on two phases per party: ``evaluator`` of them,
     and an oracle that applies ``build_operator`` to one phase-flip
     observable per setting on ``state()``.  The oracle builds the state per
@@ -260,19 +264,25 @@ def _phase_scenario(name, evaluator, state, scheme, build_operator, defaults,
 
     return Scenario(name, evaluator, 2 * spec.parties, 2,
                     classical_bound=spec.classical_bound, quantum_bound=spec.quantum_bound,
-                    params=params or {}, oracle=oracle, defaults=defaults)
+                    params=params or {}, oracle=oracle, oracle_params=oracle_params or {},
+                    defaults=defaults)
 
 
-def scenario_chsh_phase(bell_index=0) -> Scenario:
-    """Phase-flip CHSH on a Bell state.  The closed form is the one of Bell
-    index 0; the oracle evaluates the indexed state."""
-    return _phase_scenario("chsh-phase", partial(co.chsh, co.T_PHI0_PHASE),
-                           partial(states.bell_state, bell_index), PairingScheme.qubit(),
-                           observables.chsh_operator, co.STANDARD_CHSH_ANGLES)
+def scenario_chsh_phase(bell_index) -> Scenario:
+    """Phase-flip CHSH on a Bell state: the closed form on its T literal, the
+    oracle on its amplitudes."""
+    k = _check_bell_index(bell_index)
+    # indices 2 and 3 are of the cos(a - b) family, as coherent is past |phi| = pi/2
+    return _phase_scenario("chsh-phase", partial(co.chsh, co.T_BELL_PHASE[k]),
+                           partial(states.bell_state, k), PairingScheme.qubit(),
+                           observables.chsh_operator,
+                           co.STANDARD_CHSH_ANGLES_DIFF if k > 1 else co.STANDARD_CHSH_ANGLES,
+                           params={"bell_index": k})
 
 
-def scenario_chsh_polar() -> Scenario:
-    return _polar_scenario("chsh-polar", co.T_PHI0_POLAR)
+def scenario_chsh_polar(bell_index) -> Scenario:
+    k = _check_bell_index(bell_index)
+    return _polar_scenario("chsh-polar", co.T_BELL_POLAR[k], params={"bell_index": k})
 
 
 def scenario_product_state() -> Scenario:
@@ -307,7 +317,8 @@ def scenario_squeezed(lam, cutoff=DEFAULT_CUTOFF) -> Scenario:
     return _phase_scenario("squeezed", partial(co.chsh, co.squeezed_correlation(lam)),
                            partial(states.squeezed_state, lam, cutoff=cutoff),
                            PairingScheme.even_odd(cutoff), observables.chsh_operator,
-                           co.STANDARD_CHSH_ANGLES, params={"lam": lam})
+                           co.STANDARD_CHSH_ANGLES, params={"lam": lam},
+                           oracle_params={"cutoff": cutoff})
 
 
 def scenario_coherent(eta, sigma, phi, cutoff=DEFAULT_CUTOFF) -> Scenario:
@@ -320,20 +331,20 @@ def scenario_coherent(eta, sigma, phi, cutoff=DEFAULT_CUTOFF) -> Scenario:
         partial(states.entangled_coherent, eta, sigma, phi, cutoff=cutoff),
         PairingScheme.even_odd(cutoff), observables.chsh_operator,
         co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0 else co.STANDARD_CHSH_ANGLES,
-        params={"eta": eta, "sigma": sigma, "phi": phi})
+        params={"eta": eta, "sigma": sigma, "phi": phi}, oracle_params={"cutoff": cutoff})
 
 
 def scenario_mermin3() -> Scenario:
     # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
     return _phase_scenario("mermin3", co.mabk, partial(states.ghz_state, 3),
                            PairingScheme.qubit(), observables.mermin3_operator,
-                           co.STANDARD_MERMIN_ANGLES[3])
+                           co.STANDARD_MERMIN_ANGLES[3], params={"parties": 3})
 
 
 def scenario_mermin4() -> Scenario:
     return _phase_scenario("mermin4", lambda x: -co.mabk(x), partial(states.ghz_state, 4),
                            PairingScheme.qubit(), observables.mermin4_operator,
-                           co.STANDARD_MERMIN_ANGLES[4])
+                           co.STANDARD_MERMIN_ANGLES[4], params={"parties": 4})
 
 
 def make_scenario(name: str, **params) -> Scenario:

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .limits import (DEFAULT_CUTOFF, NumericGuardError, _check_cutoff, _check_family_n,
-                     _check_spin, _check_squeezing, _coherent_norm)
+from .limits import (DEFAULT_CUTOFF, NumericGuardError, _check_bell_index, _check_cutoff,
+                     _check_family_n, _check_spin, _check_squeezing, _coherent_norm)
 from .linalg import StateVector
 
 TAIL_TOL = 1e-10
@@ -25,15 +25,8 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def bell_state(alpha: int) -> StateVector:
     """The four maximally entangled two-qubit basis states, indexed 0..3."""
-    table = {
-        0: (1, 0, 0, 1),
-        1: (1, 0, 0, -1),
-        2: (0, 1, -1, 0),
-        3: (0, 1, 1, 0),
-    }
-    if alpha not in table:
-        raise ValueError(f"Bell index must be in 0..3, got {alpha}")
-    return StateVector(np.array(table[alpha], dtype=np.complex128) * _INV_SQRT2, (2, 2))
+    amps = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, -1, 0), (0, 1, 1, 0))[_check_bell_index(alpha)]
+    return StateVector(np.array(amps, dtype=np.complex128) * _INV_SQRT2, (2, 2))
 
 
 def gisin_family_state(n: int) -> StateVector:

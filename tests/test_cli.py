@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import pytest
 import bellsim
 import reference_mp as ref
 from bellsim import correlators, lhv, linalg, optimize
-from bellsim.cli import main, render_report
+from bellsim.cli import build_parser, main, render_report
+from bellsim.limits import SCENARIOS
 from test_reference import BUDGET
 
 
@@ -27,8 +29,16 @@ ANGLES = "0.3,1.2,-0.5,2.5"
 @pytest.mark.parametrize("argv, scenario, params, value", [
     (["chsh"], "chsh-phase", {"bell_index": 0}, 2.82843),
     (["chsh", "--oracle"], "chsh-oracle", {"bell_index": 0}, 2.82843),
-    (["chsh", "--bell-index", "2", "--angles", ANGLES], "chsh-oracle", {"bell_index": 2},
-     0.28814),
+    (["chsh", "--bell-index", "2", "--angles", ANGLES, "--oracle"], "chsh-oracle",
+     {"bell_index": 2}, 0.28814),
+    # each Bell index on its own T literal, at its maximizing defaults
+    (["chsh", "--bell-index", "2"], "chsh-phase", {"bell_index": 2}, -2.82843),
+    (["chsh", "--bell-index", "3"], "chsh-phase", {"bell_index": 3}, 2.82843),
+    (["chsh", "--bell-index", "2", "--optimize", "--restarts", "2"], "chsh-polar",
+     {"bell_index": 2, "converged": True, "evaluations": 85, "restarts": 2, "seed": 0},
+     2.82843),
+    (["chsh", "--bell-index", "1", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2"],
+     "chsh-polar", {"bell_index": 1}, -0.78797),
     (["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2"], "chsh-polar",
      {"bell_index": 0}, 0.53959),
     (["spin", "--j", "1.5"], "spin-1.5", {"j": 1.5}, -2.82843),
@@ -40,11 +50,12 @@ ANGLES = "0.3,1.2,-0.5,2.5"
     (["coherent"], "coherent", {"eta": 0.1, "phi": 3.14159, "sigma": 0.1}, 2.8284),
     (["squeezed", "--lambda", "0.6"], "squeezed", {"lam": 0.6}, 2.49567),
     (["chsh", "--optimize", "--restarts", "2"], "chsh-polar",
-     {"converged": True, "evaluations": 85, "restarts": 2, "seed": 0}, 2.82843),
+     {"bell_index": 0, "converged": True, "evaluations": 85, "restarts": 2, "seed": 0},
+     2.82843),
     (["spin", "--j", "2", "--optimize", "--restarts", "2"], "spin-2",
      {"converged": True, "evaluations": 125, "j": 2.0, "restarts": 2, "seed": 0}, 2.66274),
     (["mermin", "--parties", "4", "--optimize", "--restarts", "2"], "mermin4",
-     {"converged": True, "evaluations": 125, "restarts": 2, "seed": 0}, 5.65685),
+     {"converged": True, "evaluations": 125, "parties": 4, "restarts": 2, "seed": 0}, 5.65685),
     # spin_j_max(20): one restart of the exact ascent reaches it
     (["spin", "--j", "20", "--optimize", "--restarts", "1"], "spin-20",
      {"converged": True, "evaluations": 723, "j": 20.0, "restarts": 1, "seed": 0}, 2.80822),
@@ -59,6 +70,51 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     assert code == 0
     payload = json.loads(out)
     assert (payload["scenario"], payload["params"], payload["value"]) == (scenario, params, value)
+
+
+# each scenario subcommand, with the scenarios it evaluates, as the table declares them
+_COMMANDS = {}
+for _spec in SCENARIOS.values():
+    if _spec.command:
+        _COMMANDS.setdefault(_spec.command, []).append(_spec)
+# the flags every scenario subcommand takes, whatever its scenario
+_SHARED_FLAGS = {"-h", "--optimize", "--restarts", "--format", "--precision", "--seed", "--out"}
+
+
+def _flags(command):
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a for a in action.choices[command]._actions}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_scenario_subcommand_offers_the_table_flags(command):
+    # build_parser writes each scenario subcommand from limits.SCENARIOS:
+    # drift between the two would otherwise show only when a flag is used
+    specs = _COMMANDS[command]
+    spec = specs[0]
+    flags = _flags(command)
+    assert all(s.params == spec.params and s.oracle == spec.oracle for s in specs)
+    offered = {"--parties": len(specs) > 1, "--angles": spec.angles, "--polar": spec.polar,
+               "--cutoff": spec.truncated, "--oracle": spec.oracle}
+    assert set(flags) == (_SHARED_FLAGS | {p.flag for p in spec.params}
+                          | {flag for flag, on in offered.items() if on})
+    for p in spec.params:
+        action = flags[p.flag]
+        assert (action.dest, action.default, action.required) == \
+            (p.keyword, p.default, p.default is None)
+    if len(specs) > 1:
+        assert flags["--parties"].choices == [s.parties for s in specs]
+    assert {spec.polar, spec.search} - {""} <= set(SCENARIOS)
+
+
+def test_optimize_offers_every_scenario_and_parameter():
+    flags = _flags("optimize")
+    assert flags["--scenario"].choices == list(SCENARIOS)
+    params = {p.flag: p for s in SCENARIOS.values() for p in s.params}
+    assert set(flags) == _SHARED_FLAGS - {"--optimize"} | {"--scenario", *params}
+    # left out, a parameter takes the table's default in make_scenario
+    assert all((flags[f].dest, flags[f].default) == (p.keyword, None) for f, p in params.items())
 
 
 @pytest.mark.parametrize("argv", [
@@ -91,11 +147,9 @@ def test_route_report_pinned(capsys, argv, scenario, params, value):
     ["optimize", "--scenario", "coherent", "--eta", "0.1", "--sigma", "0.1", "--phi", "-inf"],
     # an unwritable report path
     ["chsh", "--out", "{tmp}/missing-dir/report.json"],
-    # the search covers Bell index 0 only, and --polar settings are only evaluated
-    ["chsh", "--bell-index", "2", "--optimize"],
+    # --polar settings are only evaluated, on a scenario with no matrix route
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--optimize"],
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--oracle"],
-    ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--bell-index", "1"],
     # --optimize searches its own settings on the closed form
     ["chsh", "--optimize", "--oracle"],
     ["chsh", "--optimize", "--angles", "0,0,0,0"],
@@ -171,8 +225,9 @@ _FUZZ_FLAGS = {
                "--oracle": None, "--optimize": None},
     "lhv": {"--model": ("sign", "nope"), "--samples": ("1", "10", "1000", "0", "-3"),
             "--vectors": ("1,0,0;0,1,0;0,0,1;1,0,0", "1,0,0;0,1,0", "2,0,0;0,1,0;0,0,1;1,0,0")},
-    "optimize": {"--scenario": ("chsh-phase", "gisin", "r-state", "spin", "squeezed",
-                                "coherent", "mermin3", "nope"),
+    "optimize": {"--scenario": ("chsh-phase", "chsh-polar", "gisin", "r-state", "spin",
+                                "squeezed", "coherent", "mermin3", "nope"),
+                 "--bell-index": ("0", "3", "4"),
                  "--n": ("3", "5", "2", "x", "1" + "0" * 400), "--r": ("0.5", "-2"), "--j": ("0.5", "1.5", "0"),
                  "--lambda": ("0.3", "2"), "--eta": ("0.2", "9"), "--sigma": ("0.2", "0"),
                  "--phi": ("1", "-7")},
@@ -267,6 +322,9 @@ def _python(*args, **kwargs):
     ["optimize", "--scenario", "gisin"],
     ["optimize", "--scenario", "gisin", "--n", "2"],
     ["optimize", "--scenario", "mermin3", "--lambda", "0.5"],
+    ["optimize", "--scenario", "mermin3", "--bell-index", "0"],
+    # a route the selected scenario lacks
+    ["chsh", "--polar", "0,0,0,0,0,0,0,0", "--oracle"],
     # a model name checked against the built-in names
     ["lhv", "--model", "nope"],
 ])
@@ -323,11 +381,12 @@ def test_closed_stdout_exits_1_without_traceback():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_full_stdout_exits_1_without_traceback(fmt):
+@pytest.mark.parametrize("argv", [["--format", "text"], ["--format", "json"],
+                                  ["--out", "/dev/full"]], ids=["text", "json", "out"])
+def test_full_stdout_exits_1_without_traceback(argv):
+    # a full disk under --out too: the path opens, the write fails
     with open("/dev/full", "w") as full:
-        proc = _python("-m", "bellsim.cli", "chsh", "--format", fmt,
-                       stdout=full, stderr=subprocess.PIPE)
+        proc = _python("-m", "bellsim.cli", "chsh", *argv, stdout=full, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err.startswith("cannot write the report: ")

@@ -622,6 +622,7 @@ def _evaluator_correlation(scenario):
 
 CORRELATION_CASES = [
     ("chsh-polar", {}, bell_state(0)),
+    *(("chsh-polar", {"bell_index": k}, bell_state(k)) for k in (1, 2, 3)),
     ("product-state", {}, r_state(0.0)),
     *(("gisin", {"n": n}, gisin_family_state(n)) for n in (3, 4, 5, 12, 1000)),
     *(("r-state", {"r": r}, r_state(r)) for r in (0.0, 0.5, 0.999)),

@@ -33,7 +33,8 @@ REPORTS = [
     f"chsh --angles {ANGLES}",
     f"chsh --angles {ANGLES} --oracle",
     "chsh --bell-index 1",
-    f"chsh --bell-index 2 --angles {ANGLES}",
+    "chsh --bell-index 2",
+    f"chsh --bell-index 2 --angles {ANGLES} --oracle",
     f"chsh --polar {POLAR}",
     "chsh --optimize --restarts 2",
     "chsh --out {tmp}/report.txt",

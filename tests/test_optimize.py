@@ -72,14 +72,16 @@ PHASE_FLIP = ("chsh-phase", "squeezed", "coherent", "mermin3", "mermin4")
 # the oracle's sign relative to the closed form where it is not +1: the
 # matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
 ORACLE_SIGN = {"mermin3": -1.0}
-# every scenario of the table with an oracle, with the oracle's sign
+# every scenario of the table with an oracle, with the oracle's sign, and
+# chsh-phase at the other Bell indices, each on its own T literal
 _BUILT = {name: make_scenario(name, **TABLE_CASE[name]) for name in SCENARIOS}
-ORACLE_SCENARIOS = [(s, ORACLE_SIGN.get(name, 1.0)) for name, s in _BUILT.items()
-                    if s.oracle is not None]
+_BUILT |= {f"chsh-phase-{k}": make_scenario("chsh-phase", bell_index=k) for k in (1, 2, 3)}
+ORACLE_SCENARIOS = {key: (s, ORACLE_SIGN.get(s.name, 1.0)) for key, s in _BUILT.items()
+                    if s.oracle is not None}
 
 
 def test_every_pinned_oracle_sign_is_used():
-    assert set(ORACLE_SIGN) <= {s.name for s, _ in ORACLE_SCENARIOS}
+    assert set(ORACLE_SIGN) <= {s.name for s, _ in ORACLE_SCENARIOS.values()}
 
 
 def test_factories_and_table_name_the_same_scenarios():
@@ -90,8 +92,7 @@ def test_factories_and_table_name_the_same_scenarios():
     assert factories == {name.replace("-", "_") for name in SCENARIOS}
 
 
-@pytest.mark.parametrize("scenario, sign", ORACLE_SCENARIOS,
-                         ids=[s.name for s, _ in ORACLE_SCENARIOS])
+@pytest.mark.parametrize("scenario, sign", ORACLE_SCENARIOS.values(), ids=ORACLE_SCENARIOS)
 def test_oracle_matches_closed_form(scenario, sign):
     rng = np.random.default_rng(21)
     for settings in rng.uniform(0.0, 2 * np.pi, (3, scenario.settings)):
@@ -303,7 +304,9 @@ def test_batch_cases_cover_every_scenario():
 def test_scenario_carries_the_table_entry(name):
     spec = SCENARIOS[name]
     params = TABLE_CASE[name]
-    assert set(params) == {p.keyword for p in spec.params}
+    # every required parameter given, the rest taking the table's default
+    assert ({p.keyword for p in spec.params if p.default is None} <= set(params)
+            <= {p.keyword for p in spec.params})
     scenario = make_scenario(name, **params)
     assert (scenario.classical_bound, scenario.quantum_bound) == \
         (spec.classical_bound, spec.quantum_bound)
@@ -580,16 +583,18 @@ class TestScenarioReport:
         with pytest.raises(NumericGuardError, match="exceeds the quantum bound"):
             _constant_scenario(3.0).report(**route)
 
-    @pytest.mark.parametrize("name, params, reported", [
-        ("chsh-phase", {}, "chsh-oracle"),
-        ("coherent", {"eta": 0.1, "sigma": 0.1, "phi": np.pi}, "coherent-oracle"),
-        ("mermin3", {}, "mermin3-oracle"),
+    @pytest.mark.parametrize("name, params, reported, added", [
+        ("chsh-phase", {}, "chsh-oracle", {}),
+        ("coherent", {"eta": 0.1, "sigma": 0.1, "phi": np.pi}, "coherent-oracle",
+         {"cutoff": 40}),
+        ("mermin3", {}, "mermin3-oracle", {}),
     ], ids=["chsh-phase", "coherent", "mermin3"])
-    def test_oracle_report_names_the_family(self, name, params, reported):
+    def test_oracle_report_names_the_family(self, name, params, reported, added):
+        # the oracle route names the Fock cutoff of a truncated state, last
         scenario = make_scenario(name, **params)
         report = scenario.report(oracle=True)
         assert report["scenario"] == reported
-        assert report["params"] == scenario.params
+        assert list(report["params"].items()) == [*scenario.params.items(), *added.items()]
         assert report["value"] == float(scenario.oracle(scenario.defaults))
         assert scenario.report()["scenario"] == name
 

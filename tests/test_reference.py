@@ -49,7 +49,7 @@ def _spin_groups(settings):
 def exact_max(scenario, params):
     """The scenario's largest |value|, for a search report."""
     if scenario in ("chsh-phase", "chsh-polar"):
-        return ref.horodecki_max(_two_qubit(ref.bell_amplitudes(0)))
+        return ref.horodecki_max(_two_qubit(ref.bell_amplitudes(params["bell_index"])))
     if scenario == "product-state":
         return ref.horodecki_max(_two_qubit(ref.r_amplitudes(0)))
     if scenario == "gisin":
@@ -69,12 +69,10 @@ def evaluated(scenario, params, s):
     """The value a closed form or oracle report names at its settings ``s``.
     An oracle at a Fock cutoff drops a tail far below one ulp at every
     corpus setting, so the untruncated formula is its reference too."""
-    if scenario == "chsh-phase":
-        return ref.phase_chsh(_two_qubit(ref.bell_amplitudes(0)), *s)
-    if scenario == "chsh-oracle":
+    if scenario in ("chsh-phase", "chsh-oracle"):
         return ref.phase_chsh(_two_qubit(ref.bell_amplitudes(params["bell_index"])), *s)
     if scenario == "chsh-polar":
-        return ref.polar_chsh(_two_qubit(ref.bell_amplitudes(0)), *s)
+        return ref.polar_chsh(_two_qubit(ref.bell_amplitudes(params["bell_index"])), *s)
     if scenario.startswith("spin-"):
         return ref.spin_chsh(params["j"], *_spin_groups(s))
     if scenario.startswith("coherent"):
@@ -113,7 +111,6 @@ def golden_distances():
             expected = exact_max(report["scenario"], report["params"])
             value = abs(report["value"])
         else:
-            # --bell-index 1 to 3 takes the matrix route without --oracle
             route = "oracle" if report["scenario"].endswith("-oracle") else "closed"
             expected = evaluated(report["scenario"], report["params"], report["settings"])
             value = report["value"]
@@ -130,7 +127,7 @@ def test_golden_values_within_their_ulp_budgets():
     rows = golden_distances()
     # every full-precision run but lhv's exact mean and the guard failure,
     # a gisin table row by row
-    assert len(rows) == 38
+    assert len(rows) == 39
     print("\nulps   route   reference  run\n" + _table(rows))
     over = [row for row in rows if not abs(row[4]) <= BUDGET[row[1]]]
     assert not over, "outside the budget:\n" + _table(over)
