@@ -202,13 +202,13 @@ def _add_search(sub, oracle: bool, optimize: bool = True):
 _PARAMS = {p.keyword: p for spec in SCENARIOS.values() for p in spec.params}
 
 
-def _add_params(sub, params, defaults: bool):
-    """A flag for each of ``params``, typed by the parameter's check: with
-    ``defaults``, required or defaulting as the table says, else None."""
+def _add_params(sub, params, required: bool):
+    """A flag for each of ``params``, typed by the parameter's check and
+    left out as None, which ``_check_scenario`` reads as the table's
+    default; with ``required``, one without a default is required."""
     for p in params:
         sub.add_argument(p.flag, dest=p.keyword, type=_checked(p.parse, p.check), help=p.help,
-                         required=defaults and p.default is None,
-                         default=p.default if defaults else None)
+                         required=required and p.default is None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +226,20 @@ def _build(parser, factory, *args, **kwargs):
 
 def _selected(args) -> str:
     """The scenario the flags name: --scenario, else the subcommand's at
-    --parties, or the one its --polar or --optimize evaluates in its place."""
+    --parties, or its ``polar`` one under --polar or --optimize."""
     if args.command == "optimize":
         return args.scenario
     name, spec = next((n, s) for n, s in SCENARIOS.items() if s.command == args.command
                       and s.parties == getattr(args, "parties", s.parties))
-    if args.polar is not None:
-        return spec.polar
-    return spec.search if args.optimize and spec.search else name
+    return spec.polar or name if args.polar is not None or args.optimize else name
 
 
 def cmd_scenario(args, parser):
     """Every scenario subcommand and ``optimize``: ``Scenario.report`` of the
     scenario the flags select, built from the parameter flags (one the
     subcommand lacks is absent), on the route the flags pick."""
+    if args.angles is not None and args.polar is not None:
+        parser.error("--angles and --polar each set the settings: give one")
     name = _selected(args)
     spec = SCENARIOS[name]
     _expect_len(parser, args.angles, 2 * spec.parties, "--angles")
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         if more:
             p.add_argument("--parties", type=int, required=True,
                            choices=[s.parties for s in (spec, *more)])
-        _add_params(p, spec.params, defaults=True)
+        _add_params(p, spec.params, required=True)
         if spec.angles:
             p.add_argument("--angles", type=_floats, help="one phase per setting in radians")
         if spec.polar:
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, choices=list(SCENARIOS),
                    help="a registered scenario; the flags below set its parameters, "
                         "each left out taking the table's default")
-    _add_params(p, _PARAMS.values(), defaults=False)
+    _add_params(p, _PARAMS.values(), required=False)
     _add_search(p, oracle=False, optimize=False)
     _add_common(p, cmd_scenario)
     p.set_defaults(optimize=True)

@@ -173,8 +173,8 @@ class ScenarioSpec(NamedTuple):
     matrix route (``oracle``), whose Fock ``cutoff`` the factory of a
     ``truncated`` one takes.  For the command line: its subcommand and help
     (scenarios that share one differ in party count, picked by --parties),
-    whether it takes --angles, and the scenarios --polar and --optimize
-    evaluate in its place."""
+    whether it takes --angles, and ``polar``, the scenario on Bloch-vector
+    settings that --polar evaluates and --optimize searches in its place."""
 
     params: tuple = ()
     parties: int = 2
@@ -186,7 +186,6 @@ class ScenarioSpec(NamedTuple):
     help: str = ""
     angles: bool = True
     polar: str = ""
-    search: str = ""
 
 
 _BELL_INDEX = Param("bell_index", "--bell-index", int, _check_bell_index,
@@ -198,7 +197,7 @@ _MERMIN = dict(classical_bound=2.0, oracle=True, command="mermin",
 SCENARIOS = {
     "chsh-phase": ScenarioSpec((_BELL_INDEX,), oracle=True, command="chsh",
                                help="CHSH correlator on a Bell state",
-                               polar="chsh-polar", search="chsh-polar"),
+                               polar="chsh-polar"),
     "chsh-polar": ScenarioSpec((_BELL_INDEX,)),
     "product-state": ScenarioSpec(),
     "gisin": ScenarioSpec((Param("n", "--n", int, _check_family_n,

@@ -99,13 +99,15 @@ def test_scenario_subcommand_offers_the_table_flags(command):
                "--cutoff": spec.truncated, "--oracle": spec.oracle}
     assert set(flags) == (_SHARED_FLAGS | {p.flag for p in spec.params}
                           | {flag for flag, on in offered.items() if on})
+    # left out, a parameter reads as None: _check_scenario gives the
+    # table's default, the one place defaults are applied
     for p in spec.params:
         action = flags[p.flag]
         assert (action.dest, action.default, action.required) == \
-            (p.keyword, p.default, p.default is None)
+            (p.keyword, None, p.default is None)
     if len(specs) > 1:
         assert flags["--parties"].choices == [s.parties for s in specs]
-    assert {spec.polar, spec.search} - {""} <= set(SCENARIOS)
+    assert spec.polar in {"", *SCENARIOS}
 
 
 def test_optimize_offers_every_scenario_and_parameter():
@@ -150,6 +152,8 @@ def test_optimize_offers_every_scenario_and_parameter():
     # --polar settings are only evaluated, on a scenario with no matrix route
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--optimize"],
     ["chsh", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2", "--oracle"],
+    # two settings sources: the phases' length was checked against the polar's
+    ["chsh", "--angles", "0,0,0,0", "--polar", "0.3,1.1,2.0,0.4,0.5,1.5,-0.2,2.2"],
     # --optimize searches its own settings on the closed form
     ["chsh", "--optimize", "--oracle"],
     ["chsh", "--optimize", "--angles", "0,0,0,0"],
@@ -325,6 +329,7 @@ def _python(*args, **kwargs):
     ["optimize", "--scenario", "mermin3", "--bell-index", "0"],
     # a route the selected scenario lacks
     ["chsh", "--polar", "0,0,0,0,0,0,0,0", "--oracle"],
+    ["chsh", "--angles", "0,0,0,0", "--polar", "0,0,0,0,0,0,0,0"],
     # a model name checked against the built-in names
     ["lhv", "--model", "nope"],
 ])

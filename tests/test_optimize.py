@@ -308,8 +308,12 @@ def test_scenario_carries_the_table_entry(name):
     assert ({p.keyword for p in spec.params if p.default is None} <= set(params)
             <= {p.keyword for p in spec.params})
     scenario = make_scenario(name, **params)
+    # every table parameter, defaulted or given, reaches the report
+    assert {p.keyword for p in spec.params} <= set(scenario.params)
     assert (scenario.classical_bound, scenario.quantum_bound) == \
         (spec.classical_bound, spec.quantum_bound)
+    # --oracle is offered exactly where the factory builds a matrix route
+    assert (scenario.oracle is not None) == spec.oracle
     if name in PHASE_FLIP:
         assert (scenario.settings, scenario.width) == (2 * spec.parties, 2)
 
