@@ -24,9 +24,8 @@ import os
 import re
 import sys
 
-from .limits import (DEFAULT_CUTOFF, DEFAULT_SAMPLES, LHV_MODELS, MAX_RESTARTS, MAX_SAMPLES,
-                     SCENARIOS, NumericGuardError, _check_cutoff, _check_family_n, _check_finite,
-                     _check_scenario, _check_unit, report)
+from .limits import (_CUTOFF, DEFAULT_SAMPLES, LHV_MODELS, MAX_RESTARTS, MAX_SAMPLES, SCENARIOS,
+                     NumericGuardError, _check_finite, _check_scenario, _check_unit, report)
 
 _DEFAULT_LHV_VECTORS = "1,0,0;0,1,0;0.70710678118654752,0.70710678118654752,0;0.70710678118654752,-0.70710678118654752,0"
 
@@ -150,13 +149,12 @@ def _checked(parse, check):
 
 
 _finite = _checked(float, _check_finite)
-_cutoff = _checked(int, _check_cutoff)
-_family_n = _checked(float, _check_family_n)
 
 
 def _family_ns(text: str):
-    """--n-list: comma-separated N-family parameters, at least one."""
-    ns = [_family_n(tok) for tok in text.split(",") if tok.strip()]
+    """--n-list: comma-separated N-family parameters, each read as --n, at least one."""
+    n = _PARAMS["n"]
+    ns = [_checked(n.parse, n.check)(tok) for tok in text.split(",") if tok.strip()]
     if not ns:
         raise argparse.ArgumentTypeError("expected at least one entry")
     return ns
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--polar", type=_floats,
                            help="theta,theta',omega,omega',alpha,alpha',beta,beta'")
         if spec.truncated:
-            p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF)
+            _add_params(p, (_CUTOFF,), required=False)
         _add_search(p, oracle=spec.oracle)
         _add_common(p, cmd_scenario)
 

@@ -91,6 +91,11 @@ def _check_spin(j) -> int:
     return twoj
 
 
+def _half_integer(j) -> float:
+    """``_check_spin``'s j, as the half-integer 2j / 2."""
+    return _check_spin(j) / 2.0
+
+
 def _check_family_n(n) -> int:
     """Validate the N-family parameter, an integer N >= 3 within float range
     (the amplitudes take sqrt(N - 3)); return it as int."""
@@ -158,7 +163,8 @@ def _check_unit(vec, label: str) -> list:
 
 class Param(NamedTuple):
     """A scenario parameter: factory keyword, flag, flag parse, value check,
-    help, and its default, None for a required one."""
+    help, and its default, None for a required one; the check returns the
+    value the factory takes."""
 
     keyword: str
     flag: str
@@ -170,8 +176,8 @@ class Param(NamedTuple):
 
 class ScenarioSpec(NamedTuple):
     """A scenario's parameters, party count, bounds and whether it has a
-    matrix route (``oracle``), whose Fock ``cutoff`` the factory of a
-    ``truncated`` one takes.  For the command line: its subcommand and help
+    matrix route (``oracle``), which on a ``truncated`` one takes the Fock
+    cutoff ``_CUTOFF``.  For the command line: its subcommand and help
     (scenarios that share one differ in party count, picked by --parties),
     whether it takes --angles, and ``polar``, the scenario on Bloch-vector
     settings that --polar evaluates and --optimize searches in its place."""
@@ -188,24 +194,27 @@ class ScenarioSpec(NamedTuple):
     polar: str = ""
 
 
+# a truncated scenario's parameter of the matrix route alone, not of the state
+_CUTOFF = Param("cutoff", "--cutoff", int, _check_cutoff,
+                "Fock cutoff of the matrix route, an even integer", DEFAULT_CUTOFF)
 _BELL_INDEX = Param("bell_index", "--bell-index", int, _check_bell_index,
                     "Bell state index, 0 to 3", 0)
 _MERMIN = dict(classical_bound=2.0, oracle=True, command="mermin",
                help="Mermin correlator on a GHZ state")
 
-# every registered scenario; ``optimize.scenario_<name>`` (- read as _) builds it
+# every registered scenario; ``optimize.scenario_<name>`` (- read as _) gives its physics
 SCENARIOS = {
     "chsh-phase": ScenarioSpec((_BELL_INDEX,), oracle=True, command="chsh",
                                help="CHSH correlator on a Bell state",
                                polar="chsh-polar"),
     "chsh-polar": ScenarioSpec((_BELL_INDEX,)),
     "product-state": ScenarioSpec(),
-    "gisin": ScenarioSpec((Param("n", "--n", int, _check_family_n,
+    "gisin": ScenarioSpec((Param("n", "--n", float, _check_family_n,
                                  "N-family parameter, an integer >= 3"),)),
     "r-state": ScenarioSpec((Param("r", "--r", float, _check_finite,
                                    "weight r of |-+> against |+->"),)),
     # its phase count grows with j, so it takes no --angles
-    "spin": ScenarioSpec((Param("j", "--j", float, _check_spin,
+    "spin": ScenarioSpec((Param("j", "--j", float, _half_integer,
                                 "spin (integer or half-integer)"),),
                          command="spin", help="CHSH on the spin-j singlet", angles=False),
     "squeezed": ScenarioSpec((Param("lam", "--lambda", float, _check_squeezing,
@@ -226,19 +235,19 @@ SCENARIOS = {
 
 
 def _check_scenario(name: str, params: dict) -> dict:
-    """The entries of ``params`` that scenario ``name`` takes, None counting as
-    absent, over the table's defaults; raises KeyError for an unknown name,
-    and ValueError when a required parameter is missing or one the scenario
-    does not take is given."""
+    """Each parameter scenario ``name`` takes, a truncated one's ``cutoff``
+    last, as its check returns the entry of ``params`` (None is absent) or
+    the table's default.  Raises KeyError for an unknown name, ValueError for
+    a missing or unused parameter and for a value a check rejects."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     spec = SCENARIOS[name]
-    table = {p.keyword: p.default for p in spec.params}
-    given = table | {k: v for k, v in params.items() if v is not None}
+    table = {p.keyword: p for p in spec.params + ((_CUTOFF,) if spec.truncated else ())}
+    given = {k: p.default if params.get(k) is None else params[k] for k, p in table.items()}
     missing = [k for k, v in given.items() if v is None]
     if missing:
         raise ValueError(f"scenario {name!r} requires parameters {missing}")
-    unused = sorted(given.keys() - table.keys() - ({"cutoff"} if spec.truncated else set()))
+    unused = sorted(k for k, v in params.items() if v is not None and k not in table)
     if unused:
         raise ValueError(f"scenario {name!r} does not take parameters {unused}")
-    return given
+    return {k: table[k].check(v) for k, v in given.items()}

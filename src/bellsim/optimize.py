@@ -30,10 +30,8 @@ import numpy as np
 
 from . import correlators as co
 from . import linalg, observables, states
-from .limits import (CHSH_CLASSICAL_BOUND, DEFAULT_CUTOFF, MAX_RESTARTS, SCENARIOS,
-                     SEARCH_GUARD, TSIRELSON_BOUND, NumericGuardError, _check_bell_index,
-                     _check_cutoff, _check_family_n, _check_scenario, _check_spin,
-                     _check_squeezing, report)
+from .limits import (CHSH_CLASSICAL_BOUND, MAX_RESTARTS, SCENARIOS, SEARCH_GUARD,
+                     TSIRELSON_BOUND, NumericGuardError, _check_scenario, report)
 from .observables import PairingScheme
 
 # coordinate-ascent sweeps per start; a run stopped here is not converged
@@ -86,9 +84,10 @@ class Scenario:
         """The ``limits.report`` of one route.  Given ``restarts``, the
         search's best, its params then restarts, seed, evaluations and
         converged, under ``SEARCH_GUARD``; else ``angles`` (default
-        ``defaults``) on the closed form or, with ``oracle``, on the matrix
-        route, named for the family (chsh-oracle, coherent-oracle, ...) and
-        its params then ``oracle_params``."""
+        ``defaults``, a ValueError where there are none) on the closed form
+        or, with ``oracle``, on the matrix route, named for the family
+        (chsh-oracle, coherent-oracle, ...) and its params then
+        ``oracle_params``."""
         bounds = self.classical_bound, self.quantum_bound
         if restarts is not None:
             result = maximize_violation(self, restarts=restarts, seed=seed)
@@ -96,11 +95,13 @@ class Scenario:
                           evaluations=result.evaluations, converged=result.converged)
             return report(self.name, params, result.best_settings, result.best_value,
                           *bounds, guard=SEARCH_GUARD)
+        if oracle and self.oracle is None:
+            raise ValueError(f"scenario {self.name!r} has no matrix route")
+        if angles is None and not len(self.defaults):
+            raise ValueError(f"scenario {self.name!r} has no default settings: give angles")
         settings = self.defaults if angles is None else angles
         if not oracle:
             return report(self.name, dict(self.params), settings, self.value(settings), *bounds)
-        if self.oracle is None:
-            raise ValueError(f"scenario {self.name!r} has no matrix route")
         return report(self.name.removesuffix("-phase") + "-oracle",
                       self.params | self.oracle_params, settings, self.oracle(settings), *bounds)
 
@@ -234,24 +235,23 @@ def maximize_violation(scenario: Scenario, restarts: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# Scenario factories
+# Scenario factories: each takes its checked parameters and gives the physics,
+# the ``Scenario`` fields that ``make_scenario`` does not read off the table
 # ---------------------------------------------------------------------------
 
-def _polar_scenario(name, t, params=None):
+def _polar(t) -> dict:
     # settings a, a', b, b' as Bloch vectors; angles theta, theta', omega,
     # omega', alpha, alpha', beta, beta'
-    return Scenario(name, partial(co.chsh, t), 4, 3, params=params or {})
+    return {"evaluator": partial(co.chsh, t), "width": 3}
 
 
-def _phase_scenario(name, evaluator, state, scheme, build_operator, defaults,
-                    params=None, oracle_params=None) -> Scenario:
-    """``SCENARIOS[name]`` on two phases per party: ``evaluator`` of them,
-    and an oracle that applies ``build_operator`` to one phase-flip
-    observable per setting on ``state()``.  The oracle builds the state per
-    call, so a truncation guard fails the oracle route only and the closed
-    form never pays for it; it raises NumericGuardError when the expectation
-    of a Hermitian operator comes out with an imaginary part above 1e-10."""
-    spec = SCENARIOS[name]
+def _phase(evaluator, state, scheme, build_operator, defaults) -> dict:
+    """Two phases per party: ``evaluator`` of them, and an oracle that
+    applies ``build_operator`` to one phase-flip observable per setting on
+    ``state()``.  The oracle builds the state per call, so a truncation
+    guard fails the oracle route only and the closed form never pays for it;
+    it raises NumericGuardError when the expectation of a Hermitian operator
+    comes out with an imaginary part above 1e-10."""
 
     def oracle(settings):
         psi = state()
@@ -262,95 +262,87 @@ def _phase_scenario(name, evaluator, state, scheme, build_operator, defaults,
             raise NumericGuardError(f"Hermitian expectation came out complex: {value}")
         return value.real
 
-    return Scenario(name, evaluator, 2 * spec.parties, 2,
-                    classical_bound=spec.classical_bound, quantum_bound=spec.quantum_bound,
-                    params=params or {}, oracle=oracle, oracle_params=oracle_params or {},
-                    defaults=defaults)
+    return {"evaluator": evaluator, "oracle": oracle, "defaults": defaults}
 
 
-def scenario_chsh_phase(bell_index) -> Scenario:
+def scenario_chsh_phase(bell_index) -> dict:
     """Phase-flip CHSH on a Bell state: the closed form on its T literal, the
     oracle on its amplitudes."""
-    k = _check_bell_index(bell_index)
     # indices 2 and 3 are of the cos(a - b) family, as coherent is past |phi| = pi/2
-    return _phase_scenario("chsh-phase", partial(co.chsh, co.T_BELL_PHASE[k]),
-                           partial(states.bell_state, k), PairingScheme.qubit(),
-                           observables.chsh_operator,
-                           co.STANDARD_CHSH_ANGLES_DIFF if k > 1 else co.STANDARD_CHSH_ANGLES,
-                           params={"bell_index": k})
+    return _phase(partial(co.chsh, co.T_BELL_PHASE[bell_index]),
+                  partial(states.bell_state, bell_index), PairingScheme.qubit(),
+                  observables.chsh_operator,
+                  co.STANDARD_CHSH_ANGLES_DIFF if bell_index > 1 else co.STANDARD_CHSH_ANGLES)
 
 
-def scenario_chsh_polar(bell_index) -> Scenario:
-    k = _check_bell_index(bell_index)
-    return _polar_scenario("chsh-polar", co.T_BELL_POLAR[k], params={"bell_index": k})
+def scenario_chsh_polar(bell_index) -> dict:
+    return _polar(co.T_BELL_POLAR[bell_index])
 
 
-def scenario_product_state() -> Scenario:
+def scenario_product_state() -> dict:
     # |+-> is the r-state at r = 0
-    return _polar_scenario("product-state", co.rstate_correlation(0.0))
+    return _polar(co.rstate_correlation(0.0))
 
 
-def scenario_gisin(n) -> Scenario:
-    n = _check_family_n(n)
-    return _polar_scenario("gisin", co.gisin_correlation(n), params={"n": n})
+def scenario_gisin(n) -> dict:
+    return _polar(co.gisin_correlation(n))
 
 
-def scenario_r_state(r) -> Scenario:
-    r = float(r)
-    return _polar_scenario("r-state", co.rstate_correlation(r), params={"r": r})
+def scenario_r_state(r) -> dict:
+    return _polar(co.rstate_correlation(r))
 
 
-def scenario_spin(j) -> Scenario:
-    twoj = _check_spin(j)
+def scenario_spin(j) -> dict:
+    twoj = int(2 * j)
     npairs = (twoj + 1) // 2
 
     def evaluator(x):
         # settings: the npairs phases of a, then of a', b and b'
         return co.spin_chsh(twoj, x.reshape(x.shape[:-2] + (4, 2 * npairs)))
 
-    return Scenario(f"spin-{twoj / 2:g}", evaluator, 4 * npairs, 2, params={"j": twoj / 2.0},
-                    defaults=tuple(np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs)))
+    return {"name": f"spin-{j:g}", "evaluator": evaluator, "settings": 4 * npairs,
+            "defaults": tuple(np.repeat(co.STANDARD_CHSH_ANGLES_DIFF, npairs))}
 
 
-def scenario_squeezed(lam, cutoff=DEFAULT_CUTOFF) -> Scenario:
-    lam, cutoff = _check_squeezing(lam), _check_cutoff(cutoff)
-    return _phase_scenario("squeezed", partial(co.chsh, co.squeezed_correlation(lam)),
-                           partial(states.squeezed_state, lam, cutoff=cutoff),
-                           PairingScheme.even_odd(cutoff), observables.chsh_operator,
-                           co.STANDARD_CHSH_ANGLES, params={"lam": lam},
-                           oracle_params={"cutoff": cutoff})
+def scenario_squeezed(lam, cutoff) -> dict:
+    return _phase(partial(co.chsh, co.squeezed_correlation(lam)),
+                  partial(states.squeezed_state, lam, cutoff=cutoff),
+                  PairingScheme.even_odd(cutoff), observables.chsh_operator,
+                  co.STANDARD_CHSH_ANGLES)
 
 
-def scenario_coherent(eta, sigma, phi, cutoff=DEFAULT_CUTOFF) -> Scenario:
-    eta, sigma, phi = float(eta), float(sigma), float(phi)
-    cutoff = _check_cutoff(cutoff)
+def scenario_coherent(eta, sigma, phi, cutoff) -> dict:
     # T on first use, so a guard failure of its series fails this route only
     t = cache(partial(co.coherent_correlation, eta, sigma, phi))
-    return _phase_scenario(
-        "coherent", lambda x: co.chsh(t(), x),
-        partial(states.entangled_coherent, eta, sigma, phi, cutoff=cutoff),
-        PairingScheme.even_odd(cutoff), observables.chsh_operator,
-        co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0 else co.STANDARD_CHSH_ANGLES,
-        params={"eta": eta, "sigma": sigma, "phi": phi}, oracle_params={"cutoff": cutoff})
+    return _phase(lambda x: co.chsh(t(), x),
+                  partial(states.entangled_coherent, eta, sigma, phi, cutoff=cutoff),
+                  PairingScheme.even_odd(cutoff), observables.chsh_operator,
+                  co.STANDARD_CHSH_ANGLES_DIFF if np.cos(phi) < 0 else co.STANDARD_CHSH_ANGLES)
 
 
-def scenario_mermin3() -> Scenario:
+def scenario_mermin3() -> dict:
     # the matrix route on (|+++> - |--->)/sqrt(2) is minus the closed form
-    return _phase_scenario("mermin3", co.mabk, partial(states.ghz_state, 3),
-                           PairingScheme.qubit(), observables.mermin3_operator,
-                           co.STANDARD_MERMIN_ANGLES[3], params={"parties": 3})
+    return _phase(co.mabk, partial(states.ghz_state, 3), PairingScheme.qubit(),
+                  observables.mermin3_operator, co.STANDARD_MERMIN_ANGLES[3])
 
 
-def scenario_mermin4() -> Scenario:
-    return _phase_scenario("mermin4", lambda x: -co.mabk(x), partial(states.ghz_state, 4),
-                           PairingScheme.qubit(), observables.mermin4_operator,
-                           co.STANDARD_MERMIN_ANGLES[4], params={"parties": 4})
+def scenario_mermin4() -> dict:
+    return _phase(lambda x: -co.mabk(x), partial(states.ghz_state, 4), PairingScheme.qubit(),
+                  observables.mermin4_operator, co.STANDARD_MERMIN_ANGLES[4])
 
 
 def make_scenario(name: str, **params) -> Scenario:
-    """Build a scenario of ``limits.SCENARIOS`` through its factory
-    ``scenario_<name>``, with - read as _.  Raises KeyError for an unknown
-    name and ValueError when a required parameter is missing or one it does
-    not take is given; a parameter set to None counts as absent."""
+    """Scenario ``name`` of ``limits.SCENARIOS``: the name, bounds, 2 x parties
+    settings of width 2 and, as params, what ``limits._check_scenario``
+    returns (raising as it does), ``parties`` ahead where not 2 and a
+    ``cutoff`` in ``oracle_params`` instead; the factory ``scenario_<name>``
+    (- read as _) gives the physics, over these where they differ."""
     params = _check_scenario(name, params)
-    return globals()[f"scenario_{name.replace('-', '_')}"](**params)
+    spec = SCENARIOS[name]
+    physics = globals()[f"scenario_{name.replace('-', '_')}"](**params)
+    oracle_params = {"cutoff": params.pop("cutoff")} if spec.truncated else {}
+    parties = {"parties": spec.parties} if spec.parties != 2 else {}
+    return Scenario(**{"name": name, "settings": 2 * spec.parties, "width": 2,
+                       "classical_bound": spec.classical_bound,
+                       "quantum_bound": spec.quantum_bound, "params": parties | params,
+                       "oracle_params": oracle_params} | physics)

@@ -105,6 +105,8 @@ def test_scenario_subcommand_offers_the_table_flags(command):
         action = flags[p.flag]
         assert (action.dest, action.default, action.required) == \
             (p.keyword, None, p.default is None)
+    if spec.truncated:
+        assert flags["--cutoff"].default is None
     if len(specs) > 1:
         assert flags["--parties"].choices == [s.parties for s in specs]
     assert spec.polar in {"", *SCENARIOS}
@@ -232,9 +234,10 @@ _FUZZ_FLAGS = {
     "optimize": {"--scenario": ("chsh-phase", "chsh-polar", "gisin", "r-state", "spin",
                                 "squeezed", "coherent", "mermin3", "nope"),
                  "--bell-index": ("0", "3", "4"),
-                 "--n": ("3", "5", "2", "x", "1" + "0" * 400), "--r": ("0.5", "-2"), "--j": ("0.5", "1.5", "0"),
+                 "--n": ("3", "5", "2", "x", "1" + "0" * 400, "3.0", "1e9"),
+                 "--r": ("0.5", "-2", "nan"), "--j": ("0.5", "1.5", "0"),
                  "--lambda": ("0.3", "2"), "--eta": ("0.2", "9"), "--sigma": ("0.2", "0"),
-                 "--phi": ("1", "-7")},
+                 "--phi": ("1", "-7", "inf")},
 }
 _FUZZ_COMMON = {"--format": ("text", "json", "csv", "xml"),
                 "--precision": ("0", "3", "-1", "18", "100000000000"),
@@ -454,6 +457,16 @@ class TestGisin:
         with pytest.raises(SystemExit) as exc:
             main(["gisin", "--n-list", "2,10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["3.0", "1e9"])
+    def test_n_list_and_optimize_n_read_n_alike(self, capsys, text):
+        # --n-list entries parse as optimize's --n does, each to its integer
+        whole = str(int(float(text)))
+        n_list = [run_cli(capsys, "gisin", "--n-list", n, "--restarts", "1") for n in (text, whole)]
+        optimized = [run_cli(capsys, "optimize", "--scenario", "gisin", "--n", n, "--restarts", "1")
+                     for n in (text, whole)]
+        assert n_list[0] == n_list[1] and n_list[0][0] == 0
+        assert optimized[0] == optimized[1] and optimized[0][0] == 0
 
 
 class TestSpin:

@@ -7,9 +7,9 @@ import pytest
 from bellsim import correlators, make_scenario, maximize_violation, optimize
 from bellsim.correlators import coherent_omega, coherent_pair_series, spin_j_max
 from bellsim.observables import TSIRELSON_BOUND
-from bellsim.limits import SCENARIOS, NumericGuardError
+from bellsim.limits import _CUTOFF, SCENARIOS, NumericGuardError
 from bellsim.linalg import ATOL_OPT, ATOL_ORACLE
-from bellsim.optimize import Scenario, scenario_coherent, scenario_gisin
+from bellsim.optimize import Scenario
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,7 +36,7 @@ class TestScenarioRegistry:
     def test_gisin_factory_validates(self):
         for n in (2, 10 ** 400):  # a float cannot hold 10**400
             with pytest.raises(ValueError):
-                scenario_gisin(n)
+                make_scenario("gisin", n=n)
 
     @pytest.mark.parametrize("n", [3.7, 2.5])
     def test_non_integer_gisin_n_rejected(self, n):
@@ -318,6 +318,22 @@ def test_scenario_carries_the_table_entry(name):
         assert (scenario.settings, scenario.width) == (2 * spec.parties, 2)
 
 
+# values each table check rejects past NaN and +-inf, by keyword
+OUT_OF_RANGE = {"bell_index": (4, -1, 0.5), "n": (2, 3.5), "r": (), "j": (0, -1, 0.7, 512.5),
+                "lam": (0, 1, -0.5), "eta": (), "sigma": (), "phi": (), "cutoff": (0, 3, 1026)}
+REJECTED = [(name, p.keyword, value) for name, spec in SCENARIOS.items()
+            for p in spec.params + ((_CUTOFF,) if spec.truncated else ())
+            for value in (math.nan, math.inf, -math.inf, *OUT_OF_RANGE[p.keyword])]
+
+
+@pytest.mark.parametrize("name, keyword, value", REJECTED,
+                         ids=[f"{n}-{k}={v:g}" for n, k, v in REJECTED])
+def test_make_scenario_rejects_what_the_table_check_rejects(name, keyword, value):
+    # the library refuses each value the CLI's flag refuses, before any route
+    with pytest.raises(ValueError):
+        make_scenario(name, **TABLE_CASE[name] | {keyword: value})
+
+
 @pytest.mark.parametrize("name, params", BATCH_CASES,
                          ids=[f"{n}{''.join(f'-{v:g}' for v in kw.values())}"
                               for n, kw in BATCH_CASES])
@@ -502,7 +518,7 @@ def test_search_memory_stays_under_one_mib(name, params, restarts):
 
 def test_oracle_memory_does_not_grow_with_the_joint_matrix():
     # at cutoff 80 the joint CHSH matrix alone would take 655 MB
-    scenario = scenario_coherent(0.5, 0.5, 1.0, cutoff=80)
+    scenario = make_scenario("coherent", eta=0.5, sigma=0.5, phi=1.0, cutoff=80)
     tracemalloc.start()
     try:
         value = scenario.oracle(scenario.defaults)
@@ -622,3 +638,10 @@ class TestScenarioReport:
     def test_oracle_route_needs_an_oracle(self):
         with pytest.raises(ValueError, match="no matrix route"):
             make_scenario("gisin", n=5).report(oracle=True)
+
+    @pytest.mark.parametrize("name", ["chsh-polar", "product-state", "gisin", "r-state"])
+    def test_no_defaults_needs_angles(self, name):
+        scenario = make_scenario(name, **TABLE_CASE[name])
+        assert scenario.defaults == ()
+        with pytest.raises(ValueError, match=f"'{name}'.*give angles"):
+            scenario.report()
